@@ -138,66 +138,142 @@ let total_ops c =
 
 let segment_size = 128
 
-module Iset = Set.Make (Int)
+(* Per-domain scratch for costing a row: the row's segment or bank-word
+   ids (sorted to count the distinct ones) and a per-bank counter.
+   Reused across rows and launches, so costing allocates nothing. *)
+type scratch = {
+  mutable ids : int array;
+  mutable bank_words : int array;
+}
 
-(* Cost one aligned row of accesses from the items of a warp.  When
-   [attr] is given, the whole row's cost is charged to the site of its
-   first access — each transaction lands on exactly one site, so summing
-   sites reproduces the aggregates byte-exactly. *)
-let cost_row c ?attr ~smem_word ~banks ~model_conflicts (row : access list) =
-  match row with
-  | [] -> ()
-  | first :: _ ->
-    let site = match attr with None -> None | Some a -> Some (Attr.get a first.a_site) in
-    (match first.a_space with
-     | AS_global | AS_constant ->
-       let segments =
-         List.fold_left
-           (fun acc a ->
-              let s0 = a.a_addr / segment_size in
-              let s1 = (a.a_addr + a.a_size - 1) / segment_size in
-              let rec add acc s = if s > s1 then acc else add (Iset.add s acc) (s + 1) in
-              add acc s0)
-           Iset.empty row
-       in
-       let txns = Iset.cardinal segments in
-       let bytes = List.fold_left (fun n a -> n + a.a_size) 0 row in
-       c.gmem_transactions <- c.gmem_transactions + txns;
-       c.gmem_accesses <- c.gmem_accesses + List.length row;
-       c.gmem_bytes <- c.gmem_bytes + bytes;
-       (match site with
-        | None -> ()
-        | Some s ->
-          s.Attr.gmem_transactions <- s.Attr.gmem_transactions + txns;
-          s.Attr.gmem_bytes <- s.Attr.gmem_bytes + bytes)
-     | AS_local ->
-       c.smem_accesses <- c.smem_accesses + List.length row;
-       let ways =
-         if not model_conflicts then 1
-         else begin
-           (* words wanted per bank *)
-           let per_bank = Array.make banks Iset.empty in
-           List.iter
-             (fun a ->
-                let w0 = a.a_addr / smem_word in
-                let w1 = (a.a_addr + a.a_size - 1) / smem_word in
-                for w = w0 to w1 do
-                  let b = w mod banks in
-                  per_bank.(b) <- Iset.add w per_bank.(b)
-                done)
-             row;
-           Array.fold_left (fun m s -> max m (Iset.cardinal s)) 1 per_bank
-         end
-       in
-       c.smem_transactions <- c.smem_transactions + ways;
-       c.smem_bank_conflict_extra <- c.smem_bank_conflict_extra + (ways - 1);
-       (match site with
-        | None -> ()
-        | Some s ->
-          s.Attr.smem_transactions <- s.Attr.smem_transactions + ways;
-          s.Attr.smem_conflict_extra <- s.Attr.smem_conflict_extra + (ways - 1))
-     | AS_private | AS_none ->
-       c.private_accesses <- c.private_accesses + List.length row)
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { ids = Array.make 256 0; bank_words = [||] })
+
+let push_id sc n id =
+  if n = Array.length sc.ids then begin
+    let bigger = Array.make (2 * n) 0 in
+    Array.blit sc.ids 0 bigger 0 n;
+    sc.ids <- bigger
+  end;
+  sc.ids.(n) <- id
+
+(* Sort [a.(0 .. n-1)].  A row's ids arrive nearly sorted, since the
+   lanes of a warp mostly access ascending addresses, so rows of up to
+   a few words per lane are insertion-sorted in place; longer ones
+   (very wide accesses) take the library sort rather than risk a
+   quadratic insertion sort. *)
+let sort_ids a n =
+  if n > 256 then begin
+    let b = Array.sub a 0 n in
+    Array.sort Int.compare b;
+    Array.blit b 0 a 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+let space_rank = function
+  | AS_global -> 0
+  | AS_constant -> 1
+  | AS_local -> 2
+  | AS_private -> 3
+  | AS_none -> 4
+
+let spaces = [| AS_global; AS_constant; AS_local; AS_private; AS_none |]
+
+(* Cost the accesses at position [pos] of items [lo..hi] of [streams]
+   that are in space [sp], as one warp access.  When [attr] is given,
+   the whole row's cost is charged to the site of its first access —
+   each transaction lands on exactly one site, so summing sites
+   reproduces the aggregates byte-exactly. *)
+let cost_space c ?attr ~smem_word ~banks ~model_conflicts sc streams lo hi pos
+    sp =
+  let first = ref (-1) and count = ref 0 and bytes = ref 0 and nids = ref 0 in
+  for i = lo to hi do
+    let s = streams.(i) in
+    if pos < s.len then begin
+      let a = s.items.(pos) in
+      if a.a_space == sp then begin
+        if !first < 0 then first := a.a_site;
+        incr count;
+        bytes := !bytes + a.a_size;
+        match sp with
+        | AS_global | AS_constant ->
+          let s0 = a.a_addr / segment_size in
+          let s1 = (a.a_addr + a.a_size - 1) / segment_size in
+          for seg = s0 to s1 do
+            push_id sc !nids seg;
+            incr nids
+          done
+        | AS_local when model_conflicts ->
+          let w0 = a.a_addr / smem_word in
+          let w1 = (a.a_addr + a.a_size - 1) / smem_word in
+          for w = w0 to w1 do
+            push_id sc !nids w;
+            incr nids
+          done
+        | AS_local | AS_private | AS_none -> ()
+      end
+    end
+  done;
+  let site =
+    match attr with None -> None | Some a -> Some (Attr.get a !first)
+  in
+  let ids = sc.ids and nids = !nids in
+  sort_ids ids nids;
+  match sp with
+  | AS_global | AS_constant ->
+    let txns = ref 0 in
+    for i = 0 to nids - 1 do
+      if i = 0 || ids.(i) <> ids.(i - 1) then incr txns
+    done;
+    let txns = !txns in
+    c.gmem_transactions <- c.gmem_transactions + txns;
+    c.gmem_accesses <- c.gmem_accesses + !count;
+    c.gmem_bytes <- c.gmem_bytes + !bytes;
+    (match site with
+     | None -> ()
+     | Some s ->
+       s.Attr.gmem_transactions <- s.Attr.gmem_transactions + txns;
+       s.Attr.gmem_bytes <- s.Attr.gmem_bytes + !bytes)
+  | AS_local ->
+    c.smem_accesses <- c.smem_accesses + !count;
+    let ways =
+      if not model_conflicts then 1
+      else begin
+        (* the most distinct words wanted from any one bank *)
+        if Array.length sc.bank_words < banks then
+          sc.bank_words <- Array.make banks 0;
+        let per_bank = sc.bank_words in
+        let ways = ref 1 in
+        for i = 0 to nids - 1 do
+          if i = 0 || ids.(i) <> ids.(i - 1) then begin
+            let b = ids.(i) mod banks in
+            per_bank.(b) <- per_bank.(b) + 1;
+            if per_bank.(b) > !ways then ways := per_bank.(b)
+          end
+        done;
+        for i = 0 to nids - 1 do
+          per_bank.(ids.(i) mod banks) <- 0
+        done;
+        !ways
+      end
+    in
+    c.smem_transactions <- c.smem_transactions + ways;
+    c.smem_bank_conflict_extra <- c.smem_bank_conflict_extra + (ways - 1);
+    (match site with
+     | None -> ()
+     | Some s ->
+       s.Attr.smem_transactions <- s.Attr.smem_transactions + ways;
+       s.Attr.smem_conflict_extra <- s.Attr.smem_conflict_extra + (ways - 1))
+  | AS_private | AS_none -> c.private_accesses <- c.private_accesses + !count
 
 (* After a group completes: fold the per-item streams warp by warp.
    [branches], when present, holds the per-item branch-decision streams;
@@ -206,6 +282,7 @@ let cost_row c ?attr ~smem_word ~banks ~model_conflicts (row : access list) =
 let finish_group c ?attr ?branches ~warp_size ~smem_word ~banks
     ~model_conflicts (streams : stream array) =
   c.n_groups <- c.n_groups + 1;
+  let sc = Domain.DLS.get scratch_key in
   let n = Array.length streams in
   c.n_items <- c.n_items + n;
   let nwarps = (n + warp_size - 1) / warp_size in
@@ -217,19 +294,19 @@ let finish_group c ?attr ?branches ~warp_size ~smem_word ~banks
       max_len := max !max_len streams.(i).len
     done;
     for pos = 0 to !max_len - 1 do
-      let row = ref [] in
-      for i = hi downto lo do
-        if pos < streams.(i).len then row := streams.(i).items.(pos) :: !row
-      done;
       (* split the row by address space: under divergence streams of
          different items can interleave spaces at the same position *)
-      let by_space sp = List.filter (fun a -> a.a_space = sp) !row in
-      List.iter
-        (fun sp ->
-           match by_space sp with
-           | [] -> ()
-           | r -> cost_row c ?attr ~smem_word ~banks ~model_conflicts r)
-        [ AS_global; AS_constant; AS_local; AS_private; AS_none ]
+      let present = ref 0 in
+      for i = lo to hi do
+        if pos < streams.(i).len then
+          present :=
+            !present lor (1 lsl space_rank streams.(i).items.(pos).a_space)
+      done;
+      for r = 0 to Array.length spaces - 1 do
+        if !present land (1 lsl r) <> 0 then
+          cost_space c ?attr ~smem_word ~banks ~model_conflicts sc streams lo
+            hi pos spaces.(r)
+      done
     done;
     (match branches with
      | None -> ()

@@ -77,13 +77,6 @@ val total_ops : t -> int
 (** Global-memory coalescing granularity in bytes. *)
 val segment_size : int
 
-(** Cost one aligned row of same-space accesses from one warp; exposed
-    for the oracle-based property tests.  With [?attr] the row's cost is
-    additionally charged to the site of its first access. *)
-val cost_row :
-  t -> ?attr:Attr.t -> smem_word:int -> banks:int -> model_conflicts:bool ->
-  access list -> unit
-
 (** Fold a finished group's per-item streams into the counters, warp by
     warp.  [?branches] supplies per-item branch-decision streams for
     warp-divergence counting; [?attr] charges every row to the site of

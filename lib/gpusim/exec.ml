@@ -589,15 +589,26 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
 
     (* arenas *)
     let local_arena = Vm.Memory.create ~initial:8192 "local" in
-    let private_pool =
-      Array.init group_threads (fun i ->
-          Vm.Memory.create ~initial:2048 (Printf.sprintf "private.%d" i))
+    (* an item's private arena is created on its first private access:
+       compiled kernels keep most locals in frame slots, and most items
+       of most launches never touch one *)
+    let private_pool = Array.make group_threads None in
+    let private_arena i =
+      match private_pool.(i) with
+      | Some a -> a
+      | None ->
+        let a =
+          Vm.Memory.create ~initial:2048 (Printf.sprintf "private.%d" i)
+        in
+        private_pool.(i) <- Some a;
+        a
     in
+    let reset_private i = Option.iter Vm.Memory.reset private_pool.(i) in
     let arena_of : addr_space -> Vm.Memory.arena = function
       | AS_global -> dev.Device.global
       | AS_constant -> dev.Device.constant
       | AS_local -> local_arena
-      | AS_private -> private_pool.(!cur_item)
+      | AS_private -> private_arena !cur_item
       | AS_none -> host_arena
     in
 
@@ -881,7 +892,7 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
        | None ->
          let make_item lid_lin () =
            set_cur lid_lin;
-           Vm.Memory.reset private_pool.(lid_lin);
+           reset_private lid_lin;
            let ctx =
              { base_ctx with
                Vm.Interp.scopes = [];
@@ -916,7 +927,7 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
             warp; the same rounds machinery resumes parked warps *)
          (try
             for lid = 0 to group_threads - 1 do
-              Vm.Memory.reset private_pool.(lid)
+              reset_private lid
             done;
             let ctx =
               { base_ctx with

@@ -15,6 +15,7 @@
    [f]). *)
 
 type t = {
+  submit : Mutex.t;         (* held by the domain whose job is running *)
   m : Mutex.t;
   work : Condition.t;       (* a new job generation was published *)
   idle : Condition.t;       (* all helpers finished the current job *)
@@ -26,7 +27,8 @@ type t = {
 }
 
 let create () =
-  { m = Mutex.create ();
+  { submit = Mutex.create ();
+    m = Mutex.create ();
     work = Condition.create ();
     idle = Condition.create ();
     helpers = 0;
@@ -58,7 +60,7 @@ let rec helper_loop p i last_gen =
   helper_loop p i gen
 
 (* Spawn helpers up to [n]; existing ones are reused.  Called with the
-   pool quiescent (only the owning domain submits jobs). *)
+   pool quiescent (under [submit]). *)
 let ensure p n =
   Mutex.lock p.m;
   while p.helpers < n do
@@ -69,9 +71,16 @@ let ensure p n =
   done;
   Mutex.unlock p.m
 
+(* The job slot, the busy count and the failure list belong to the
+   pool, so jobs from different domains (concurrent launches) must not
+   overlap: a submitter could otherwise see another job's helpers
+   report in and return while one of its own workers still runs.
+   [submit] serialises them. *)
 let run p ~workers (f : int -> unit) =
   if workers <= 1 then f 0
   else begin
+    Mutex.lock p.submit;
+    Fun.protect ~finally:(fun () -> Mutex.unlock p.submit) @@ fun () ->
     let extra = workers - 1 in
     ensure p extra;
     Mutex.lock p.m;

@@ -1,7 +1,8 @@
 (** Persistent domain pool for block-parallel kernel execution.
 
     Helper domains spawn lazily, park between jobs, and live for the
-    process.  One job at a time, submitted by the owning domain. *)
+    process.  One job at a time: jobs submitted from several domains
+    at once run one after another. *)
 
 type t
 

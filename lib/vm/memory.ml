@@ -13,6 +13,7 @@ type arena = {
   mutable brk : int;                       (* bump pointer *)
   mutable high_water : int;
   mutable frozen : bool;                   (* allocations forbidden *)
+  mutable snap_buf : Bytes.t;              (* storage of the live snapshot *)
   name : string;
 }
 
@@ -22,7 +23,7 @@ exception Frozen of string
 
 let create ?(initial = 4096) name =
   { data = Bytes.make initial '\000'; brk = 16; high_water = 16;
-    frozen = false; name }
+    frozen = false; snap_buf = Bytes.empty; name }
   (* offset 0 is reserved so that a zero offset is never a valid address *)
 
 let size a = a.brk
@@ -71,22 +72,27 @@ let thaw a = a.frozen <- false
 
 (* Whole-arena snapshots back the optimistic parallel run: copy the used
    prefix, and on restore also zero whatever the aborted run wrote above
-   it so the "bytes past [high_water] are zero" invariant holds. *)
+   it so the "bytes past [high_water] are zero" invariant holds.  The
+   copy goes to the arena's own buffer, grown to the used prefix on
+   demand (arenas grow between launches, rarely during a launch loop)
+   and reused by the next snapshot, so at most one snapshot per arena
+   is live. *)
 type snapshot = {
-  snap_data : Bytes.t;
   snap_brk : int;
   snap_high_water : int;
 }
 
 let snapshot a =
-  { snap_data = Bytes.sub a.data 0 a.high_water;
-    snap_brk = a.brk;
-    snap_high_water = a.high_water }
+  let n = a.high_water in
+  if Bytes.length a.snap_buf < n then a.snap_buf <- Bytes.create n;
+  Bytes.blit a.data 0 a.snap_buf 0 n;
+  { snap_brk = a.brk; snap_high_water = n }
 
 let restore a s =
   let touched = min a.high_water (Bytes.length a.data) in
-  Bytes.fill a.data 0 touched '\000';
-  Bytes.blit s.snap_data 0 a.data 0 s.snap_high_water;
+  Bytes.blit a.snap_buf 0 a.data 0 s.snap_high_water;
+  if touched > s.snap_high_water then
+    Bytes.fill a.data s.snap_high_water (touched - s.snap_high_water) '\000';
   a.brk <- s.snap_brk;
   a.high_water <- s.snap_high_water
 

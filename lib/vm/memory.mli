@@ -12,6 +12,7 @@ type arena = {
   mutable brk : int;         (** bump pointer *)
   mutable high_water : int;
   mutable frozen : bool;     (** allocations forbidden; see {!freeze} *)
+  mutable snap_buf : Bytes.t;  (** storage of the live {!snapshot} *)
   name : string;             (** used in fault messages *)
 }
 
@@ -56,7 +57,15 @@ val thaw : arena -> unit
     above the snapshot's frontier. *)
 type snapshot
 
+(** [snapshot a] copies [a]'s used prefix into [a]'s own snapshot
+    buffer, which is grown on demand and reused across snapshots, so an
+    arena has at most one live snapshot: taking a new one invalidates
+    the previous one, whose {!restore} would then bring back the newer
+    contents.  The executor keeps to this — each launch takes one
+    snapshot per shared arena and either restores it or drops it before
+    the next. *)
 val snapshot : arena -> snapshot
+
 val restore : arena -> snapshot -> unit
 
 val load_bytes : arena -> int -> int -> Bytes.t

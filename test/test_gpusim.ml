@@ -262,17 +262,22 @@ let conflict_oracle ~word ~banks ~es ~stride ~n =
   done;
   Array.fold_left (fun m s -> max m (S.cardinal s)) 1 per_bank
 
+(* one warp of [n] items, each making the one access of the row *)
 let conflict_model ~word ~banks ~es ~stride ~n =
   let c = Gpusim.Counters.create () in
-  let row =
-    List.init n (fun i ->
-        { Gpusim.Counters.a_kind = Vm.Memory.Load;
-          a_space = Minic.Ast.AS_local;
-          a_addr = i * stride * es;
-          a_size = es;
-          a_site = 0 })
+  let streams =
+    Array.init n (fun i ->
+        let s = Gpusim.Counters.stream_create () in
+        Gpusim.Counters.stream_push s
+          { Gpusim.Counters.a_kind = Vm.Memory.Load;
+            a_space = Minic.Ast.AS_local;
+            a_addr = i * stride * es;
+            a_size = es;
+            a_site = 0 };
+        s)
   in
-  Gpusim.Counters.cost_row c ~smem_word:word ~banks ~model_conflicts:true row;
+  Gpusim.Counters.finish_group c ~warp_size:n ~smem_word:word ~banks
+    ~model_conflicts:true streams;
   c.Gpusim.Counters.smem_transactions
 
 let conflict_qcheck =

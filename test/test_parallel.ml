@@ -248,6 +248,67 @@ __kernel void reduce(__global int* out, __local int* tmp) {
             (stats.Gpusim.Exec.pool.Gpusim.Exec.outcome = Gpusim.Exec.Seq);
           check_int "one block" 1 stats.Gpusim.Exec.n_blocks;
           check_int "wrote" 7 (read_ints dev !out 1).(0));
+    Alcotest.test_case "replayed launches restore through one snapshot buffer"
+      `Quick (fun () ->
+          (* the rollback snapshot buffer is per arena and reused: three
+             conflicting launches on one device, with an allocation
+             after the first that grows the global arena (and so the
+             buffer), must each roll back to the state just before
+             themselves — the third reuses the grown buffer unchanged *)
+          let src = {|
+__kernel void clobber(__global int* c, __global int* out) {
+  c[0] = (int)get_group_id(0);
+  out[get_global_id(0)] = (int)get_global_id(0) + 1;
+}
+|}
+          in
+          let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
+          let k = Option.get (find_function prog "clobber") in
+          let run n =
+            with_domains n @@ fun () ->
+            let dev =
+              Gpusim.Device.create Gpusim.Device.titan
+                Gpusim.Device.opencl_on_nvidia
+            in
+            let host = Vm.Memory.create "host" in
+            let launch items args =
+              Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
+                ~host_arena:host ~kernel:k
+                ~cfg:
+                  { global_size = [| items; 1; 1 |]; local_size = [| 4; 1; 1 |];
+                    dyn_shared = 0 }
+                ~args ()
+            in
+            (* the used prefix, after checking everything above it is
+               still zero *)
+            let image () =
+              let g = dev.Gpusim.Device.global in
+              let hw = g.Vm.Memory.high_water in
+              let above =
+                Bytes.sub g.Vm.Memory.data hw (Bytes.length g.Vm.Memory.data - hw)
+              in
+              check "zero above the frontier" true
+                (Bytes.for_all (fun ch -> ch = '\000') above);
+              Bytes.sub_string g.Vm.Memory.data 0 hw
+            in
+            let c = gbuf dev 4 and o1 = gbuf dev (32 * 4) in
+            let s1 = launch 32 [ iptr c; iptr o1 ] in
+            let m1 = image () in
+            let o2 = gbuf dev (16384 * 4) in
+            let s2 = launch 64 [ iptr c; iptr o2 ] in
+            let m2 = image () in
+            let s3 = launch 16 [ iptr c; iptr o1 ] in
+            let m3 = image () in
+            ([ s1; s2; s3 ], [ m1; m2; m3 ])
+          in
+          let _, seq = run 1 in
+          let stats, par = run 4 in
+          List.iter expect_replayed stats;
+          List.iteri
+            (fun i (a, b) ->
+               check (Printf.sprintf "global memory after launch %d" (i + 1))
+                 true (a = b))
+            (List.combine seq par));
     Alcotest.test_case "deterministic crash is identical across domains"
       `Quick (fun () ->
           let src = {|
@@ -275,8 +336,10 @@ let safety_tests =
       (fun () ->
          (* four domains launch the same loaded module simultaneously,
             exercising the compiled-program cache and the lazy
-            compilation lock; each must see correct results *)
-         with_domains 1 @@ fun () ->
+            compilation lock; each must see correct results.  At 2
+            domains the launches also share the process-wide worker
+            pool, whose jobs must not overlap. *)
+         List.iter (fun n -> with_domains n @@ fun () ->
          let src = {|
 __kernel void fill(__global int* p) {
   p[get_global_id(0)] = (int)get_global_id(0) * 3;
@@ -306,8 +369,30 @@ __kernel void fill(__global int* p) {
          Array.iteri
            (fun i d ->
               Alcotest.(check (array int))
-                (Printf.sprintf "domain %d" i) expected (Domain.join d))
-           spawned);
+                (Printf.sprintf "domain %d at %d domains" i n) expected
+                (Domain.join d))
+           spawned) [ 1; 2 ]);
+    Alcotest.test_case "pool jobs from two domains do not overlap" `Quick
+      (fun () ->
+         (* each submitter checks that every worker of its own job ran
+            and finished before [run] returned *)
+         let pool = Gpusim.Pool.create () in
+         let submitter () =
+           let ok = ref true in
+           for _ = 1 to 300 do
+             let finished = Array.make 2 false in
+             Gpusim.Pool.run pool ~workers:2 (fun i ->
+                 for _ = 1 to 200 do
+                   Domain.cpu_relax ()
+                 done;
+                 finished.(i) <- true);
+             if not (finished.(0) && finished.(1)) then ok := false
+           done;
+           !ok
+         in
+         let a = Domain.spawn submitter and b = Domain.spawn submitter in
+         check "first submitter's jobs complete" true (Domain.join a);
+         check "second submitter's jobs complete" true (Domain.join b));
     Alcotest.test_case "fuzz rng streams are per-instance" `Quick (fun () ->
         let draw () =
           let r = Fuzz.Rng.create 99 in
