@@ -151,6 +151,9 @@ let translate_cmd =
                           (fun (k, n) -> Printf.sprintf "%s %d" k n)
                           parts))
               | None -> ());
+             let ni, nf, nb = Ir.Emit.census est.Ir.Emit.e_layout fn in
+             Printf.printf "; %s: registers %d int-banked, %d float-banked, %d boxed\n"
+               name ni nf nb;
              print_string (Ir.Core.dump_fn fn)
            | Some (Error why) ->
              Printf.printf "; %s: closure backend (%s)\n" name why

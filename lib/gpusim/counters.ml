@@ -16,30 +16,53 @@
 
 open Minic.Ast
 
-type access = {
-  a_kind : Vm.Memory.access_kind;
-  a_space : addr_space;
-  a_addr : int;
-  a_size : int;
-  a_site : int;    (* source site (Minic.Site) issuing the access; 0 when
-                      attribution is off or the code is unannotated *)
-}
-
+(* A per-item access stream, flat: access [i] is ([addr.(i)],
+   [size.(i)], [tag.(i)]), the tag packing the address space and the
+   issuing source site.  Recording an access writes three ints, so it
+   allocates nothing and promotes nothing; the arrays start small and
+   double on demand, and a worker reuses them across its groups. *)
 type stream = {
-  mutable items : access array;
+  mutable addr : int array;
+  mutable size : int array;
+  mutable tag : int array;
   mutable len : int;
 }
 
-let stream_create () = { items = Array.make 64 { a_kind = Load; a_space = AS_none; a_addr = 0; a_size = 0; a_site = 0 }; len = 0 }
+let space_bits = 3
 
-let stream_push s a =
-  if s.len = Array.length s.items then begin
-    let bigger = Array.make (2 * s.len) a in
-    Array.blit s.items 0 bigger 0 s.len;
-    s.items <- bigger
+let space_rank = function
+  | AS_global -> 0
+  | AS_constant -> 1
+  | AS_local -> 2
+  | AS_private -> 3
+  | AS_none -> 4
+
+let spaces = [| AS_global; AS_constant; AS_local; AS_private; AS_none |]
+
+let pack space site = (site lsl space_bits) lor space_rank space
+let tag_rank tag = tag land ((1 lsl space_bits) - 1)
+let tag_space tag = spaces.(tag_rank tag)
+let tag_site tag = tag asr space_bits
+
+let stream_create () =
+  { addr = Array.make 8 0; size = Array.make 8 0; tag = Array.make 8 0; len = 0 }
+
+let grow a n =
+  let bigger = Array.make (2 * n) 0 in
+  Array.blit a 0 bigger 0 n;
+  bigger
+
+let stream_push s space ~addr ~size ~site =
+  let n = s.len in
+  if n = Array.length s.addr then begin
+    s.addr <- grow s.addr n;
+    s.size <- grow s.size n;
+    s.tag <- grow s.tag n
   end;
-  s.items.(s.len) <- a;
-  s.len <- s.len + 1
+  Array.unsafe_set s.addr n addr;
+  Array.unsafe_set s.size n size;
+  Array.unsafe_set s.tag n (pack space site);
+  s.len <- n + 1
 
 (* Branch-decision streams, one per item, recorded only in attribution
    mode: each entry packs (site lsl 1) lor decision.  Aligned per warp
@@ -179,15 +202,6 @@ let sort_ids a n =
       a.(!j + 1) <- x
     done
 
-let space_rank = function
-  | AS_global -> 0
-  | AS_constant -> 1
-  | AS_local -> 2
-  | AS_private -> 3
-  | AS_none -> 4
-
-let spaces = [| AS_global; AS_constant; AS_local; AS_private; AS_none |]
-
 (* Cost the accesses at position [pos] of items [lo..hi] of [streams]
    that are in space [sp], as one warp access.  When [attr] is given,
    the whole row's cost is charged to the site of its first access —
@@ -196,31 +210,30 @@ let spaces = [| AS_global; AS_constant; AS_local; AS_private; AS_none |]
 let cost_space c ?attr ~smem_word ~banks ~model_conflicts sc streams lo hi pos
     sp =
   let first = ref (-1) and count = ref 0 and bytes = ref 0 and nids = ref 0 in
+  let rank = space_rank sp in
   for i = lo to hi do
     let s = streams.(i) in
-    if pos < s.len then begin
-      let a = s.items.(pos) in
-      if a.a_space == sp then begin
-        if !first < 0 then first := a.a_site;
-        incr count;
-        bytes := !bytes + a.a_size;
-        match sp with
-        | AS_global | AS_constant ->
-          let s0 = a.a_addr / segment_size in
-          let s1 = (a.a_addr + a.a_size - 1) / segment_size in
-          for seg = s0 to s1 do
-            push_id sc !nids seg;
-            incr nids
-          done
-        | AS_local when model_conflicts ->
-          let w0 = a.a_addr / smem_word in
-          let w1 = (a.a_addr + a.a_size - 1) / smem_word in
-          for w = w0 to w1 do
-            push_id sc !nids w;
-            incr nids
-          done
-        | AS_local | AS_private | AS_none -> ()
-      end
+    if pos < s.len && tag_rank s.tag.(pos) = rank then begin
+      let a_addr = s.addr.(pos) and a_size = s.size.(pos) in
+      if !first < 0 then first := tag_site s.tag.(pos);
+      incr count;
+      bytes := !bytes + a_size;
+      match sp with
+      | AS_global | AS_constant ->
+        let s0 = a_addr / segment_size in
+        let s1 = (a_addr + a_size - 1) / segment_size in
+        for seg = s0 to s1 do
+          push_id sc !nids seg;
+          incr nids
+        done
+      | AS_local when model_conflicts ->
+        let w0 = a_addr / smem_word in
+        let w1 = (a_addr + a_size - 1) / smem_word in
+        for w = w0 to w1 do
+          push_id sc !nids w;
+          incr nids
+        done
+      | AS_local | AS_private | AS_none -> ()
     end
   done;
   let site =
@@ -299,8 +312,7 @@ let finish_group c ?attr ?branches ~warp_size ~smem_word ~banks
       let present = ref 0 in
       for i = lo to hi do
         if pos < streams.(i).len then
-          present :=
-            !present lor (1 lsl space_rank streams.(i).items.(pos).a_space)
+          present := !present lor (1 lsl tag_rank streams.(i).tag.(pos))
       done;
       for r = 0 to Array.length spaces - 1 do
         if !present land (1 lsl r) <> 0 then

@@ -9,23 +9,30 @@
     for global/constant memory (coalescing), bank-conflict replays for
     local memory under the framework's addressing mode (§6.2). *)
 
-type access = {
-  a_kind : Vm.Memory.access_kind;
-  a_space : Minic.Ast.addr_space;
-  a_addr : int;
-  a_size : int;
-  a_site : int;
-      (** source site (Minic.Site) issuing the access; 0 when
-          attribution is off or the code is unannotated *)
-}
-
+(** A per-item access stream in three parallel arrays: access [i]
+    touched [size.(i)] bytes at byte [addr.(i)] of its arena, and
+    [tag.(i)] packs its address space with the source site (Minic.Site)
+    issuing it — 0 when attribution is off or the code is unannotated.
+    Recording an access allocates nothing. *)
 type stream = {
-  mutable items : access array;
+  mutable addr : int array;
+  mutable size : int array;
+  mutable tag : int array;
   mutable len : int;
 }
 
+(** An empty stream (8 slots, doubled on demand). *)
 val stream_create : unit -> stream
-val stream_push : stream -> access -> unit
+
+val stream_push : stream -> Minic.Ast.addr_space -> addr:int -> size:int ->
+  site:int -> unit
+
+(** [pack space site] is the tag word of an access; [tag_space] and
+    [tag_site] invert it for every address space and any site id. *)
+val pack : Minic.Ast.addr_space -> int -> int
+
+val tag_space : int -> Minic.Ast.addr_space
+val tag_site : int -> int
 
 (** Per-item branch-decision stream, recorded only in attribution mode;
     each entry packs [(site lsl 1) lor decision]. *)

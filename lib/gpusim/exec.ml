@@ -169,24 +169,24 @@ let barrier_ext _ctx _args =
    read the mutable [cur] cell owned by the scheduler; atomics go
    through [rmw], which carries the op's commutativity class so the
    parallel engine can log it. *)
-let kernel_externals ~(cur : (int array * int array * int array * int array) ref)
-    ~rmw () =
+type cur = {
+  gid : int array;             (* written in place on every switch *)
+  mutable lid : int array;
+  mutable grp : int array;
+}
+
+let kernel_externals ~(cur : cur) ~rmw () =
   let open Vm.Interp in
-  let getdim sel d =
-    let gid, lid, grp, _ = !cur in
-    ignore (gid, lid, grp);
-    sel d
-  in
   let int_of_arg args =
     match args with
     | a :: _ -> Int64.to_int (Vm.Value.to_int a.v)
     | [] -> 0
   in
-  let idx_fn sel = fun _ctx args -> tint (getdim sel (int_of_arg args)) in
+  let idx_fn sel = fun _ctx args -> tint (sel (int_of_arg args)) in
   [ (* OpenCL work-item functions *)
-    ("get_global_id", idx_fn (fun d -> let g, _, _, _ = !cur in idx_of g d));
-    ("get_local_id", idx_fn (fun d -> let _, l, _, _ = !cur in idx_of l d));
-    ("get_group_id", idx_fn (fun d -> let _, _, g, _ = !cur in idx_of g d));
+    ("get_global_id", idx_fn (fun d -> idx_of cur.gid d));
+    ("get_local_id", idx_fn (fun d -> idx_of cur.lid d));
+    ("get_group_id", idx_fn (fun d -> idx_of cur.grp d));
     ("get_work_dim", (fun _ _ -> tint 3));
     (* barriers and fences *)
     ("barrier", barrier_ext);
@@ -578,8 +578,8 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
       match plan with Some _ -> Lazy.force atomics_clean | None -> false
     in
     let attr = if !attribute then Some (Attr.create ()) else None in
-    (* mutable per-item view: (global_id, local_id, group_id, _) *)
-    let cur = ref ([| 0; 0; 0 |], [| 0; 0; 0 |], [| 0; 0; 0 |], [| 0 |]) in
+    (* the running item's index view; [set_cur] rewrites it in place *)
+    let cur = { gid = [| 0; 0; 0 |]; lid = [| 0; 0; 0 |]; grp = [| 0; 0; 0 |] } in
     let cur_item = ref 0 in
     (* innermost SSite of the running item; maintained by the VM's
        SSite save/restore and re-established on barrier resume *)
@@ -623,12 +623,11 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
     in
     let cur_log : Conflict.block_log option ref = ref None in
     let in_atomic = ref false in
-    let on_access_plain kind space addr size =
+    let on_access_plain _kind space addr size =
       match space with
       | AS_global | AS_constant | AS_local ->
-        Counters.stream_push streams.(!cur_item)
-          { Counters.a_kind = kind; a_space = space; a_addr = addr;
-            a_size = size; a_site = !cur_site }
+        Counters.stream_push streams.(!cur_item) space ~addr ~size
+          ~site:!cur_site
       | AS_private | AS_none ->
         counters.Counters.private_accesses <-
           counters.Counters.private_accesses + 1
@@ -839,10 +838,12 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
       let set_cur lid_lin =
         cur_item := lid_lin;
         let lid = lid_arrs.(lid_lin) in
-        cur :=
-          ( [| (bx * lx) + lid.(0); (by * ly) + lid.(1);
-               (bz * lz) + lid.(2) |],
-            lid, grp_arr, [| 0 |] );
+        let gid = cur.gid in
+        gid.(0) <- (bx * lx) + lid.(0);
+        gid.(1) <- (by * ly) + lid.(1);
+        gid.(2) <- (bz * lz) + lid.(2);
+        cur.lid <- lid;
+        cur.grp <- grp_arr;
         cur_tid := tid_tvs.(lid_lin);
         cur_bid := bid_tv
       in

@@ -1685,50 +1685,8 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
            | Error e -> Error e
            | Ok () ->
              let nregs = max fn.Core.f_nregs 1 in
-             (* class table: declared classes for merge variables and
-                params, then one forward pass for single-assignment
-                Lets (defs dominate uses, so textual order works) *)
-             let declared : vcls option array = Array.make nregs None in
-             let poison = Array.make nregs false in
-             let note r c =
-               match declared.(r) with
-               | None -> declared.(r) <- Some c
-               | Some c0 -> if c0 <> c then poison.(r) <- true
-             in
-             Array.iter
-               (fun (p : Core.pbind) ->
-                  note p.Core.p_reg (cls_of_decl lt p.Core.p_ty))
-               fn.Core.f_params;
-             let rec seed_node = function
-               | Core.Ins { Core.i_kind = Core.SetReg (r, ty, _); _ } ->
-                 note r (cls_of_decl lt ty)
-               | Core.Ins { Core.i_kind = Core.SetRaw (r, _); _ } ->
-                 poison.(r) <- true
-               | Core.Ins _ | Core.Return _ | Core.Break | Core.Continue ->
-                 ()
-               | Core.If (_, _, t, e) ->
-                 seed_walk t;
-                 seed_walk e
-               | Core.Loop l ->
-                 seed_walk l.Core.l_init;
-                 seed_walk l.Core.l_pre;
-                 (match l.Core.l_cond with
-                  | Some (cb, _) -> seed_walk cb
-                  | None -> ());
-                 seed_walk l.Core.l_body;
-                 seed_walk l.Core.l_update
-             and seed_walk b = List.iter seed_node b in
-             seed_walk fn.Core.f_body;
-             let cls = Array.make nregs CTop in
-             Array.iteri
-               (fun r d ->
-                  match d with
-                  | Some c when not poison.(r) -> cls.(r) <- c
-                  | _ -> ())
-               declared;
-             let bst =
-               { Emit.est; fmem = fn.Core.f_mem; sited = fn.Core.f_sited }
-             in
+             let cls = Region.classify lt fn in
+             let bst = Emit.boxed_bst est fn in
              let c0 =
                { c_bst = bst;
                  c_lt = lt;
@@ -1741,24 +1699,6 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
                  c_fuse = !fusion;
                  c_regions = ref 0 }
              in
-             let rec class_node = function
-               | Core.Ins { Core.i_kind = Core.Let (r, rhs); _ } ->
-                 cls.(r) <- Region.let_class lt cls fn.Core.f_mem rhs
-               | Core.Ins _ | Core.Return _ | Core.Break | Core.Continue ->
-                 ()
-               | Core.If (_, _, t, e) ->
-                 class_walk t;
-                 class_walk e
-               | Core.Loop l ->
-                 class_walk l.Core.l_init;
-                 class_walk l.Core.l_pre;
-                 (match l.Core.l_cond with
-                  | Some (cb, _) -> class_walk cb
-                  | None -> ());
-                 class_walk l.Core.l_body;
-                 class_walk l.Core.l_update
-             and class_walk b = List.iter class_node b in
-             class_walk fn.Core.f_body;
              (* residency: lane files hold registers whose every def is
                 a fast shape and that never feed a generic closure *)
              let boxed = Array.make nregs false in
@@ -1775,22 +1715,7 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
                  | _ -> ()
                end
              in
-             let rec res_node = function
-               | Core.Ins i -> mark_ins i
-               | Core.Return _ | Core.Break | Core.Continue -> ()
-               | Core.If (_, _, t, e) ->
-                 res_walk t;
-                 res_walk e
-               | Core.Loop l ->
-                 res_walk l.Core.l_init;
-                 res_walk l.Core.l_pre;
-                 (match l.Core.l_cond with
-                  | Some (cb, _) -> res_walk cb
-                  | None -> ());
-                 res_walk l.Core.l_body;
-                 res_walk l.Core.l_update
-             and res_walk b = List.iter res_node b in
-             res_walk fn.Core.f_body;
+             Region.iter_instrs mark_ins fn.Core.f_body;
              let nki = ref 0 and nkf = ref 0 in
              let storage = c0.c_store in
              for r = 0 to nregs - 1 do
@@ -1895,6 +1820,8 @@ let run_warp (p : plan) (h : hooks) ~(lane0 : int) ~(nlanes : int)
     Array.init nlanes (fun _ ->
         { Emit.ctx;
           regs = Array.make (max p.p_nregs 1) I.tunit;
+          ints = Emit.no_ints;
+          flts = Emit.no_flts;
           mem =
             (if p.p_nmem = 0 then [||]
              else Array.make p.p_nmem Emit.dummy_binding);

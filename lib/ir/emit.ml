@@ -23,16 +23,23 @@ module Layout = Vm.Layout
 
 (* Per-invocation state: registers and memory-variable bindings are
    per-call (and thus per-work-item), like the closure backend's frame
-   slots.  [ambient] is the attribution site current at function entry,
-   the meaning of an instruction's -1 site tag. *)
+   slots.  A register lives either boxed in [regs] or unboxed in one of
+   the two banks (see "Register residency" below); each bank holds the
+   function's banked registers followed by the constants its typed
+   closures read.  [ambient] is the attribution site current at
+   function entry, the meaning of an instruction's -1 site tag. *)
 type renv = {
   ctx : I.ctx;
   regs : I.tval array;
+  ints : int array;
+  flts : Float.Array.t;
   mem : I.binding array;
   ambient : int;
 }
 
 let dummy_binding = { I.b_space = AS_none; b_addr = 0; b_ty = TScalar Void }
+let no_ints : int array = [||]
+let no_flts = Float.Array.create 0
 
 (* Runtime lvalue (mirror Vm.Compile's clv). *)
 type dlv =
@@ -225,6 +232,135 @@ let normalizer lt (ty : ty) : I.tval -> I.tval =
   | _ -> fun x -> I.tv x.I.v ty
 
 (* ------------------------------------------------------------------ *)
+(* Register residency                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A register is banked — held unboxed in the per-call [ints] or
+   [flts] array instead of as a fresh [tval] per write — when
+   (a) its class ([Region.classify]) is a float, or an int scalar of at
+       most 32 bits, whose values fit a native int exactly;
+   (b) every definition is a parameter binder or a native shape;
+   (c) every use is a native shape or an If/loop condition.
+   Pointers and 64-bit ints stay boxed: a pointer register can carry any
+   int64 (a cast from a long), and a native int has 63 bits.
+
+   A native shape is a [Region.fast_shape] instruction whose int
+   constants lie within +-2^61 and whose operands are not wild.  A wild
+   register is the result of a non-native Mov, negation, complement or
+   identity CastRet — the shapes that do not wrap, so they can carry an
+   out-of-range constant onward.  Every other narrow-class value is
+   wrapped to 32 bits or is a finite chain of negations away from such a
+   value, so the native reads of the typed closures are exact.  One pass
+   in textual order suffices, because definitions dominate uses. *)
+
+let native_limit = Int64.shift_left 1L 61
+
+let narrow_scalar s = s <> Void && (not (is_float_scalar s)) && scalar_size s <= 4
+
+let narrow lt ty =
+  match Layout.resolve lt ty with TScalar s -> narrow_scalar s | _ -> false
+
+let bankable lt = function
+  | Region.CF _ -> true
+  | Region.CI t -> narrow lt t
+  | Region.CTop -> false
+
+let cst_ok = function
+  | Core.Cst { I.v = V.VInt n; _ } ->
+    Int64.compare n native_limit < 0
+    && Int64.compare n (Int64.neg native_limit) > 0
+  | Core.Cst _ | Core.Reg _ -> true
+
+let unwrapped = function
+  | Core.Mov _ | Core.Un ((Core.UNeg | Core.UBnot), _) | Core.CastRet _ -> true
+  | _ -> false
+
+type residency = {
+  r_cls : Region.vcls array;
+  r_wild : bool array;
+  r_slot : int array;  (* bank index (int or float bank by class), -1 boxed *)
+  r_ints : int;
+  r_flts : int;
+  r_live : int;        (* registers the function defines or reads *)
+}
+
+let native_shape lt cls wild (k : Core.ikind) =
+  Region.fast_shape lt cls k
+  && List.for_all
+       (fun o ->
+          cst_ok o && match o with Core.Reg r -> not wild.(r) | Core.Cst _ -> true)
+       (Core.ikind_operands k)
+
+let residency lt (fn : Core.fn) : residency =
+  let cls = Region.classify lt fn in
+  let n = Array.length cls in
+  let wild = Array.make n false in
+  let boxed = Array.init n (fun r -> not (bankable lt cls.(r))) in
+  let live = Array.make n false in
+  Array.iter (fun (p : Core.pbind) -> live.(p.Core.p_reg) <- true) fn.Core.f_params;
+  let seen = function Core.Reg r -> live.(r) <- true | Core.Cst _ -> () in
+  let mark = function Core.Reg r -> boxed.(r) <- true | Core.Cst _ -> () in
+  let rec walk b = List.iter node b
+  and node = function
+    | Core.Ins i ->
+      let k = i.Core.i_kind in
+      List.iter seen (Core.ikind_operands k);
+      (match k with
+       | Core.Let (r, _) | Core.SetReg (r, _, _) | Core.SetRaw (r, _) -> live.(r) <- true
+       | _ -> ());
+      if not (native_shape lt cls wild k) then begin
+        List.iter mark (Core.ikind_operands k);
+        match k with
+        | Core.Let (r, rhs) ->
+          boxed.(r) <- true;
+          if unwrapped rhs then wild.(r) <- true
+        | Core.SetReg (r, _, _) | Core.SetRaw (r, _) -> boxed.(r) <- true
+        | _ -> ()
+      end
+    | Core.If (_, c, t, e) ->
+      seen c;
+      walk t;
+      walk e
+    | Core.Loop l ->
+      walk l.Core.l_init;
+      walk l.Core.l_pre;
+      (match l.Core.l_cond with
+       | Some (cb, c) ->
+         walk cb;
+         seen c
+       | None -> ());
+      walk l.Core.l_body;
+      walk l.Core.l_update
+    | Core.Return (Some o) ->
+      seen o;
+      mark o
+    | Core.Return None | Core.Break | Core.Continue -> ()
+  in
+  walk fn.Core.f_body;
+  let slot = Array.make n (-1) in
+  let ni = ref 0 and nf = ref 0 in
+  for r = 0 to n - 1 do
+    if not boxed.(r) then
+      match cls.(r) with
+      | Region.CI _ ->
+        slot.(r) <- !ni;
+        incr ni
+      | Region.CF _ ->
+        slot.(r) <- !nf;
+        incr nf
+      | Region.CTop -> ()
+  done;
+  { r_cls = cls; r_wild = wild; r_slot = slot; r_ints = !ni; r_flts = !nf;
+    r_live = Array.fold_left (fun a l -> if l then a + 1 else a) 0 live }
+
+(* Residency census of a function: int-banked, float-banked and boxed
+   registers among those it defines or reads (oclcu translate
+   --ir-dump). *)
+let census lt (fn : Core.fn) : int * int * int =
+  let r = residency lt fn in
+  (r.r_ints, r.r_flts, r.r_live - r.r_ints - r.r_flts)
+
+(* ------------------------------------------------------------------ *)
 (* Module state                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -255,17 +391,310 @@ let with_emit_lock f =
       f
   end
 
-(* Per-function build state. *)
+(* Per-function build state.  [bank] is None for the closures the
+   lockstep engine borrows: there every register stays boxed. *)
 type bst = {
   est : t;
   fmem : Core.minfo array;
   sited : bool;
+  bank : bank option;
 }
 
-let rd (o : Core.operand) : renv -> I.tval =
+(* Bank layout under construction: the residency, then one slot per
+   distinct constant a typed closure reads, appended after the banked
+   registers. *)
+and bank = {
+  k_res : residency;
+  k_ints : (int, int) Hashtbl.t;
+  k_flts : (int64, int) Hashtbl.t;
+  mutable k_ni : int;
+  mutable k_nf : int;
+}
+
+let boxed_bst est (fn : Core.fn) =
+  { est; fmem = fn.Core.f_mem; sited = fn.Core.f_sited; bank = None }
+
+let slot_of (bst : bst) r =
+  match bst.bank with Some k -> k.k_res.r_slot.(r) | None -> -1
+
+(* Generic reader: banked registers are boxed on the way out (rule (c)
+   keeps that off the hot path). *)
+let rd (bst : bst) (o : Core.operand) : renv -> I.tval =
   match o with
-  | Core.Reg r -> fun env -> env.regs.(r)
+  | Core.Reg r ->
+    let k = slot_of bst r in
+    if k < 0 then fun env -> env.regs.(r)
+    else (
+      match (Option.get bst.bank).k_res.r_cls.(r) with
+      | Region.CI ty -> fun env -> I.tv (V.VInt (Int64.of_int env.ints.(k))) ty
+      | Region.CF ty -> fun env -> I.tv (V.VFloat (Float.Array.get env.flts k)) ty
+      | Region.CTop -> assert false)
   | Core.Cst t -> fun _ -> t
+
+(* Generic writer: the class invariant makes unboxing lossless. *)
+let wr (bst : bst) r : renv -> I.tval -> unit =
+  let k = slot_of bst r in
+  if k < 0 then fun env v -> env.regs.(r) <- v
+  else
+    match (Option.get bst.bank).k_res.r_cls.(r) with
+    | Region.CI _ ->
+      fun env v ->
+        env.ints.(k) <-
+          (match v.I.v with V.VInt n -> Int64.to_int n | x -> Int64.to_int (V.to_int x))
+    | Region.CF _ ->
+      fun env v ->
+        Float.Array.set env.flts k
+          (match v.I.v with V.VFloat f -> f | x -> V.to_float x)
+    | Region.CTop -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Typed closures over the banks                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Operand descriptors: a bank index (>= 0), or a boxed register r as
+   -1 - r.  A boxed operand of a known class is read straight out of its
+   tval, so reads never allocate; only a boxed destination does. *)
+let ddesc (k : bank) r = let s = k.k_res.r_slot.(r) in if s >= 0 then s else -1 - r
+
+let idesc (k : bank) = function
+  | Core.Reg r -> ddesc k r
+  | Core.Cst { I.v = V.VInt n; _ } ->
+    let n = Int64.to_int n in
+    (match Hashtbl.find_opt k.k_ints n with
+     | Some s -> s
+     | None ->
+       let s = k.k_ni in
+       k.k_ni <- s + 1;
+       Hashtbl.replace k.k_ints n s;
+       s)
+  | Core.Cst _ -> invalid_arg "Emit.idesc"
+
+let fdesc (k : bank) = function
+  | Core.Reg r -> ddesc k r
+  | Core.Cst { I.v = V.VFloat f; _ } ->
+    let bits = Int64.bits_of_float f in
+    (match Hashtbl.find_opt k.k_flts bits with
+     | Some s -> s
+     | None ->
+       let s = k.k_nf in
+       k.k_nf <- s + 1;
+       Hashtbl.replace k.k_flts bits s;
+       s)
+  | Core.Cst _ -> invalid_arg "Emit.fdesc"
+
+(* Native read: exact for narrow classes, the low 63 bits of a boxed
+   64-bit value (only consumers that wrap to 32 bits use it there). *)
+let[@inline] geti env d =
+  if d >= 0 then Array.unsafe_get env.ints d
+  else
+    match (Array.unsafe_get env.regs (-1 - d)).I.v with
+    | V.VInt n -> Int64.to_int n
+    | v -> Int64.to_int (V.to_int v)
+
+(* Exact read, for zero tests, int->float and address arithmetic. *)
+let[@inline] geti64 env d =
+  if d >= 0 then Int64.of_int (Array.unsafe_get env.ints d)
+  else
+    match (Array.unsafe_get env.regs (-1 - d)).I.v with
+    | V.VInt n -> n
+    | v -> V.to_int v
+
+let[@inline] getf env d =
+  if d >= 0 then Float.Array.unsafe_get env.flts d
+  else
+    match (Array.unsafe_get env.regs (-1 - d)).I.v with
+    | V.VFloat f -> f
+    | v -> V.to_float v
+
+let[@inline] seti env d ty x =
+  if d >= 0 then Array.unsafe_set env.ints d x
+  else Array.unsafe_set env.regs (-1 - d) (I.tv (V.VInt (Int64.of_int x)) ty)
+
+let[@inline] setf env d ty x =
+  if d >= 0 then Float.Array.unsafe_set env.flts d x
+  else Array.unsafe_set env.regs (-1 - d) (I.tv (V.VFloat x) ty)
+
+(* V.wrap_int on a native int, for a narrow scalar: shift the value's
+   bits to the top and back (sign extension), then mask (unsigned). *)
+let wrap_params s =
+  let bits = 8 * scalar_size s in
+  if is_unsigned s then (0, (1 lsl bits) - 1) else (63 - bits, -1)
+
+let[@inline] wrap sh mask x = ((x lsl sh) asr sh) land mask
+let[@inline] round32 f = Int32.float_of_bits (Int32.bits_of_float f)
+let[@inline] round single f = if single then round32 f else f
+
+(* A uint register's >> by [k] (0..63), wrapped to 32 bits: bits
+   k..k+31 of Int64.shift_right_logical on [x]'s sign-extended int64,
+   which shifts zeros in above bit 63. *)
+let[@inline] lsr64_u32 x k =
+  (if k <= 32 then x asr k
+   else (x asr (if k > 62 then 62 else k)) land ((1 lsl (64 - k)) - 1))
+  land 0xFFFF_FFFF
+
+(* V.ptr_space / V.ptr_offset without boxing the address; a bad tag
+   defers to V.ptr_space for its exact exception. *)
+let offset_mask = Int64.sub (Int64.shift_left 1L V.space_shift) 1L
+
+let[@inline] space_of addr =
+  match Int64.to_int (Int64.shift_right_logical addr V.space_shift) with
+  | 1 -> AS_none
+  | 2 -> AS_global
+  | 3 -> AS_constant
+  | 4 -> AS_local
+  | 5 -> AS_private
+  | _ -> V.ptr_space addr
+
+let[@inline] offset_of addr = Int64.to_int (Int64.logand addr offset_mask)
+
+(* Memory.check *)
+let[@inline] check (a : Memory.arena) addr n =
+  if addr < 0 || addr + n > a.Memory.brk then
+    raise (Memory.Fault (a.Memory.name, addr))
+
+(* The LvIdx address, as the generic lvalue computes it. *)
+let[@inline] idx_addr env da di esz =
+  let base = geti64 env da in
+  if Int64.equal base 0L then I.fail "null pointer indexed";
+  Int64.add base (Int64.mul (geti64 env di) (Int64.of_int esz))
+
+(* unsigned order = signed order with the sign bit flipped *)
+let[@inline] flip env d = geti env d lxor min_int
+
+let int_op (env : renv) = env.ctx.I.on_op I.Op_int
+let float_op (env : renv) = env.ctx.I.on_op I.Op_float
+
+let typed_bin (k : bank) r op a b : (renv -> unit) option =
+  match Region.bin_case k.k_res.r_cls op a b with
+  | None -> None
+  | Some (c, rc) ->
+    let ty = match rc with Region.CI t | Region.CF t -> t | Region.CTop -> assert false in
+    let d = ddesc k r in
+    (match c with
+     | Region.BFF ->
+       let x = fdesc k a and y = fdesc k b in
+       (match op with
+        | Add ->
+          Some (fun env -> float_op env; setf env d ty (round32 (getf env x +. getf env y)))
+        | Sub ->
+          Some (fun env -> float_op env; setf env d ty (round32 (getf env x -. getf env y)))
+        | Mul ->
+          Some (fun env -> float_op env; setf env d ty (round32 (getf env x *. getf env y)))
+        | Lt ->
+          Some (fun env -> float_op env; seti env d ty (if getf env x < getf env y then 1 else 0))
+        | Gt ->
+          Some (fun env -> float_op env; seti env d ty (if getf env x > getf env y then 1 else 0))
+        | Le ->
+          Some (fun env -> float_op env; seti env d ty (if getf env x <= getf env y then 1 else 0))
+        | Ge ->
+          Some (fun env -> float_op env; seti env d ty (if getf env x >= getf env y then 1 else 0))
+        | Eq ->
+          Some (fun env -> float_op env; seti env d ty (if getf env x = getf env y then 1 else 0))
+        | Ne ->
+          Some (fun env -> float_op env; seti env d ty (if getf env x <> getf env y then 1 else 0))
+        | _ -> None)
+     | Region.BII | Region.BUU ->
+       let x = idesc k a and y = idesc k b in
+       let u = c = Region.BUU in
+       let sh, mask = wrap_params (if u then UInt else Int) in
+       (match op with
+        | Add -> Some (fun env -> int_op env; seti env d ty (wrap sh mask (geti env x + geti env y)))
+        | Sub -> Some (fun env -> int_op env; seti env d ty (wrap sh mask (geti env x - geti env y)))
+        | Mul -> Some (fun env -> int_op env; seti env d ty (wrap sh mask (geti env x * geti env y)))
+        | Band -> Some (fun env -> int_op env; seti env d ty (wrap sh mask (geti env x land geti env y)))
+        | Bor -> Some (fun env -> int_op env; seti env d ty (wrap sh mask (geti env x lor geti env y)))
+        | Bxor -> Some (fun env -> int_op env; seti env d ty (wrap sh mask (geti env x lxor geti env y)))
+        | Shl ->
+          (* counts of 32 and up leave no low word *)
+          Some
+            (fun env ->
+               int_op env;
+               let n = geti env y land 63 in
+               seti env d ty (if n >= 32 then 0 else wrap sh mask (geti env x lsl n)))
+        | Shr when u ->
+          Some (fun env -> int_op env; seti env d ty (lsr64_u32 (geti env x) (geti env y land 63)))
+        | Shr ->
+          Some
+            (fun env ->
+               int_op env;
+               let n = geti env y land 63 in
+               seti env d ty (wrap sh mask (geti env x asr (if n > 62 then 62 else n))))
+        | Eq -> Some (fun env -> int_op env; seti env d ty (if geti env x = geti env y then 1 else 0))
+        | Ne -> Some (fun env -> int_op env; seti env d ty (if geti env x <> geti env y then 1 else 0))
+        | (Lt | Gt | Le | Ge) when u ->
+          Some
+            (match op with
+             | Lt -> fun env -> int_op env; seti env d ty (if flip env x < flip env y then 1 else 0)
+             | Gt -> fun env -> int_op env; seti env d ty (if flip env x > flip env y then 1 else 0)
+             | Le -> fun env -> int_op env; seti env d ty (if flip env x <= flip env y then 1 else 0)
+             | _ -> fun env -> int_op env; seti env d ty (if flip env x >= flip env y then 1 else 0))
+        | Lt -> Some (fun env -> int_op env; seti env d ty (if geti env x < geti env y then 1 else 0))
+        | Gt -> Some (fun env -> int_op env; seti env d ty (if geti env x > geti env y then 1 else 0))
+        | Le -> Some (fun env -> int_op env; seti env d ty (if geti env x <= geti env y then 1 else 0))
+        | Ge -> Some (fun env -> int_op env; seti env d ty (if geti env x >= geti env y then 1 else 0))
+        | _ -> None))
+
+(* Copy of a narrow or float operand (Mov, identity CastRet); a boxed
+   operand into a boxed destination stays the generic, sharing copy. *)
+let typed_copy (k : bank) r a : (renv -> unit) option =
+  let banked = function Core.Reg r -> k.k_res.r_slot.(r) >= 0 | Core.Cst _ -> false in
+  if k.k_res.r_slot.(r) < 0 && not (banked a) then None
+  else
+    let d = ddesc k r in
+    match Region.cls_operand k.k_res.r_cls a with
+    | Region.CF ty -> let x = fdesc k a in Some (fun env -> setf env d ty (getf env x))
+    | Region.CI ty ->
+      let x = idesc k a in
+      Some (fun env -> seti env d ty (geti env x))
+    | Region.CTop -> None
+
+(* cast_value to a float or narrow int scalar; wider targets stay generic. *)
+let typed_cast lt (k : bank) r t a : (renv -> unit) option =
+  let rt = Layout.resolve lt t in
+  let d = ddesc k r in
+  match rt, Region.cls_operand k.k_res.r_cls a with
+  | TScalar ((Float | Double) as s), Region.CI _ ->
+    let x = idesc k a and single = s = Float in
+    Some (fun env -> setf env d rt (round single (Int64.to_float (geti64 env x))))
+  | TScalar ((Float | Double) as s), Region.CF _ ->
+    let x = fdesc k a and single = s = Float in
+    Some (fun env -> setf env d rt (round single (getf env x)))
+  | TScalar s, Region.CI _ when narrow_scalar s ->
+    let x = idesc k a and sh, mask = wrap_params s in
+    Some (fun env -> seti env d rt (wrap sh mask (geti env x)))
+  | TScalar s, Region.CF _ when narrow_scalar s ->
+    (* C truncation; NaN and infinities convert like Int64.of_float *)
+    let x = fdesc k a and sh, mask = wrap_params s in
+    Some
+      (fun env ->
+         seti env d rt
+           (wrap sh mask (Int64.to_int (Int64.of_float (Float.trunc (getf env x))))))
+  | _ -> None
+
+let typed_un lt (k : bank) r u a : (renv -> unit) option =
+  match Region.un_case lt k.k_res.r_cls u a, Region.cls_operand k.k_res.r_cls a with
+  | None, _ -> None
+  | Some rc, ca ->
+    let ty = match rc with Region.CI t | Region.CF t -> t | Region.CTop -> assert false in
+    let d = ddesc k r in
+    (match u, ca with
+     | Core.UNeg, Region.CF _ ->
+       let x = fdesc k a in
+       Some (fun env -> float_op env; setf env d ty (-.getf env x))
+     | Core.UNeg, Region.CI t when narrow lt t ->
+       let x = idesc k a in
+       Some (fun env -> int_op env; seti env d ty (-geti env x))
+     | Core.UBnot, Region.CI t when narrow lt t ->
+       let x = idesc k a in
+       Some (fun env -> int_op env; seti env d ty (lnot (geti env x)))
+     | Core.ULnot, Region.CI _ ->
+       let x = idesc k a in
+       Some
+         (fun env -> int_op env; seti env d ty (if Int64.equal (geti64 env x) 0L then 1 else 0))
+     | Core.UBool, Region.CI _ ->
+       let x = idesc k a in
+       Some (fun env -> seti env d ty (if Int64.equal (geti64 env x) 0L then 0 else 1))
+     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Lvalues                                                             *)
@@ -287,7 +716,7 @@ let rec emit_lv (bst : bst) (lv : Core.lv) : clv =
          | Some b -> DMem (b.I.b_space, b.I.b_addr, b.I.b_ty)
          | None -> I.fail "unbound variable %s (as lvalue)" name)
   | Core.LvIdx (a, i, elt, esz) ->
-    let ca = rd a and ci = rd i in
+    let ca = rd bst a and ci = rd bst i in
     CMem
       ( (fun env ->
            let base = V.to_int (ca env).I.v in
@@ -298,7 +727,7 @@ let rec emit_lv (bst : bst) (lv : Core.lv) : clv =
            (V.ptr_space addr, V.ptr_offset addr)),
         elt )
   | Core.LvDeref p ->
-    let cp = rd p in
+    let cp = rd bst p in
     CDyn
       (fun env ->
          let pv = cp env in
@@ -311,7 +740,7 @@ let rec emit_lv (bst : bst) (lv : Core.lv) : clv =
          in
          DMem (V.ptr_space ptr, V.ptr_offset ptr, pointee))
   | Core.LvIdxDyn (a, i, blv) ->
-    let ca = rd a and ci = rd i in
+    let ca = rd bst a and ci = rd bst i in
     let cbl = Option.map (emit_lv bst) blv in
     CDyn
       (fun env ->
@@ -385,12 +814,12 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
           | Some t -> t
           | None -> I.fail "unbound identifier %s" name))
   | Core.Bin (op, a, b) ->
-    let ca = rd a and cb = rd b in
+    let ca = rd bst a and cb = rd bst b in
     (match fast_binop op with
      | Some f -> fun env -> f env.ctx (ca env) (cb env)
      | None -> fun env -> I.binop env.ctx op (ca env) (cb env))
   | Core.Un (u, a) ->
-    let ca = rd a in
+    let ca = rd bst a in
     (match u with
      | Core.UNeg ->
        fun env ->
@@ -426,14 +855,14 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
          let x = ca env in
          I.tv (V.of_bool (V.to_bool x.I.v)) (TScalar Int))
   | Core.CastV (t, a) ->
-    let ca = rd a in
+    let ca = rd bst a in
     fun env -> I.cast_value env.ctx t (ca env)
   | Core.CastRet (t, a) ->
-    let ca = rd a in
+    let ca = rd bst a in
     fun env ->
       let x = ca env in
       if equal_ty x.I.ty t then x else I.cast_value env.ctx t x
-  | Core.Mov a -> rd a
+  | Core.Mov a -> rd bst a
   | Core.ReadLv lv ->
     (match emit_lv bst lv with
      | CMem (f, ty) ->
@@ -458,7 +887,7 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
               (TPtr (TScalar s))
           | DVec _ -> I.fail "empty vector lvalue"))
   | Core.Swz (a, m, pre) ->
-    let ca = rd a in
+    let ca = rd bst a in
     let slow env (x : I.tval) =
       match Layout.resolve env.ctx.I.layout x.I.ty with
       | TVec (s, width) ->
@@ -489,7 +918,7 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
           | _ -> slow env x)
      | None -> fun env -> slow env (ca env))
   | Core.Vecc (t, ops) ->
-    let cargs = List.map rd ops in
+    let cargs = List.map (rd bst) ops in
     (match Layout.resolve lt t with
      | TVec (s, n) ->
        fun env ->
@@ -525,7 +954,7 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
        | Some t -> t
        | None -> I.fail "unbound identifier %s" name)
   | Core.CallE (name, ops) ->
-    let cargs = List.map rd ops in
+    let cargs = List.map (rd bst) ops in
     fun env ->
       let ctx = env.ctx in
       let argv = List.map (fun f -> f env) cargs in
@@ -552,7 +981,7 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
             end
             else I.fail "unknown function %s" name))
   | Core.CallU (name, ops) ->
-    let cargs = Array.of_list (List.map rd ops) in
+    let cargs = Array.of_list (List.map (rd bst) ops) in
     let est = bst.est in
     let cached = ref None in
     fun env ->
@@ -576,20 +1005,145 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
 (* ------------------------------------------------------------------ *)
 
 and emit_ikind (bst : bst) (k : Core.ikind) : renv -> unit =
+  match bst.bank with
+  | Some bk when native_shape bst.est.e_layout bk.k_res.r_cls bk.k_res.r_wild k ->
+    (match typed_ikind bst bk k with Some f -> f | None -> generic_ikind bst k)
+  | _ -> generic_ikind bst k
+
+(* One closure per native shape, reading and writing the banks
+   directly, with the generic path's charges, wraps, fp32 rounding and
+   failure messages in the same order.  None leaves the shape to the
+   generic closure (64-bit and pointer results, CallE, sharing copies). *)
+and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option =
+  let lt = bst.est.e_layout in
+  match k with
+  | Core.Let (r, Core.Bin (op, a, b)) -> typed_bin bk r op a b
+  | Core.Let (r, Core.Un (u, a)) -> typed_un lt bk r u a
+  | Core.Let (r, Core.Mov a) when bankable lt bk.k_res.r_cls.(r) -> typed_copy bk r a
+  | Core.Let (r, Core.CastV (t, a)) -> typed_cast lt bk r t a
+  | Core.Let (r, Core.CastRet (t, a)) ->
+    (match Region.cls_operand bk.k_res.r_cls a with
+     | (Region.CI tc | Region.CF tc) when equal_ty tc t ->
+       if bankable lt bk.k_res.r_cls.(r) then typed_copy bk r a else None
+     | _ -> typed_cast lt bk r t a)
+  | Core.Let (r, Core.ReadLv (Core.LvIdx (a, i, elt, esz))) ->
+    let xa = idesc bk a and xi = idesc bk i and d = ddesc bk r in
+    (match Layout.resolve lt elt with
+     | TScalar ((Float | Double) as s) ->
+       let n = scalar_size s in
+       Some
+         (fun env ->
+            let addr = idx_addr env xa xi esz in
+            let sp = space_of addr and off = offset_of addr in
+            let ctx = env.ctx in
+            ctx.I.on_access Memory.Load sp off n;
+            let ar = ctx.I.arena_of sp in
+            check ar off n;
+            setf env d elt
+              (if n = 4 then Int32.float_of_bits (Bytes.get_int32_le ar.Memory.data off)
+               else Int64.float_of_bits (Bytes.get_int64_le ar.Memory.data off)))
+     | TScalar s when narrow_scalar s ->
+       let n = scalar_size s and sh, mask = wrap_params s in
+       Some
+         (fun env ->
+            let addr = idx_addr env xa xi esz in
+            let sp = space_of addr and off = offset_of addr in
+            let ctx = env.ctx in
+            ctx.I.on_access Memory.Load sp off n;
+            let ar = ctx.I.arena_of sp in
+            check ar off n;
+            let data = ar.Memory.data in
+            let v =
+              if n = 4 then Int32.to_int (Bytes.get_int32_le data off)
+              else if n = 2 then Bytes.get_uint16_le data off
+              else Char.code (Bytes.get data off)
+            in
+            seti env d elt (wrap sh mask v))
+     | TScalar _ ->
+       (* 64-bit element: never banked, loaded exactly *)
+       Some
+         (fun env ->
+            let addr = idx_addr env xa xi esz in
+            let sp = space_of addr and off = offset_of addr in
+            let ctx = env.ctx in
+            ctx.I.on_access Memory.Load sp off 8;
+            let ar = ctx.I.arena_of sp in
+            check ar off 8;
+            env.regs.(r) <- I.tv (V.VInt (Bytes.get_int64_le ar.Memory.data off)) elt)
+     | _ -> None)
+  | Core.SetReg (r, ty, o) ->
+    let d = ddesc bk r in
+    (match Layout.resolve lt ty with
+     | TScalar ((Float | Double) as s) ->
+       let x = fdesc bk o and single = s = Float in
+       Some (fun env -> setf env d ty (round single (getf env x)))
+     | TScalar s when narrow_scalar s ->
+       let x = idesc bk o and sh, mask = wrap_params s in
+       Some (fun env -> seti env d ty (wrap sh mask (geti env x)))
+     | _ -> None)
+  | Core.Store (Core.LvIdx (a, i, elt, esz), o) ->
+    let xa = idesc bk a and xi = idesc bk i in
+    (* an observer (never installed on this engine) gets the generic store *)
+    let cs = compiled_store lt elt and co = rd bst o in
+    (match Layout.resolve lt elt with
+     | TScalar ((Float | Double) as s) ->
+       let n = scalar_size s and x = fdesc bk o and single = s = Float in
+       Some
+         (fun env ->
+            let addr = idx_addr env xa xi esz in
+            let sp = space_of addr and off = offset_of addr in
+            let ctx = env.ctx in
+            match ctx.I.observer with
+            | Some _ -> cs ctx sp off (co env).I.v
+            | None ->
+              ctx.I.on_access Memory.Store sp off n;
+              let ar = ctx.I.arena_of sp in
+              check ar off n;
+              let f = round single (getf env x) in
+              if n = 4 then Bytes.set_int32_le ar.Memory.data off (Int32.bits_of_float f)
+              else Bytes.set_int64_le ar.Memory.data off (Int64.bits_of_float f))
+     | TScalar s ->
+       let n = max 1 (scalar_size s) and x = idesc bk o in
+       Some
+         (fun env ->
+            let addr = idx_addr env xa xi esz in
+            let sp = space_of addr and off = offset_of addr in
+            let ctx = env.ctx in
+            match ctx.I.observer with
+            | Some _ -> cs ctx sp off (co env).I.v
+            | None ->
+              ctx.I.on_access Memory.Store sp off n;
+              let ar = ctx.I.arena_of sp in
+              check ar off n;
+              let data = ar.Memory.data in
+              if n = 8 then Bytes.set_int64_le data off (geti64 env x)
+              else if n = 4 then Bytes.set_int32_le data off (Int32.of_int (geti env x))
+              else if n = 2 then Bytes.set_uint16_le data off (geti env x land 0xFFFF)
+              else Bytes.set data off (Char.unsafe_chr (geti env x land 0xFF)))
+     | _ -> None)
+  | _ -> None
+
+and generic_ikind (bst : bst) (k : Core.ikind) : renv -> unit =
   let lt = bst.est.e_layout in
   match k with
   | Core.Let (r, rhs) ->
     let f = emit_rhs bst rhs in
-    fun env -> env.regs.(r) <- f env
+    if slot_of bst r < 0 then fun env -> env.regs.(r) <- f env
+    else
+      let w = wr bst r in
+      fun env -> w env (f env)
   | Core.SetReg (r, ty, o) ->
-    let co = rd o in
+    let co = rd bst o in
     let norm = normalizer lt ty in
-    fun env -> env.regs.(r) <- norm (co env)
+    if slot_of bst r < 0 then fun env -> env.regs.(r) <- norm (co env)
+    else
+      let w = wr bst r in
+      fun env -> w env (norm (co env))
   | Core.SetRaw (r, o) ->
-    let co = rd o in
+    let co = rd bst o in
     fun env -> env.regs.(r) <- co env
   | Core.Store (lv, o) ->
-    let co = rd o in
+    let co = rd bst o in
     (match emit_lv bst lv with
      | CMem (f, ty) ->
        let cs = compiled_store lt ty in
@@ -642,7 +1196,7 @@ and emit_ikind (bst : bst) (k : Core.ikind) : renv -> unit =
       let b = env.mem.(v) in
       Memory.store_bytes (env.ctx.I.arena_of b.I.b_space) b.I.b_addr zeros
   | Core.StoreElt (v, off, ty, o) ->
-    let co = rd o in
+    let co = rd bst o in
     let cs = compiled_store lt ty in
     fun env ->
       let b = env.mem.(v) in
@@ -679,12 +1233,12 @@ and emit_body (bst : bst) (tracked : int option) (b : Core.body) : renv -> unit 
         if bst.sited && tracked <> Some site then set_site_closure site :: acc
         else acc
       in
-      let cc = rd c in
+      let cc = cond_reader bst c in
       let ct = emit_body bst (Some site) t in
       let ce = emit_body bst (Some site) e in
       let f env =
         env.ctx.I.on_op I.Op_branch;
-        if I.obs_branch env.ctx (V.to_bool (cc env).I.v) then ct env else ce env
+        if I.obs_branch env.ctx (cc env) then ct env else ce env
       in
       build None (f :: acc) rest
     | Core.Loop l :: rest -> build None (emit_loop bst l :: acc) rest
@@ -693,7 +1247,7 @@ and emit_body (bst : bst) (tracked : int option) (b : Core.body) : renv -> unit 
         match o with
         | None -> fun _ -> raise (I.Return_exc I.tunit)
         | Some o ->
-          let co = rd o in
+          let co = rd bst o in
           fun env -> raise (I.Return_exc (co env))
       in
       build tracked (f :: acc) rest
@@ -711,12 +1265,25 @@ and emit_body (bst : bst) (tracked : int option) (b : Core.body) : renv -> unit 
         (Array.unsafe_get cls k) env
       done
 
+(* Branch condition, V.to_bool: a banked float truncates like to_int. *)
+and cond_reader (bst : bst) (o : Core.operand) : renv -> bool =
+  match bst.bank, o with
+  | Some bk, Core.Reg r when bk.k_res.r_slot.(r) >= 0 ->
+    let k = bk.k_res.r_slot.(r) in
+    (match bk.k_res.r_cls.(r) with
+     | Region.CF _ ->
+       fun env -> not (Int64.equal (Int64.of_float (Float.Array.unsafe_get env.flts k)) 0L)
+     | _ -> fun env -> Array.unsafe_get env.ints k <> 0)
+  | _ ->
+    let c = rd bst o in
+    fun env -> V.to_bool (c env).I.v
+
 and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
   let init = emit_body bst None l.Core.l_init in
   let pre = emit_body bst None l.Core.l_pre in
   let cond =
     Option.map
-      (fun (cb, co) -> (emit_body bst None cb, rd co))
+      (fun (cb, co) -> (emit_body bst None cb, cond_reader bst co))
       l.Core.l_cond
   in
   let body = emit_body bst None l.Core.l_body in
@@ -737,7 +1304,7 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
            | None -> true
            | Some (cb, co) ->
              cb env;
-             I.obs_branch env.ctx (V.to_bool (co env).I.v)
+             I.obs_branch env.ctx (co env)
          do
            (try body env with I.Continue_exc -> ());
            update env
@@ -757,7 +1324,7 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
             | None -> continue_ := false
             | Some (cb, co) ->
               cb env;
-              continue_ := I.obs_branch env.ctx (V.to_bool (co env).I.v))
+              continue_ := I.obs_branch env.ctx (co env))
          done
        with I.Break_exc -> ())
 
@@ -766,22 +1333,34 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
 (* ------------------------------------------------------------------ *)
 
 and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
-  let bst = { est; fmem = fn.Core.f_mem; sited = fn.Core.f_sited } in
+  let res = residency est.e_layout fn in
+  let bk =
+    { k_res = res; k_ints = Hashtbl.create 8; k_flts = Hashtbl.create 8;
+      k_ni = res.r_ints; k_nf = res.r_flts }
+  in
+  let bst =
+    { est; fmem = fn.Core.f_mem; sited = fn.Core.f_sited; bank = Some bk }
+  in
   let fname = fn.Core.f_name in
   let binders =
     Array.mapi
       (fun i (p : Core.pbind) ->
          let norm = normalizer est.e_layout p.Core.p_ty in
-         let r = p.Core.p_reg in
+         let w = wr bst p.Core.p_reg in
          fun env (args : I.tval array) ->
            let arg =
              if i < Array.length args then args.(i)
              else I.fail "missing argument %d in call to %s" (i + 1) fname
            in
-           env.regs.(r) <- norm arg)
+           w env (norm arg))
       fn.Core.f_params
   in
   let body = emit_body bst (Some (-1)) fn.Core.f_body in
+  (* bank templates: zeroed registers, then the constants *)
+  let ints = Array.make bk.k_ni 0 in
+  Hashtbl.iter (fun n k -> ints.(k) <- n) bk.k_ints;
+  let flts = Float.Array.make bk.k_nf 0. in
+  Hashtbl.iter (fun b k -> Float.Array.set flts k (Int64.float_of_bits b)) bk.k_flts;
   let nregs = fn.Core.f_nregs in
   let nmem = Array.length fn.Core.f_mem in
   let sited = fn.Core.f_sited in
@@ -802,6 +1381,8 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
     let env =
       { ctx;
         regs = Array.make nregs I.tunit;
+        ints = (if Array.length ints = 0 then no_ints else Array.copy ints);
+        flts = (if Float.Array.length flts = 0 then no_flts else Float.Array.copy flts);
         mem = (if nmem = 0 then [||] else Array.make nmem dummy_binding);
         ambient }
     in

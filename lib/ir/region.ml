@@ -183,6 +183,62 @@ let let_class lt (cls : vcls array) (fmem : Core.minfo array) (rhs : Core.rhs) :
   | Core.AddrofLv (Core.LvIdx (_, _, elt, _)) -> CI (TPtr elt)
   | _ -> CTop
 
+(* Every node of a body, in textual order (loop parts in execution
+   order: init, preheader, condition, body, update). *)
+let rec iter_instrs (f : Core.instr -> unit) (b : Core.body) =
+  List.iter
+    (function
+      | Core.Ins i -> f i
+      | Core.If (_, _, t, e) ->
+        iter_instrs f t;
+        iter_instrs f e
+      | Core.Loop l ->
+        iter_instrs f l.Core.l_init;
+        iter_instrs f l.Core.l_pre;
+        (match l.Core.l_cond with Some (cb, _) -> iter_instrs f cb | None -> ());
+        iter_instrs f l.Core.l_body;
+        iter_instrs f l.Core.l_update
+      | Core.Return _ | Core.Break | Core.Continue -> ())
+    b
+
+(* The class of every register of [fn] (at least one slot).  Merge
+   variables and parameters take their declared class, unless two
+   writes declare different classes or a SetRaw writes them unnormalized;
+   then one forward pass classes the single-assignment Lets (defs
+   dominate uses, so textual order sees every operand first). *)
+let classify lt (fn : Core.fn) : vcls array =
+  let nregs = max fn.Core.f_nregs 1 in
+  let declared : vcls option array = Array.make nregs None in
+  let poison = Array.make nregs false in
+  let note r c =
+    match declared.(r) with
+    | None -> declared.(r) <- Some c
+    | Some c0 -> if c0 <> c then poison.(r) <- true
+  in
+  Array.iter
+    (fun (p : Core.pbind) -> note p.Core.p_reg (cls_of_decl lt p.Core.p_ty))
+    fn.Core.f_params;
+  iter_instrs
+    (fun i ->
+       match i.Core.i_kind with
+       | Core.SetReg (r, ty, _) -> note r (cls_of_decl lt ty)
+       | Core.SetRaw (r, _) -> poison.(r) <- true
+       | _ -> ())
+    fn.Core.f_body;
+  let cls =
+    Array.init nregs (fun r ->
+        match declared.(r) with
+        | Some c when not poison.(r) -> c
+        | _ -> CTop)
+  in
+  iter_instrs
+    (fun i ->
+       match i.Core.i_kind with
+       | Core.Let (r, rhs) -> cls.(r) <- let_class lt cls fn.Core.f_mem rhs
+       | _ -> ())
+    fn.Core.f_body;
+  cls
+
 (* ------------------------------------------------------------------ *)
 (* Per-instruction static hazard facts                                 *)
 (* ------------------------------------------------------------------ *)

@@ -20,7 +20,11 @@ let floats (n : int) : f64 =
   Bigarray.Array1.fill a 0.0;
   a
 
-let[@inline] get_i (a : i64) i = Bigarray.Array1.unsafe_get a i
-let[@inline] set_i (a : i64) i v = Bigarray.Array1.unsafe_set a i v
-let[@inline] get_f (a : f64) i = Bigarray.Array1.unsafe_get a i
-let[@inline] set_f (a : f64) i v = Bigarray.Array1.unsafe_set a i v
+(* Primitives, not functions: an external's definition travels in the
+   .cmi, so callers compile it inline to an unboxed element access even
+   when this module is compiled opaquely (dune's dev profile); a
+   function call here would box every int64 and float it passes. *)
+external get_i : i64 -> int -> int64 = "%caml_ba_unsafe_ref_1"
+external set_i : i64 -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
+external get_f : f64 -> int -> float = "%caml_ba_unsafe_ref_1"
+external set_f : f64 -> int -> float -> unit = "%caml_ba_unsafe_set_1"

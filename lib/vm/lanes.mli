@@ -10,7 +10,10 @@ val ints : int -> i64
 val floats : int -> f64
 (** Zero-filled float lane file of at least one slot. *)
 
-val get_i : i64 -> int -> int64
-val set_i : i64 -> int -> int64 -> unit
-val get_f : f64 -> int -> float
-val set_f : f64 -> int -> float -> unit
+(** Unchecked element access, declared as primitives so every caller
+    compiles them to an inline, unboxed access. *)
+
+external get_i : i64 -> int -> int64 = "%caml_ba_unsafe_ref_1"
+external set_i : i64 -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
+external get_f : f64 -> int -> float = "%caml_ba_unsafe_ref_1"
+external set_f : f64 -> int -> float -> unit = "%caml_ba_unsafe_set_1"

@@ -287,11 +287,22 @@ let conflict_coverage =
 
 (* --- reference warp-access costing ------------------------------------- *)
 
+(* The access record the streams held before they went flat; the
+   reference costs rows of these, decoded from the flat streams. *)
+type access = { a_space : addr_space; a_addr : int; a_size : int; a_site : int }
+
+let stream_access (s : K.stream) pos =
+  { a_space = K.tag_space s.tag.(pos); a_addr = s.addr.(pos);
+    a_size = s.size.(pos); a_site = K.tag_site s.tag.(pos) }
+
+let push_access s a =
+  K.stream_push s a.a_space ~addr:a.a_addr ~size:a.a_size ~site:a.a_site
+
 module Ref_costing = struct
   module Iset = Set.Make (Int)
 
   let cost_row (c : K.t) ?attr ~smem_word ~banks ~model_conflicts
-      (row : K.access list) =
+      (row : access list) =
     match row with
     | [] -> ()
     | first :: _ ->
@@ -302,7 +313,7 @@ module Ref_costing = struct
        | AS_global | AS_constant ->
          let segments =
            List.fold_left
-             (fun acc (a : K.access) ->
+             (fun acc (a : access) ->
                 let s0 = a.a_addr / K.segment_size in
                 let s1 = (a.a_addr + a.a_size - 1) / K.segment_size in
                 let rec add acc s =
@@ -312,7 +323,7 @@ module Ref_costing = struct
              Iset.empty row
          in
          let txns = Iset.cardinal segments in
-         let bytes = List.fold_left (fun n (a : K.access) -> n + a.a_size) 0 row in
+         let bytes = List.fold_left (fun n (a : access) -> n + a.a_size) 0 row in
          c.gmem_transactions <- c.gmem_transactions + txns;
          c.gmem_accesses <- c.gmem_accesses + List.length row;
          c.gmem_bytes <- c.gmem_bytes + bytes;
@@ -328,7 +339,7 @@ module Ref_costing = struct
            else begin
              let per_bank = Array.make banks Iset.empty in
              List.iter
-               (fun (a : K.access) ->
+               (fun (a : access) ->
                   let w0 = a.a_addr / smem_word in
                   let w1 = (a.a_addr + a.a_size - 1) / smem_word in
                   for w = w0 to w1 do
@@ -365,9 +376,10 @@ module Ref_costing = struct
       for pos = 0 to !max_len - 1 do
         let row = ref [] in
         for i = hi downto lo do
-          if pos < streams.(i).len then row := streams.(i).items.(pos) :: !row
+          if pos < streams.(i).len then
+            row := stream_access streams.(i) pos :: !row
         done;
-        let by_space sp = List.filter (fun (a : K.access) -> a.a_space = sp) !row in
+        let by_space sp = List.filter (fun (a : access) -> a.a_space = sp) !row in
         List.iter
           (fun sp ->
              match by_space sp with
@@ -411,7 +423,7 @@ type stream_case = {
   banks : int;
   model_conflicts : bool;
   attribute : bool;
-  items : K.access list array;     (* per item, in push order *)
+  items : access list array;       (* per item, in push order *)
   decisions : (int * bool) list array;  (* per item branch stream *)
 }
 
@@ -432,7 +444,7 @@ let print_stream_case c =
                 Printf.sprintf "%d: %s" i
                   (String.concat " "
                      (List.map
-                        (fun (a : K.access) ->
+                        (fun (a : access) ->
                            Printf.sprintf "%s%d+%d@%d" (space_name a.a_space)
                              a.a_addr a.a_size a.a_site)
                         l)))
@@ -466,8 +478,7 @@ let gen_stream_case =
            if strided then (pos * 512) + (lane * stride) + jitter
            else jitter * 7
          in
-         { K.a_kind = (if site land 1 = 0 then Vm.Memory.Load else Vm.Memory.Store);
-           a_space = sp; a_addr = addr; a_size = sz; a_site = site })
+         { a_space = sp; a_addr = addr; a_size = sz; a_site = site })
       space size (int_bound 100) (int_bound 6)
   in
   let item lane =
@@ -484,7 +495,7 @@ let cost_with finish c =
     Array.map
       (fun l ->
          let s = K.stream_create () in
-         List.iter (K.stream_push s) l;
+         List.iter (push_access s) l;
          s)
       c.items
   in
@@ -516,8 +527,47 @@ let costing_property =
               Ref_costing.finish_group counters ?attr ?branches)
            c)
 
+(* Every access comes back out of a flat stream as it went in: all
+   address spaces, site ids up to 2^20, addresses up to the 44-bit
+   pointer offset, and enough accesses to grow the arrays. *)
+let stream_roundtrip =
+  let open QCheck.Gen in
+  let access =
+    map4
+      (fun sp addr size site ->
+         { a_space = sp; a_addr = addr; a_size = size; a_site = site })
+      (oneofl [ AS_global; AS_constant; AS_local; AS_private; AS_none ])
+      (oneof
+         [ int_bound ((1 lsl Vm.Value.space_shift) - 1);
+           return ((1 lsl Vm.Value.space_shift) - 1) ])
+      (int_bound 256)
+      (oneof [ int_bound (1 lsl 20); return (1 lsl 20) ])
+  in
+  QCheck.Test.make ~count:500
+    ~name:"flat access streams give back every pushed access"
+    (QCheck.make
+       ~print:(fun l ->
+           String.concat " "
+             (List.map
+                (fun a ->
+                   Printf.sprintf "%s%d+%d@%d" (space_name a.a_space) a.a_addr
+                     a.a_size a.a_site)
+                l))
+       (list_size (int_bound 40) access))
+    (fun l ->
+       let s = K.stream_create () in
+       List.iter (push_access s) l;
+       List.for_all
+         (fun a ->
+            K.tag_space (K.pack a.a_space a.a_site) = a.a_space
+            && K.tag_site (K.pack a.a_space a.a_site) = a.a_site)
+         l
+       && List.init s.len (stream_access s) = l)
+
 let suites =
   [ ( "bookkeeping.conflict",
       [ QCheck_alcotest.to_alcotest conflict_property; conflict_edges;
         conflict_coverage ] );
-    ("bookkeeping.costing", [ QCheck_alcotest.to_alcotest costing_property ]) ]
+    ( "bookkeeping.costing",
+      [ QCheck_alcotest.to_alcotest costing_property;
+        QCheck_alcotest.to_alcotest stream_roundtrip ] ) ]

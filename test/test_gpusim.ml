@@ -268,12 +268,8 @@ let conflict_model ~word ~banks ~es ~stride ~n =
   let streams =
     Array.init n (fun i ->
         let s = Gpusim.Counters.stream_create () in
-        Gpusim.Counters.stream_push s
-          { Gpusim.Counters.a_kind = Vm.Memory.Load;
-            a_space = Minic.Ast.AS_local;
-            a_addr = i * stride * es;
-            a_size = es;
-            a_site = 0 };
+        Gpusim.Counters.stream_push s Minic.Ast.AS_local
+          ~addr:(i * stride * es) ~size:es ~site:0;
         s)
   in
   Gpusim.Counters.finish_group c ~warp_size:n ~smem_word:word ~banks

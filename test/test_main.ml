@@ -9,4 +9,5 @@ let () =
      @ Test_backend.suites @ Test_ir.suites @ Test_fuzz.suites
      @ Test_golden.suites
      @ Test_parallel.suites @ Test_validate.suites @ Test_attr.suites
-     @ Test_lockstep.suites @ Test_fusion.suites @ Test_bookkeeping.suites)
+     @ Test_lockstep.suites @ Test_fusion.suites @ Test_bookkeeping.suites
+     @ Test_banks.suites)
