@@ -34,11 +34,24 @@ let geomean xs =
 
 module J = Trace.Json
 
-(* Each experiment records one JSON section; the driver writes them all
-   to BENCH_results.json at the end of the run. *)
+(* Each experiment records one JSON section; the driver merges them
+   into BENCH_results.json at the end of the run. *)
 let json_results : (string * J.t) list ref = ref []
 
 let record key section = json_results := (key, section) :: !json_results
+
+let results_path = "BENCH_results.json"
+
+(* The experiment sections of the results file; [] when it is absent or
+   unreadable. *)
+let recorded_experiments () =
+  match
+    J.member "experiments"
+      (J.of_string (In_channel.with_open_bin results_path In_channel.input_all))
+  with
+  | Some (J.Obj kvs) -> kvs
+  | _ -> []
+  | exception _ -> []
 
 (* Run [f] with metrics-only tracing (no spans) and hand back its
    per-launch metrics records alongside the result. *)
@@ -73,22 +86,33 @@ let counters_json (ms : Trace.Metrics.t list) =
        J.Int (sum (fun m -> m.m_smem_bank_conflict_extra)));
       ("kernel_sim_ns", J.Float (sumf (fun m -> m.m_sim_ns))) ]
 
+(* A section recorded by this run replaces its namesake in the file (the
+   latest recording wins); every other section of the file is kept, so
+   running one experiment does not discard the committed baseline. *)
 let write_results () =
   if !json_results <> [] then begin
+    let previous = recorded_experiments () in
+    let keys =
+      List.fold_left
+        (fun acc (k, _) -> if List.mem k acc then acc else acc @ [ k ])
+        (List.map fst previous) (List.rev !json_results)
+    in
+    let section k =
+      match List.assoc_opt k !json_results with
+      | Some v -> (k, v)
+      | None -> (k, List.assoc k previous)
+    in
     let doc =
       J.Obj
         [ ("schema", J.Str "oclcu-bench-results/1");
           ("device", J.Str Gpusim.Device.titan.Gpusim.Device.hw_name);
-          ("experiments", J.Obj (List.rev !json_results)) ]
+          ("experiments", J.Obj (List.map section keys)) ]
     in
-    let oc = open_out "BENCH_results.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-         output_string oc (J.to_string_pretty doc);
-         output_char oc '\n');
-    Printf.printf "\nwrote BENCH_results.json (%d experiment section(s))\n"
-      (List.length !json_results)
+    Out_channel.with_open_bin results_path (fun oc ->
+        output_string oc (J.to_string_pretty doc);
+        output_char oc '\n');
+    Printf.printf "\nwrote %s (%d experiment section(s) recorded)\n"
+      results_path (List.length !json_results)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -659,22 +683,16 @@ let validate_bench () =
 let regression_rtol = 0.01
 
 let regression_gate () =
-  let path = "BENCH_results.json" in
   let baseline =
-    if not (Sys.file_exists path) then None
-    else
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match J.of_string s with
-      | doc ->
-        Option.bind (J.member "experiments" doc) (fun e ->
-            Option.bind (J.member "fig7a" e) (J.member "geomean_xlat_cuda"))
-      | exception _ -> None
+    Option.bind
+      (List.assoc_opt "fig7a" (recorded_experiments ()))
+      (J.member "geomean_xlat_cuda")
   in
   match baseline with
   | None | Some J.Null ->
-    Printf.printf "regression gate: no fig7a baseline in %s; skipped\n" path
+    Printf.printf "regression gate FAILED: no fig7a baseline in %s\n"
+      results_path;
+    exit 1
   | Some b ->
     let baseline =
       match b with
@@ -962,10 +980,10 @@ let backends () =
 (* Ablation: IR pass pipeline                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* How much of the closure backend's fig7a win each middle-end rewrite
+(* How much of the compiled backend's fig7a win each middle-end rewrite
    carries: the backend speedup with the full pipeline, with each pass
-   disabled individually, and with the pipeline off entirely (the PR 3
-   baseline path).  Feeds the A8 ablation table in EXPERIMENTS.md. *)
+   disabled individually, and with no passes (the IR lowered and emitted
+   as is).  Feeds the A8 ablation table in EXPERIMENTS.md. *)
 let ablation_ir () =
   header "Ablation: IR passes (fig7a backend speedup, one pass off at a time)";
   let f () = run_app_on_cuda (List.hd Suite.Registry.rodinia_opencl) () in

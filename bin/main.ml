@@ -119,7 +119,8 @@ let translate_cmd =
                    middle-end's kernel IR for every function after the \
                    enabled passes ($(b,OCLCU_IR_PASSES) selects them; \
                    default all), with per-pass rewrite counts and the \
-                   reason for any function left on the closure backend")
+                   reason for any function the lowering rejected (it runs \
+                   on the interpreter)")
   in
   let run_ir_dump input src =
     let dialect =
@@ -156,7 +157,7 @@ let translate_cmd =
                name ni nf nb;
              print_string (Ir.Core.dump_fn fn)
            | Some (Error why) ->
-             Printf.printf "; %s: closure backend (%s)\n" name why
+             Printf.printf "; %s: interpreter (%s)\n" name why
            | None -> ())
         (Ir.Emit.function_names est);
       `Ok ()

@@ -3,10 +3,11 @@
    One generated case is executed six ways:
 
         OpenCL original      OCL->CUDA          CUDA->OCL round trip
-        Compile + Interp     Compile + Interp   Compile + Interp
+        IR + Interp          IR + Interp        IR + Interp
 
-   Within a stage the two backends must agree on output bytes AND on the
-   full Counters.t (the timing model sees the same program).  Across
+   Within a stage the IR backend with no passes and the interpreter
+   must agree on output bytes AND on Counters.t under
+   [counter_refinement] (the timing model sees the same program).  Across
    stages only the output bytes must agree byte-for-byte: translation
    legitimately changes instruction counts (index built-ins become
    arithmetic over blockIdx/blockDim, atomicInc becomes a CAS loop), but
@@ -139,6 +140,19 @@ let counter_fields (c : Gpusim.Counters.t) =
     ("private_accesses", c.private_accesses);
     ("warp_div_rows", c.warp_div_rows) ]
 
+(* Counter identity between the IR backend with no passes and the
+   interpreter, over [counter_fields] lists: every field is equal except
+   [private_accesses], which may be lower on the IR side — registers the
+   IR promotes charge no private traffic, spilled ones charge what the
+   interpreter charges.  Returns the fields that break the rule, as
+   "name ir/interp"; empty when it holds. *)
+let counter_refinement ~ir ~interp =
+  List.filter_map
+    (fun ((n, x), (_, y)) ->
+       let ok = if n = "private_accesses" then x <= y else x = y in
+       if ok then None else Some (Printf.sprintf "%s %d/%d" n x y))
+    (List.combine ir interp)
+
 (* Deterministic initial contents: small finite values so float
    arithmetic stays well-behaved.  The fill stream consumes the same
    number of draws for a given buffer shape, so every stage sees
@@ -238,8 +252,8 @@ let counter_diff a b =
    against the reference bytes from an earlier stage if given.
 
    The backend-vs-backend comparison pins OCLCU_IR_PASSES=none: the
-   counter-identity contract is between the interpreter and the
-   *unoptimized* closure backend.  A separate sub-stage then re-runs the
+   counter contract ([counter_refinement]) is between the interpreter
+   and the *unoptimized* IR.  A separate sub-stage then re-runs the
    compiled backend with the ambient pass set and requires byte-identical
    buffers — the optimizer may change op counts, never results. *)
 let run_stage ~stage (c : Gen.case) (p : plan) ~(reference : string option) :
@@ -263,17 +277,16 @@ let run_stage ~stage (c : Gen.case) (p : plan) ~(reference : string option) :
     Error { d_stage = stage; d_kind = K_crash;
             d_detail = "interp backend only: " ^ exn_detail e }
   | Ok (b_bytes, b_ctr), Ok (i_bytes, i_ctr) ->
+    let broken = counter_refinement ~ir:b_ctr ~interp:i_ctr in
     if b_bytes <> i_bytes then
       Error { d_stage = stage; d_kind = K_bytes;
               d_detail = "compiled and interp backends disagree on buffers" }
-    else if b_ctr <> i_ctr then
+    else if broken <> [] then
       Error { d_stage = stage; d_kind = K_counters;
-              d_detail =
-                "compiled vs interp: "
-                ^ String.concat ", " (counter_diff b_ctr i_ctr) }
+              d_detail = "compiled vs interp: " ^ String.concat ", " broken }
     else begin
       match
-        if Ir.Pipeline.is_none !Ir.Pipeline.selected then Ok b_bytes
+        if !Ir.Pipeline.selected = Ir.Pipeline.none then Ok b_bytes
         else
           match run_plan Gpusim.Exec.Compiled c p with
           | o_bytes, _ -> Ok o_bytes

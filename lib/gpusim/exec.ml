@@ -324,7 +324,7 @@ let uint3 a =
     (TVec (UInt, 3))
 
 (* ------------------------------------------------------------------ *)
-(* Backend selection: closure-compiled VM (default) vs tree-walking    *)
+(* Backend selection: IR-compiled closures (default) vs tree-walking   *)
 (* interpreter (OCLCU_BACKEND=interp, for differential testing)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -350,89 +350,62 @@ let special_ty = function
     Some (TScalar Int)
   | _ -> None
 
-(* Compiled programs, keyed by physical identity of the module AST: the
-   build pipelines return a shared AST for a loaded module (and the
+(* IR-compiled modules, keyed by physical identity of the module AST:
+   the build pipelines return a shared AST for a loaded module (and the
    build cache shares it across contexts), so each module compiles once
-   per process.  Bounded; structural hashing of whole ASTs would defeat
-   the point.  Mutex-protected: compiled programs are shared across
-   domains and tests launch from spawned domains. *)
-let compiled_cache : (Minic.Ast.program * Vm.Compile.program) list ref = ref []
-let compiled_cache_limit = 16
-let compiled_cache_lock = Mutex.create ()
+   per process.  The key also carries the enabled pass set, so a changed
+   OCLCU_IR_PASSES (or a test toggling Ir.Pipeline.selected) takes
+   effect without restarting the process.  Bounded; structural hashing
+   of whole ASTs would defeat the point.
 
-let compiled_for prog =
-  Mutex.lock compiled_cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock compiled_cache_lock)
-    (fun () ->
-       match List.find_opt (fun (p, _) -> p == prog) !compiled_cache with
-       | Some (_, cp) -> cp
-       | None ->
-         let cp = Vm.Compile.make ~special_ty prog in
-         let rest =
-           List.filteri (fun i _ -> i < compiled_cache_limit - 1) !compiled_cache
-         in
-         compiled_cache := (prog, cp) :: rest;
-         cp)
+   Each entry also holds the module's lockstep warp plans, keyed by
+   kernel name, warp width and the region-fusion flag (fusion is baked
+   into a plan's closures at emission time, so fused and unfused plans
+   must not share a slot).  Errors are cached too: ineligibility is
+   decided once, not re-analysed per launch.  One mutex guards both:
+   modules are shared across domains and tests launch from spawned
+   domains. *)
+type ir_entry = {
+  ie_prog : Minic.Ast.program;
+  ie_passes : string;
+  ie_est : Ir.Emit.t;
+  ie_plans : (string * int * bool, (Lockstep.plan, string) result) Hashtbl.t;
+}
 
-(* IR-compiled modules: same physical-identity keying and bound as
-   [compiled_cache], additionally keyed by the enabled pass set so a
-   changed OCLCU_IR_PASSES (or a test toggling Ir.Pipeline.selected)
-   takes effect without restarting the process.  Each entry carries its
-   own Vm.Compile fallback for functions the lowering rejected. *)
-let ir_cache : ((Minic.Ast.program * string) * Ir.Emit.t) list ref = ref []
+let ir_cache : ir_entry list ref = ref []
+let ir_cache_limit = 16
 let ir_cache_lock = Mutex.create ()
 
-let ir_for prog =
-  let sg = Ir.Pipeline.signature !Ir.Pipeline.selected in
-  Mutex.lock ir_cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ir_cache_lock)
-    (fun () ->
-       match
-         List.find_opt (fun ((p, s), _) -> p == prog && s = sg) !ir_cache
-       with
-       | Some (_, est) -> est
-       | None ->
-         let est = Ir.Emit.make ~special_ty ~cfg:!Ir.Pipeline.selected prog in
-         let rest =
-           List.filteri (fun i _ -> i < compiled_cache_limit - 1) !ir_cache
-         in
-         ir_cache := ((prog, sg), est) :: rest;
-         est)
+(* The entry for [prog] under the selected pass set, built on a miss. *)
+let ir_entry prog =
+  Mutex.protect ir_cache_lock (fun () ->
+      let sg = Ir.Pipeline.signature !Ir.Pipeline.selected in
+      match
+        List.find_opt
+          (fun e -> e.ie_prog == prog && e.ie_passes = sg)
+          !ir_cache
+      with
+      | Some e -> e
+      | None ->
+        let e =
+          { ie_prog = prog;
+            ie_passes = sg;
+            ie_est = Ir.Emit.make ~special_ty ~cfg:!Ir.Pipeline.selected prog;
+            ie_plans = Hashtbl.create 4 }
+        in
+        let rest = List.filteri (fun i _ -> i < ir_cache_limit - 1) !ir_cache in
+        ir_cache := e :: rest;
+        e)
 
-(* Lockstep warp plans, keyed by the IR module (physical identity — one
-   [Ir.Emit.t] per (program, pass set) via [ir_cache]), kernel name,
-   warp width and the region-fusion flag (fusion is baked into a
-   plan's closures at emission time, so fused and unfused plans must
-   not share cache entries).  Errors are cached too: ineligibility is
-   decided once, not re-analysed per launch.  Bounded and
-   mutex-protected like the other caches. *)
-let plan_cache :
-  ((Ir.Emit.t * string * int * bool) * (Lockstep.plan, string) result)
-    list
-    ref =
-  ref []
-let plan_cache_lock = Mutex.create ()
-
-let lockstep_plan_for est ~name ~warp =
-  let fuse = !Lockstep.fusion in
-  Mutex.lock plan_cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock plan_cache_lock)
-    (fun () ->
-       match
-         List.find_opt
-           (fun ((e, n, w, f), _) ->
-              e == est && n = name && w = warp && f = fuse)
-           !plan_cache
-       with
-       | Some (_, r) -> r
-       | None ->
-         let r = Lockstep.plan_for est ~name ~warp in
-         let rest = List.filteri (fun i _ -> i < 63) !plan_cache in
-         plan_cache := ((est, name, warp, fuse), r) :: rest;
-         r)
+let lockstep_plan_for (e : ir_entry) ~name ~warp =
+  let key = (name, warp, !Lockstep.fusion) in
+  Mutex.protect ir_cache_lock (fun () ->
+      match Hashtbl.find_opt e.ie_plans key with
+      | Some r -> r
+      | None ->
+        let r = Lockstep.plan_for e.ie_est ~name ~warp in
+        Hashtbl.replace e.ie_plans key r;
+        r)
 
 (* Everything mutable one worker owns; see [make_worker] below. *)
 type worker = {
@@ -485,30 +458,20 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
   let clk_local_tv = Vm.Interp.tint 1 in
   let clk_global_tv = Vm.Interp.tint 2 in
 
-  (* the kernel compiles once per loaded module and is reused across all
-     work-items, work-groups and launches.  The optimizing IR middle-end
-     takes over on the compiled backend when any pass is enabled and no
-     observer is installed (the IR backend does not model per-statement
-     observation); OCLCU_IR_PASSES=none restores the plain closure
-     backend bit-for-bit.  A kernel the lowering rejected falls back to
-     the closure backend of the same module. *)
-  let use_ir =
-    !backend = Compiled && observer = None
-    && not (Ir.Pipeline.is_none !Ir.Pipeline.selected)
+  (* the kernel compiles once per loaded module, through the IR under the
+     selected pass set (OCLCU_IR_PASSES=none is the empty pipeline), and
+     its closure is reused across all work-items, work-groups and
+     launches.  Vm.Interp runs the kernel instead on the interpreter
+     backend, under an observer (the IR backend does not model
+     per-statement observation), and when the lowering rejected it. *)
+  let ir =
+    if !backend = Compiled && observer = None then Some (ir_entry prog)
+    else None
   in
   (* resolve the kernel's compiled form once; the per-item path is then
      a bare closure application *)
   let compiled_kernel =
-    match !backend with
-    | Interp -> None
-    | Compiled ->
-      if use_ir then begin
-        let est = ir_for prog in
-        match Ir.Emit.prepare est kernel.fn_name with
-        | Some f -> Some f
-        | None -> Some (Vm.Compile.prepare (Ir.Emit.fallback est) kernel)
-      end
-      else Some (Vm.Compile.prepare (compiled_for prog) kernel)
+    Option.bind ir (fun e -> Ir.Emit.prepare e.ie_est kernel.fn_name)
   in
 
   (* Warp-lockstep engine: resolve the kernel's warp plan if requested.
@@ -517,14 +480,12 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
      external table on the fast path, and the NDRange shape queries
      seed the uniformity analysis. *)
   let lockstep_plan =
-    match !engine with
-    | Scalar -> None
-    | Lockstep ->
-      if not use_ir then
-        Some
-          (Error "lockstep needs the IR backend (compiled, passes on, \
-                  no observer)")
-      else if
+    match !engine, ir with
+    | Scalar, _ -> None
+    | Lockstep, None ->
+      Some (Error "lockstep needs the IR backend (compiled, no observer)")
+    | Lockstep, Some e ->
+      if
         List.exists
           (fun (n, _) ->
              List.mem n
@@ -534,7 +495,7 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
           extra_externals
       then
         Some (Error "launch overrides a built-in the lockstep engine folds in")
-      else Some (lockstep_plan_for (ir_for prog) ~name:kernel.fn_name ~warp)
+      else Some (lockstep_plan_for e ~name:kernel.fn_name ~warp)
   in
   let plan = match lockstep_plan with Some (Ok p) -> Some p | _ -> None in
   let engine_note =
@@ -899,8 +860,8 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
                Vm.Interp.scopes = [];
                group_locals = Some group_locals }
            in
-           (* the compiled backends bind locals in frame slots, so the
-              item scope only exists to hold the $dynshared aliases *)
+           (* IR code binds locals in its own frame, so the item scope
+              only exists to hold the $dynshared aliases *)
            if compiled_kernel = None || dynshared_addr <> None then begin
              Vm.Interp.push_scope ctx;
              match dynshared_addr with

@@ -53,9 +53,16 @@ type config = {
 }
 
 (** Kernel execution backend.  [Compiled] (the default) lowers each
-    loaded module once with {!Vm.Compile} and reuses the closures across
-    all work-items and launches; [Interp] re-walks the AST per work-item.
-    Both produce identical results and identical {!Counters.t}. *)
+    loaded module once through the optimizing IR ({!Ir.Lower}, the
+    {!Ir.Pipeline} passes selected by [OCLCU_IR_PASSES], {!Ir.Emit}) and
+    reuses the closures across all work-items and launches; [Interp]
+    re-walks the AST per work-item with {!Vm.Interp}.  The interpreter
+    also runs, under [Compiled], a kernel or helper the lowering
+    rejected and every launch with an observer.  Both backends produce
+    identical buffers.  With no passes enabled their {!Counters.t} are
+    equal except [private_accesses], which on [Compiled] is at most the
+    interpreter's: values the IR keeps in registers charge no private
+    traffic.  Passes may also remove operations. *)
 type backend = Interp | Compiled
 
 (** Parse a backend name ("interp" / "compiled"); [None] if unknown. *)

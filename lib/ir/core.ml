@@ -1,4 +1,5 @@
-(* The kernel IR sitting between the Mini-C AST and the closure backend.
+(* The kernel IR sitting between the Mini-C AST and the closure emitter
+   (`Emit`).
 
    Shape: ANF-style linear instruction lists under structured control
    flow (the VM's loops are structured, so basic blocks would only
@@ -15,7 +16,7 @@
    live in the same register file but are written through `SetReg`
    (scalar/pointer locals, value normalized to the declared type on
    every write — the register equivalent of the store+load roundtrip
-   the closure backend performs) or `SetRaw` (merge variables for
+   the interpreter performs) or `SetRaw` (merge variables for
    `?:` / `&&` / `||` results, which the VM returns unnormalized).
    Variables whose address can be observed (arrays, vectors accessed by
    component, address-taken scalars, `__local`/`__shared__` data) stay
@@ -112,7 +113,7 @@ and loop = {
 
 (* Memory-class variable descriptor.  m_space = AS_none means "the
    context's stack space" (private inside kernels), resolved at run
-   time like the closure backend.  m_shared marks `extern __shared__`
+   time like the interpreter.  m_shared marks `extern __shared__`
    aliases bound from the launcher's "$dynshared" allocation. *)
 type minfo = {
   m_name : string;
@@ -241,8 +242,8 @@ let rhs_trapping = function
 
 (* Statically known op-counter charge of executing the rhs once, or
    None when the charge depends on the callee (CallU) or runtime types
-   beyond what we track.  Matches what the closure backend charges for
-   the same shapes. *)
+   beyond what we track.  Matches what the interpreter charges for the
+   same shapes. *)
 let rhs_charge = function
   | Bin _ | Un ((UNeg | ULnot | UBnot), _) -> Some 1
   | Un (UBool, _) -> Some 0

@@ -1,19 +1,18 @@
 (* Closure emission from the optimized kernel IR.
 
-   The output format is the same as `Vm.Compile`'s: one OCaml closure
-   per instruction, composed into per-body arrays, with a per-call
-   wrapper that mirrors `call_cfunc` (depth guard, stack-arena
-   mark/release, observer enter/leave, return-type conversion).  Every
-   runtime branch below replicates the corresponding `Vm.Compile`
-   branch — same value normalization, same `on_access`/`on_op` charges,
-   same failure messages — except where the IR's documented promotion
-   exception applies: values in virtual registers have no simulated
-   memory traffic at all.
+   One OCaml closure per instruction, composed into per-body arrays,
+   with a per-call wrapper that follows `Vm.Interp.call_function` (depth
+   guard, stack-arena mark/release, observer enter/leave, return-type
+   conversion).  Every runtime branch below evaluates as the
+   interpreter does — same value normalization, same
+   `on_access`/`on_op` charges, same failure messages — except where
+   the IR's documented promotion exception applies: values in virtual
+   registers have no simulated memory traffic at all.
 
-   Functions the lowering rejected stay on the closure backend: a
-   `CallU` resolves its callee lazily at first call, to an IR wrapper
-   when one exists and to `Vm.Compile.prepare` otherwise, so a kernel
-   is IR-compiled even when a helper it calls is not. *)
+   Functions the lowering rejected run on the interpreter: a `CallU`
+   resolves its callee lazily at first call, to an IR wrapper when one
+   exists and to `Vm.Interp.call_function` otherwise, so a kernel is
+   IR-compiled even when a helper it calls is not. *)
 
 open Minic.Ast
 module I = Vm.Interp
@@ -22,8 +21,8 @@ module Memory = Vm.Memory
 module Layout = Vm.Layout
 
 (* Per-invocation state: registers and memory-variable bindings are
-   per-call (and thus per-work-item), like the closure backend's frame
-   slots.  A register lives either boxed in [regs] or unboxed in one of
+   per-call (and thus per-work-item), like the interpreter's call
+   scope.  A register lives either boxed in [regs] or unboxed in one of
    the two banks (see "Register residency" below); each bank holds the
    function's banked registers followed by the constants its typed
    closures read.  [ambient] is the attribution site current at
@@ -41,7 +40,7 @@ let dummy_binding = { I.b_space = AS_none; b_addr = 0; b_ty = TScalar Void }
 let no_ints : int array = [||]
 let no_flts = Float.Array.create 0
 
-(* Runtime lvalue (mirror Vm.Compile's clv). *)
+(* Runtime lvalue. *)
 type dlv =
   | DMem of addr_space * int * ty
   | DVec of addr_space * int * scalar * int array
@@ -52,8 +51,8 @@ type clv =
   | CDyn of (renv -> dlv)
 
 (* ------------------------------------------------------------------ *)
-(* Type-specialised loads and stores (verbatim mirrors of
-   Vm.Compile.compiled_load / compiled_store, which mirror Interp)      *)
+(* Type-specialised loads and stores (Interp.load / Interp.store with
+   the type dispatch done once, at emission)                           *)
 (* ------------------------------------------------------------------ *)
 
 let compiled_load lt ty : I.ctx -> addr_space -> int -> V.t =
@@ -187,8 +186,8 @@ let run_lv env = function
     DMem (sp, addr, ty)
   | CDyn f -> f env
 
-(* Scalar fast paths for the hot binary operators (mirror
-   Vm.Compile.fast_binop). *)
+(* Scalar fast paths for the hot binary operators; anything else goes
+   through Interp.binop. *)
 let fast_binop (op : binop) : (I.ctx -> I.tval -> I.tval -> I.tval) option =
   match op with
   | Add | Sub | Mul | Lt | Gt | Le | Ge | Eq | Ne | Band | Bor | Bxor | Shl
@@ -218,7 +217,7 @@ let fast_binop (op : binop) : (I.ctx -> I.tval -> I.tval -> I.tval) option =
   | _ -> None
 
 (* Register-write normalization: exactly the store+load roundtrip the
-   closure backend performs through a variable of the declared type,
+   interpreter performs through a variable of the declared type,
    minus the memory traffic.  Promoted variables are scalars or
    pointers only (see Lower.promotable). *)
 let normalizer lt (ty : ty) : I.tval -> I.tval =
@@ -366,16 +365,15 @@ let census lt (fn : Core.fn) : int * int * int =
 
 type t = {
   e_layout : Layout.env;
-  e_cp : Vm.Compile.program;                            (* fallback backend *)
   e_funcs : (string, func) Hashtbl.t;                   (* AST functions *)
   e_ir : (string, (Core.fn, string) result) Hashtbl.t;  (* optimized IR *)
   e_stats : (string, Passes.stats) Hashtbl.t;
   e_wrappers : (string, I.ctx -> I.tval array -> I.tval) Hashtbl.t;
 }
 
-(* Wrapper building mutates [e_wrappers] (and forces Vm.Compile lazies
-   for fallback callees); one process-wide lock serialises it, with a
-   domain-local re-entrancy flag like Vm.Compile's. *)
+(* Wrapper building mutates [e_wrappers]; one process-wide lock
+   serialises it, and a domain-local flag lets a resolution nested on
+   the same domain through instead of deadlocking. *)
 let emit_lock = Mutex.create ()
 let emit_lock_held = Domain.DLS.new_key (fun () -> false)
 
@@ -781,7 +779,7 @@ let rec emit_lv (bst : bst) (lv : Core.lv) : clv =
 (* Rhs                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Lazily resolved callee wrapper: IR when available, closure backend
+(* Lazily resolved callee wrapper: IR when available, the interpreter
    otherwise; prototypes fail at call time like the interpreter. *)
 let rec resolve_wrapper (est : t) (name : string) : I.ctx -> I.tval array -> I.tval =
   with_emit_lock (fun () ->
@@ -793,7 +791,8 @@ let rec resolve_wrapper (est : t) (name : string) : I.ctx -> I.tval array -> I.t
           | Some (Ok fn) -> prepare_fn est fn
           | _ ->
             (match Hashtbl.find_opt est.e_funcs name with
-             | Some ({ fn_body = Some _; _ } as f) -> Vm.Compile.prepare est.e_cp f
+             | Some ({ fn_body = Some _; _ } as f) ->
+               fun ctx args -> I.call_function ctx f (Array.to_list args)
              | Some { fn_body = None; _ } ->
                fun _ _ -> I.fail "calling prototype %s" name
              | None -> fun _ _ -> I.fail "unknown function %s" name)
@@ -1329,7 +1328,8 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
        with I.Break_exc -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Function wrappers (mirror Vm.Compile.call_cfunc + compile_param)    *)
+(* Function wrappers (Interp.call_function, with parameter binding
+   resolved at emission)                                               *)
 (* ------------------------------------------------------------------ *)
 
 and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
@@ -1415,7 +1415,6 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
 (* ------------------------------------------------------------------ *)
 
 let make ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
-  let cp = Vm.Compile.make ?special_ty prog in
   let _md, lowered = Lower.make ?special_ty ~cfg prog in
   let funcs = Hashtbl.create 31 in
   List.iter
@@ -1432,8 +1431,8 @@ let make ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
          | Ok fn ->
            let fn, stats = Passes.run ~fold_ctx ~cfg fn in
            Hashtbl.replace e_stats n stats;
-           (* safety net: a pass bug demotes the function to the closure
-              backend instead of executing broken code *)
+           (* safety net: a pass bug demotes the function to the
+              interpreter instead of executing broken code *)
            (match Verify.check fn with
             | [] -> Ok fn
             | e :: _ -> Error (Printf.sprintf "verifier: %s" e))
@@ -1442,20 +1441,18 @@ let make ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
        Hashtbl.replace e_ir n r)
     lowered;
   { e_layout = Layout.make_env prog;
-    e_cp = cp;
     e_funcs = funcs;
     e_ir;
     e_stats;
     e_wrappers = Hashtbl.create 15 }
 
 (* IR-compiled entry for [name], or None when lowering rejected it (the
-   caller falls back to its own Vm.Compile path). *)
+   caller runs it on the interpreter). *)
 let prepare (est : t) (name : string) : (I.ctx -> I.tval array -> I.tval) option =
   match Hashtbl.find_opt est.e_ir name with
   | Some (Ok _) -> Some (resolve_wrapper est name)
   | _ -> None
 
-let fallback (est : t) : Vm.Compile.program = est.e_cp
 let ir (est : t) name : (Core.fn, string) result option = Hashtbl.find_opt est.e_ir name
 let stats (est : t) name : Passes.stats option = Hashtbl.find_opt est.e_stats name
 

@@ -1,21 +1,20 @@
 (* Lowering Mini-C device functions into the kernel IR.
 
-   The contract is observational identity with `Vm.Compile` (which in
-   turn mirrors `Vm.Interp`): every lowered construct evaluates its
-   pieces in the same order, charges the same operation classes at the
-   same attribution site, and performs the same simulated-memory
-   traffic — with one documented exception: scalar and pointer locals
-   that are never address-taken live in virtual registers, so their
-   private-memory load/store charges (and the matching
-   `private_accesses` counter traffic) disappear.  That is the point of
-   the backend; `OCLCU_IR_PASSES=none` bypasses the IR entirely for an
-   exact replay of the old pipeline.
+   The contract is observational identity with `Vm.Interp`: every
+   lowered construct evaluates its pieces in the same order, charges the
+   same operation classes at the same attribution site, and performs
+   the same simulated-memory traffic — with one documented exception:
+   scalar and pointer locals that are never address-taken live in
+   virtual registers, so their private-memory load/store charges (and
+   the matching `private_accesses` counter traffic) disappear.  That is
+   the point of the backend; the fuzz pyramid checks the rule
+   (`Fuzz.Pyramid.counter_refinement`) with no passes enabled.
 
    Lowering is per-function and total-or-nothing: any construct the IR
    does not model (structs, references, templates, string literals,
    module globals, host-side launches) raises [Reject] and the function
-   simply stays on the closure backend — `Emit` falls back per callee,
-   so a kernel can be IR-compiled even when a helper it calls is not. *)
+   runs on the interpreter — `Emit` falls back per callee, so a kernel
+   can be IR-compiled even when a helper it calls is not. *)
 
 open Minic.Ast
 module I = Vm.Interp
@@ -266,8 +265,8 @@ let removable_barriers (md : modl) (body : stmt list) : expr list =
 
 (* [VRef (r, inner)] binds a reference parameter: the register holds
    the caller-passed pointer (typed [TPtr inner]) and every use goes
-   through [LvDeref], mirroring the closure backend's raw aliasing
-   binding (no allocation, no entry store). *)
+   through [LvDeref], like the interpreter's raw aliasing binding (no
+   allocation, no entry store). *)
 type vref = VReg of int * ty | VRef of int * ty | VMem of int
 
 type lstate = {
@@ -332,7 +331,8 @@ let sizeof st t = Layout.sizeof st.md.md_layout t
 let cst_int n = Core.Cst (I.tv (V.VInt n) (TScalar Int))
 let one = I.tv (V.VInt 1L) (TScalar Int)
 
-(* Mirror of Compile's static type oracle (Compile.sty). *)
+(* Static type oracle: Interp.static_type over the lowering's own
+   bindings. *)
 let rec sty st (e : expr) : ty =
   match e with
   | Ident name ->
@@ -409,7 +409,7 @@ let rec lower_expr st acc (e : expr) : Core.operand =
        then letk st acc (Core.Special name)
        else
          (* module global or launch-scoped binding: resolved through the
-            runtime context, exactly like the closure backend *)
+            runtime context, exactly like the interpreter *)
          letk st acc (Core.Free name))
   | Unary (Neg, a) ->
     let oa = lower_expr st acc a in
@@ -424,7 +424,7 @@ let rec lower_expr st acc (e : expr) : Core.operand =
     when is_rval_member st a
          || (match a with Call _ | VecLit _ | Binary _ -> true | _ -> false) ->
     (* rvalue component select; only lowered when the base is statically
-       vector-typed (the closure backend's non-vector fallback re-reads
+       vector-typed (the interpreter's non-vector fallback re-reads
        the base as an lvalue, which the IR does not model) *)
     (match resolve st (sty st a) with
      | TVec (s, w) ->
@@ -479,8 +479,8 @@ let rec lower_expr st acc (e : expr) : Core.operand =
     push acc (Core.If (st.site, oa, seal ta, seal ea));
     letk st acc (Core.Mov (Core.Reg m))
   | Binary (op, a, b) ->
-    (* the closure backend applies its combiner to (ca env) (cb env),
-       which OCaml evaluates right-to-left: b's effects land first *)
+    (* the interpreter computes [binop ctx op (eval a) (eval b)], whose
+       arguments OCaml evaluates right-to-left: b's effects land first *)
     let ob = lower_expr st acc b in
     let oa = lower_expr st acc a in
     letk st acc (Core.Bin (op, oa, ob))
@@ -637,9 +637,9 @@ and lower_inline st acc (f : func) body_expr args : Core.operand =
   Fun.protect ~finally:(fun () -> st.inl_depth <- st.inl_depth - 1)
   @@ fun () ->
   (* bind parameters as normalized registers, arguments left-to-right
-     like the closure backend's argv loop; the normalization is exactly
-     the store+load roundtrip `compile_param` performs, minus its
-     private-memory traffic *)
+     like the interpreter's argument list; the normalization is exactly
+     the store+load roundtrip `Interp.call_function` performs per
+     parameter, minus its private-memory traffic *)
   let binds =
     List.map2
       (fun (pa : param) a ->
@@ -892,7 +892,7 @@ let lower_fn (md : modl) (f : func) : Core.fn =
          match resolve st pa.pa_ty with
          | TRef inner ->
            (* the caller passes the argument's address (`lower_call` /
-              the closure backends wrap the argument in Addrof) *)
+              the interpreter both wrap the argument in Addrof) *)
            if pa.pa_space <> AS_none then
              reject "address-space parameter %s" pa.pa_name;
            let r = fresh st in

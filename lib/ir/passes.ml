@@ -6,7 +6,7 @@
    as separate phases; redundant-barrier elimination just filters the
    instructions the lowering's dataflow analysis already proved safe.
 
-   Counter accounting: a pass that deletes work the closure backend
+   Counter accounting: a pass that deletes work the emitted closures
    would have charged leaves an [Elim n] marker carrying the same
    source site.  The emitter (in attribution mode) forwards those to
    `on_elim`, so per-site `ops + ops_eliminated` always equals the
@@ -138,8 +138,8 @@ let op_ety p = function
   | Core.Cst c -> Some c.I.ty
   | Core.Reg r -> p.ety.(r)
 
-(* Mirrors the closure backend's fast binop result types; anything it
-   would hand to the generic interpreter binop is reported unknown. *)
+(* Mirrors Emit.fast_binop's result types; anything it hands to the
+   generic Interp.binop is reported unknown. *)
 let bin_ety op a b =
   let cmp =
     match op with

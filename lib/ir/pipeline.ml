@@ -9,10 +9,10 @@
 
    `selected` is what `Gpusim.Exec.launch` consults; `with_passes`
    scopes an override (the fuzzer pyramid pins `none` around its
-   counter-identity stages, the layered validator around every launch).
-   The empty configuration is the contract point: with every pass off,
-   execution does not go through the IR backend at all — it takes the
-   pre-existing `Vm.Compile` closure path, byte-for-byte. *)
+   counter-identity stages).  The empty configuration is the contract
+   point: with every pass off the IR still lowers and emits every
+   function it accepts, and its counters equal the interpreter's except
+   for the private traffic of values kept in registers. *)
 
 type config = {
   fold : bool;      (* constant/copy propagation + counter-exact folding *)
@@ -31,8 +31,6 @@ let none =
 let all =
   { fold = true; strength = true; cse = true; licm = true; dce = true;
     barrier = true; inline = true }
-
-let is_none c = c = none
 
 let pass_names =
   [ "fold"; "strength"; "cse"; "licm"; "dce"; "barrier"; "inline" ]
@@ -104,7 +102,8 @@ let selected : config ref =
        (match parse s with
         | Ok c -> c
         | Error msg ->
-          prerr_endline ("oclcu: OCLCU_IR_PASSES: " ^ msg ^ "; disabling IR");
+          prerr_endline
+            ("oclcu: OCLCU_IR_PASSES: " ^ msg ^ "; running with no passes");
           none))
 
 let with_passes c f =

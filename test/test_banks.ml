@@ -13,8 +13,9 @@
    is not an encoded pointer.
 
    Each kernel runs under Vm.Interp and under the IR backend at 1 and 4
-   domains, with attribution on.  Buffers, Counters.t and Attr rows must
-   be equal, and a failing kernel must fail with the same message.  The
+   domains, with attribution on.  Buffers, Counters.t (under
+   Fuzz.Pyramid.counter_refinement) and Attr rows must agree, and a
+   failing kernel must fail with the same message.  The
    residency census of each kernel is checked too, so the typed closures
    are known to be the ones under test. *)
 
@@ -100,24 +101,33 @@ let show = function
         (List.init n (fun i -> Int32.to_string (String.get_int32_le b (4 * i))))
   | Failed m -> "failed: " ^ m
 
-(* Values in IR registers have no simulated memory traffic, so the
-   interpreter's private accesses for scalar locals are the one counter
-   the IR backend does not reproduce. *)
-let comparable = function
-  | Done (b, c, a) -> Done (b, { c with Gpusim.Counters.private_accesses = 0 }, a)
-  | Failed _ as f -> f
-
-let same_buffers a b =
-  match a, b with
-  | Done (x, _, _), Done (y, _, _) -> x = y
-  | Failed x, Failed y -> x = y
-  | _ -> false
+(* What part of the IR's outcome [got] differs from the interpreter's
+   [reference], or None when they agree.  With [exact], counters (under
+   Fuzz.Pyramid.counter_refinement: values in IR registers have no
+   simulated memory traffic) and attribution rows count too. *)
+let comparable ~exact reference got =
+  match reference, got with
+  | Done (b, c, a), Done (b', c', a') ->
+    let broken =
+      if exact then
+        Fuzz.Pyramid.(
+          counter_refinement ~ir:(counter_fields c')
+            ~interp:(counter_fields c))
+      else []
+    in
+    if b <> b' then Some "buffers"
+    else if broken <> [] then
+      Some ("counters (" ^ String.concat ", " broken ^ ")")
+    else if exact && a <> a' then Some "attribution rows"
+    else None
+  | Failed x, Failed y when x = y -> None
+  | _ -> Some "outcomes"
 
 (* Interpreter vs IR backend at 1 and 4 domains; returns the reference.
-   With only barrier elimination on (none of these kernels has a
-   barrier) the IR charges what the interpreter charges, so counters and
-   attribution rows must match too; with every pass on, ops are
-   eliminated, and buffers and failures must still match. *)
+   With no passes the IR charges what the interpreter charges (up to
+   promoted private traffic), so counters and attribution rows must
+   match too; with every pass on,
+   ops are eliminated, and buffers and failures must still match. *)
 let differential ~src ~out_bytes ~inputs =
   with_ref Minic.Site.enabled true @@ fun () ->
   Minic.Site.reset ();
@@ -125,33 +135,26 @@ let differential ~src ~out_bytes ~inputs =
     Minic.Site.annotate (Minic.Parser.program ~dialect:Minic.Parser.OpenCL src)
   in
   let reference =
-    comparable
-      (launch ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.all ~domains:1
-         prog ~out_bytes ~inputs)
+    launch ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.all ~domains:1
+      prog ~out_bytes ~inputs
   in
   List.iter
     (fun (passes, domains) ->
        let got =
-         comparable
-           (launch ~backend:Gpusim.Exec.Compiled ~passes ~domains prog
-              ~out_bytes ~inputs)
+         launch ~backend:Gpusim.Exec.Compiled ~passes ~domains prog
+           ~out_bytes ~inputs
        in
-       let exact = passes <> Ir.Pipeline.all in
-       let part =
-         match reference, got with
-         | Done (b, _, _), Done (b', _, _) when b <> b' -> "buffers"
-         | Done (_, c, _), Done (_, c', _) when c <> c' -> "counters"
-         | Done (_, _, a), Done (_, _, a') when a <> a' -> "attribution rows"
-         | _ -> "outcomes"
-       in
-       if (exact && got <> reference) || not (same_buffers got reference) then
+       let exact = passes = Ir.Pipeline.none in
+       match comparable ~exact reference got with
+       | None -> ()
+       | Some part ->
          Alcotest.failf
            "IR backend (%s passes) at %d domains: %s differ from the \
             interpreter\ninterp: %s\nir:     %s"
-           (if exact then "barrier" else "all") domains part (show reference)
+           (if exact then "no" else "all") domains part (show reference)
            (show got))
-    [ ({ Ir.Pipeline.none with barrier = true }, 1);
-      ({ Ir.Pipeline.none with barrier = true }, 4);
+    [ (Ir.Pipeline.none, 1);
+      (Ir.Pipeline.none, 4);
       (Ir.Pipeline.all, 1);
       (Ir.Pipeline.all, 4) ];
   (prog, reference)

@@ -6,9 +6,11 @@
    through `Passes.stats`, and a planted regression where it must NOT
    fire — trapping division not hoisted, signed division not
    strength-reduced, divergence-guarded barrier kept, ...), and a qcheck
-   differential pinning the optimized closure backend to byte-identical
-   buffers against both the interpreter and the `OCLCU_IR_PASSES=none`
-   path at 1 and 4 worker domains. *)
+   differential pinning the compiled backend, with every pass and with
+   none (`OCLCU_IR_PASSES=none`), to the interpreter's buffers at 1 and
+   4 worker domains.  A directed test covers the mixed path: a lowered
+   kernel calling a helper the lowering rejects, which the interpreter
+   runs. *)
 
 open Minic.Ast
 module Core = Ir.Core
@@ -477,6 +479,79 @@ let attribution_elim_sums () =
          (s.Gpusim.Attr.ops + s.Gpusim.Attr.ops_eliminated))
     opt
 
+(* ------------------------------------------------------------------ *)
+(* Mixed path: IR code calling an interpreted helper                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The kernel lowers; the helper it calls in a loop does not (a string
+   literal), so Ir.Emit.resolve_wrapper hands each call to
+   Vm.Interp.call_function on the kernel's own context. *)
+let mixed_src = {|
+int shout(int a) {
+  int t = a * 3;
+  printf("a=%d\n", t);
+  return t + 1;
+}
+
+__kernel void k(__global int* out, __global int* in, int n) {
+  int i = get_global_id(0);
+  int acc = in[i];
+  for (int j = 0; j < 4; j++) {
+    acc = shout(acc + j) % 1000;
+  }
+  out[i] = acc;
+}
+|}
+
+let mixed_path () =
+  let prog = parse mixed_src in
+  let est =
+    Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty ~cfg:Ir.Pipeline.all prog
+  in
+  (match Ir.Emit.ir est "k" with
+   | Some (Ok _) -> ()
+   | Some (Error why) -> Alcotest.failf "kernel k did not lower: %s" why
+   | None -> Alcotest.fail "no kernel k");
+  (match Ir.Emit.ir est "shout" with
+   | Some (Error why) ->
+     Alcotest.(check string) "helper rejected" "string literal" why
+   | _ -> Alcotest.fail "helper shout was not rejected");
+  let gws = 64 and lws = 16 in
+  let ref_bytes, ref_stats =
+    run_way ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.none ~domains:1
+      ~prog ~gws ~lws
+  in
+  List.iter
+    (fun (passes, domains) ->
+       let label =
+         Printf.sprintf "%s passes, %d domains"
+           (Ir.Pipeline.signature passes) domains
+       in
+       let bytes, stats =
+         run_way ~backend:Gpusim.Exec.Compiled ~passes ~domains ~prog ~gws ~lws
+       in
+       check (label ^ ": buffers") true (bytes = ref_bytes);
+       if passes = Ir.Pipeline.none then
+         Alcotest.(check (list string))
+           (label ^ ": counters") []
+           Fuzz.Pyramid.(
+             counter_refinement
+               ~ir:(counter_fields stats.Gpusim.Exec.counters)
+               ~interp:(counter_fields ref_stats.Gpusim.Exec.counters)))
+    [ (Ir.Pipeline.none, 1); (Ir.Pipeline.none, 4);
+      (Ir.Pipeline.all, 1); (Ir.Pipeline.all, 4) ];
+  let bytes, stats =
+    with_ref Gpusim.Exec.engine Gpusim.Exec.Lockstep (fun () ->
+        run_way ~backend:Gpusim.Exec.Compiled ~passes:Ir.Pipeline.all
+          ~domains:1 ~prog ~gws ~lws)
+  in
+  check "lockstep: buffers" true (bytes = ref_bytes);
+  match stats.Gpusim.Exec.engine with
+  | Gpusim.Exec.Engine_fallback why ->
+    check ("lockstep fallback names the callee: " ^ why) true
+      (contains why "shout")
+  | _ -> Alcotest.fail "expected the lockstep engine to fall back"
+
 let suites =
   [ ( "ir.verify",
       [ Alcotest.test_case "every pass config stays verifier-clean" `Quick
@@ -507,4 +582,6 @@ let suites =
     ( "ir.differential",
       [ QCheck_alcotest.to_alcotest prop_differential;
         Alcotest.test_case "per-site ops + eliminated = unoptimized ops"
-          `Quick attribution_elim_sums ] ) ]
+          `Quick attribution_elim_sums;
+        Alcotest.test_case "lowered kernel calls an interpreted helper"
+          `Quick mixed_path ] ) ]
