@@ -1383,14 +1383,9 @@ __kernel void reduce(__global int* out, __local int* tmp) {
       ~kernel:"reduce" ~out_ints:64 ~gws:[| 4096; 1; 1 |] ~lws:[| 64; 1; 1 |]
       ~extra_args:[ Gpusim.Exec.Arg_local (64 * 4) ] ()
   in
-  let with_fusion v f =
-    let saved = !Gpusim.Lockstep.fusion in
-    Gpusim.Lockstep.fusion := v;
-    Fun.protect ~finally:(fun () -> Gpusim.Lockstep.fusion := saved) f
-  in
   (* best-of-n, same estimator as the backends gate: the minimum is
      noise-robust (GC pauses and scheduler interference only ever add
-     time), so the fusion gate below doesn't flake under CI load *)
+     time), so the speedup gate below doesn't flake under CI load *)
   let time f =
     ignore (f ());  (* warm plan and closure caches *)
     let n = 5 in
@@ -1403,61 +1398,41 @@ __kernel void reduce(__global int* out, __local int* tmp) {
     done;
     !best
   in
-  (* measure one workload under both engines (and lockstep again with
-     region fusion off); identity and the accepted-lockstep outcome are
-     hard failures, not footnotes *)
+  (* measure one workload under both engines; identity and the
+     accepted-lockstep outcome are hard failures, not footnotes *)
   let measure (name, run, outcome) =
     let reference = with_engine Gpusim.Exec.Scalar run in
-    List.iter
-      (fun fuse ->
-         let out =
-           with_fusion fuse (fun () -> with_engine Gpusim.Exec.Lockstep run)
-         in
-         if out <> reference then begin
-           Printf.printf "lockstep bench FAILED: %s diverges from scalar \
-                          (fusion=%b)\n" name fuse;
-           exit 1
-         end;
-         match !outcome with
-         | Gpusim.Exec.Engine_lockstep -> ()
-         | Gpusim.Exec.Engine_scalar ->
-           Printf.printf "lockstep bench FAILED: %s ran the scalar engine\n"
-             name;
-           exit 1
-         | Gpusim.Exec.Engine_fallback why | Gpusim.Exec.Engine_bailed why ->
-           Printf.printf "lockstep bench FAILED: %s not lockstep (%s)\n" name
-             why;
-           exit 1)
-      [ true; false ];
+    if with_engine Gpusim.Exec.Lockstep run <> reference then begin
+      Printf.printf "lockstep bench FAILED: %s diverges from scalar\n" name;
+      exit 1
+    end;
+    (match !outcome with
+     | Gpusim.Exec.Engine_lockstep -> ()
+     | Gpusim.Exec.Engine_scalar ->
+       Printf.printf "lockstep bench FAILED: %s ran the scalar engine\n" name;
+       exit 1
+     | Gpusim.Exec.Engine_fallback why | Gpusim.Exec.Engine_bailed why ->
+       Printf.printf "lockstep bench FAILED: %s not lockstep (%s)\n" name why;
+       exit 1);
     let ts = with_engine Gpusim.Exec.Scalar (fun () -> time run) in
-    let tl =
-      with_fusion true (fun () ->
-          with_engine Gpusim.Exec.Lockstep (fun () -> time run))
-    in
-    let tn =
-      with_fusion false (fun () ->
-          with_engine Gpusim.Exec.Lockstep (fun () -> time run))
-    in
-    (name, ts, tl, tn, ts /. tl, ts /. tn)
+    let tl = with_engine Gpusim.Exec.Lockstep (fun () -> time run) in
+    (name, ts, tl, ts /. tl)
   in
-  Printf.printf "%-24s %12s %12s %12s %9s %9s\n" "workload" "scalar (s)"
-    "fused (s)" "unfused (s)" "speedup" "nofuse";
+  Printf.printf "%-24s %12s %12s %9s\n" "workload" "scalar (s)"
+    "lockstep (s)" "speedup";
   let rows =
     List.map
       (fun w ->
-         let name, ts, tl, tn, s, sn = measure w in
-         Printf.printf "%-24s %12.4f %12.4f %12.4f %8.2fx %8.2fx\n%!" name ts
-           tl tn s sn;
-         (name, ts, tl, tn, s, sn))
+         let name, ts, tl, s = measure w in
+         Printf.printf "%-24s %12.4f %12.4f %8.2fx\n%!" name ts tl s;
+         (name, ts, tl, s))
       [ compute_loop ~lws:64; stream_add; local_reduce ]
   in
-  let gm = geomean (List.map (fun (_, _, _, _, s, _) -> s) rows) in
-  let gmn = geomean (List.map (fun (_, _, _, _, _, sn) -> sn) rows) in
-  Printf.printf "%-24s %12s %12s %12s %8.2fx %8.2fx\n" "geomean" "" "" "" gm
-    gmn;
-  (* Fusion speedup gate (the A9/A10 target): fused lockstep must beat
-     the scalar compiled backend by the floor on the kernel-heavy
-     geomean.  OCLCU_LOCKSTEP_GATE overrides the floor; 0 disables. *)
+  let gm = geomean (List.map (fun (_, _, _, s) -> s) rows) in
+  Printf.printf "%-24s %12s %12s %8.2fx\n" "geomean" "" "" gm;
+  (* Speedup gate (the A9/A10 target): lockstep must beat the scalar
+     compiled backend by the floor on the kernel-heavy geomean.
+     OCLCU_LOCKSTEP_GATE overrides the floor; 0 disables. *)
   let gate_floor =
     match Sys.getenv_opt "OCLCU_LOCKSTEP_GATE" with
     | Some s -> (try float_of_string s with _ -> 1.2)
@@ -1479,7 +1454,7 @@ __kernel void reduce(__global int* out, __local int* tmp) {
   let sweep =
     List.map
       (fun lws ->
-         let _, ts, tl, _, s, _ = measure (compute_loop ~lws) in
+         let _, ts, tl, s = measure (compute_loop ~lws) in
          Printf.printf "%-24d %12.4f %12.4f %8.2fx\n%!" lws ts tl s;
          (lws, s))
       [ 8; 16; 32; 64 ]
@@ -1487,7 +1462,7 @@ __kernel void reduce(__global int* out, __local int* tmp) {
   (* static eligibility census over every captured suite kernel *)
   let seen = Hashtbl.create 64 in
   let eligible = ref 0 and ineligible = ref 0 and unparsed = ref 0 in
-  let fused_regions = ref 0 in
+  let fused_regions = ref 0 and crossed = ref 0 in
   let reasons : (string, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (app : ocl_app) ->
@@ -1510,7 +1485,8 @@ __kernel void reduce(__global int* out, __local int* tmp) {
                      with
                      | Ok p ->
                        incr eligible;
-                       fused_regions := !fused_regions + p.Gpusim.Lockstep.p_fused
+                       fused_regions := !fused_regions + p.Gpusim.Lockstep.p_fused;
+                       crossed := !crossed + p.Gpusim.Lockstep.p_crossed
                      | Error why ->
                        incr ineligible;
                        (* fold per-kernel detail into a coarse reason *)
@@ -1532,8 +1508,9 @@ __kernel void reduce(__global int* out, __local int* tmp) {
   in
   Printf.printf
     "\neligibility: %d of %d suite kernels lockstep-eligible \
-     (%d sources unparsed, %d fused regions)\n"
-    !eligible (!eligible + !ineligible) !unparsed !fused_regions;
+     (%d sources unparsed, %d fused regions, %d fast shapes run alone \
+     through boxed crossings)\n"
+    !eligible (!eligible + !ineligible) !unparsed !fused_regions !crossed;
   List.iter
     (fun (why, n) -> Printf.printf "  %4d  %s\n" n why)
     reason_rows;
@@ -1543,17 +1520,14 @@ __kernel void reduce(__global int* out, __local int* tmp) {
          ("rows",
           J.List
             (List.map
-               (fun (name, ts, tl, tn, s, sn) ->
+               (fun (name, ts, tl, s) ->
                   J.Obj
                     [ ("workload", J.Str name);
                       ("scalar_s", J.Float ts);
                       ("lockstep_s", J.Float tl);
-                      ("lockstep_nofuse_s", J.Float tn);
-                      ("speedup", J.Float s);
-                      ("speedup_nofuse", J.Float sn) ])
+                      ("speedup", J.Float s) ])
                rows));
          ("geomean_speedup", J.Float gm);
-         ("geomean_speedup_nofuse", J.Float gmn);
          ("gate_floor", J.Float gate_floor);
          ("warp_sweep",
           J.List
@@ -1566,6 +1540,7 @@ __kernel void reduce(__global int* out, __local int* tmp) {
             [ ("kernels", J.Int (!eligible + !ineligible));
               ("eligible", J.Int !eligible);
               ("fused_regions", J.Int !fused_regions);
+              ("boxed_crossings", J.Int !crossed);
               ("ineligible", J.Int !ineligible);
               ("unparsed_sources", J.Int !unparsed);
               ("reasons",
@@ -1592,7 +1567,6 @@ let attribute_bench () =
   in
   let one_run ~attributed () =
     Minic.Site.enabled := attributed;
-    Gpusim.Exec.attribute := attributed;
     Minic.Site.reset ();
     let t0 = Unix.gettimeofday () in
     let _, ms =
@@ -1616,7 +1590,6 @@ let attribute_bench () =
   let base_t, _ = best (one_run ~attributed:false) in
   let attr_t, attr_ms = best (one_run ~attributed:true) in
   Minic.Site.enabled := false;
-  Gpusim.Exec.attribute := false;
   let ratio = attr_t /. base_t in
   let sites = Trace.Summary.collect_sites attr_ms in
   Printf.printf "%-34s %8.2f ms\n" "plain profile (FT, both fw)"

@@ -446,7 +446,6 @@ let attribute_arg =
    [Site.reset] makes site numbering deterministic per invocation. *)
 let enable_attribution () =
   Minic.Site.enabled := true;
-  Gpusim.Exec.attribute := true;
   Minic.Site.reset ()
 
 let run_cmd =

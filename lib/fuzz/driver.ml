@@ -107,7 +107,6 @@ let replay ?(log = fun _ -> ()) dir : bool =
   let passes = Repro.passes dir in
   log (Printf.sprintf "replay: IR passes: %s" (Ir.Pipeline.signature passes));
   log (Printf.sprintf "replay: engine: %s" (Repro.engine dir));
-  log (Printf.sprintf "replay: fusion: %s" (Repro.fusion dir));
   Ir.Pipeline.with_passes passes @@ fun () ->
   match Pyramid.run case with
   | Pyramid.Agree -> log "replay: all pyramid executions agree"; false

@@ -378,21 +378,15 @@ let with_engine e f =
   Gpusim.Exec.engine := e;
   Fun.protect ~finally:(fun () -> Gpusim.Exec.engine := saved) f
 
-let with_fusion v f =
-  let saved = !Gpusim.Lockstep.fusion in
-  Gpusim.Lockstep.fusion := v;
-  Fun.protect ~finally:(fun () -> Gpusim.Lockstep.fusion := saved) f
-
 (* The warp-lockstep engine must be observationally indistinguishable
    from the scalar one: the same plan re-run with [Gpusim.Exec.engine]
-   set to [Lockstep] — sequentially and on 4 domains, with region
-   fusion both on and off — has to reproduce the scalar compiled run's
-   buffers byte-for-byte and its Counters.t field-for-field, whether
-   the kernel ran in lockstep, fell back at eligibility or bailed out
-   mid-launch.  Runs under the ambient pass set: lockstep executes the
-   optimized IR, so the scalar reference is taken under the same
-   configuration.  Stage names carry the fusion leg ("lockstep-nofuse"
-   vs "lockstep") so a shrunken repro pins the failing configuration. *)
+   set to [Lockstep] — sequentially and on 4 domains (stages
+   "lockstep" and "lockstep-4") — has to reproduce the scalar compiled
+   run's buffers byte-for-byte and its Counters.t field-for-field,
+   whether the kernel ran in lockstep, fell back at eligibility or
+   bailed out mid-launch.  Runs under the ambient pass set: lockstep
+   executes the optimized IR, so the scalar reference is taken under
+   the same configuration. *)
 let lockstep_domains = [ 1; 4 ]
 
 let run_lockstep_stage (c : Gen.case) (p : plan) : (unit, divergence) result =
@@ -411,17 +405,13 @@ let run_lockstep_stage (c : Gen.case) (p : plan) : (unit, divergence) result =
   | Ok (ref_bytes, ref_ctr) ->
     let rec go = function
       | [] -> Ok ()
-      | (fuse, n) :: rest ->
+      | n :: rest ->
         let stage =
-          Printf.sprintf "lockstep%s%s"
-            (if fuse then "" else "-nofuse")
-            (if n = 1 then "" else Printf.sprintf "-%d" n)
+          if n = 1 then "lockstep" else Printf.sprintf "lockstep-%d" n
         in
         (match
-           with_fusion fuse (fun () ->
-               with_engine Gpusim.Exec.Lockstep (fun () ->
-                   with_domains n (fun () ->
-                       run_plan Gpusim.Exec.Compiled c p)))
+           with_engine Gpusim.Exec.Lockstep (fun () ->
+               with_domains n (fun () -> run_plan Gpusim.Exec.Compiled c p))
          with
          | exception e ->
            Error { d_stage = stage; d_kind = K_crash;
@@ -440,10 +430,7 @@ let run_lockstep_stage (c : Gen.case) (p : plan) : (unit, divergence) result =
                          (String.concat ", " (counter_diff ctr ref_ctr)) }
            else go rest)
     in
-    go
-      (List.concat_map
-         (fun fuse -> List.map (fun n -> (fuse, n)) lockstep_domains)
-         [ true; false ])
+    go lockstep_domains
 
 (* ------------------------------------------------------------------ *)
 (* The pyramid                                                         *)

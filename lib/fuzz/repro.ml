@@ -43,20 +43,6 @@ let divergence_engine (d : Pyramid.divergence) =
   then "lockstep"
   else "scalar"
 
-(* Whether region fusion was on in the stage that diverged: the
-   "lockstep-nofuse*" sub-stages run with fusion forced off, the plain
-   "lockstep*" ones with it forced on; any other stage ran under the
-   ambient toggle. *)
-let divergence_fusion (d : Pyramid.divergence) =
-  let s = d.Pyramid.d_stage in
-  let has_prefix p =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
-  in
-  if has_prefix "lockstep-nofuse" then "0"
-  else if has_prefix "lockstep" then "1"
-  else if !Gpusim.Lockstep.fusion then "1"
-  else "0"
-
 let write ~out_dir ~name ~(case : Gen.case) ~(d : Pyramid.divergence)
     ~(layer : string * string) ~seed ~index : string =
   ensure_dir out_dir;
@@ -75,9 +61,6 @@ let write ~out_dir ~name ~(case : Gen.case) ~(d : Pyramid.divergence)
          (* the engine whose stage diverged; the pyramid always re-runs
             both, so replay reproduces either way *)
          ("engine", divergence_engine d);
-         (* lockstep region fusion at the diverging stage (1 = fused);
-            fusion-dependent bugs only reproduce on the same leg *)
-         ("fusion", divergence_fusion d);
          ("stage", d.Pyramid.d_stage);
          ("kind", Pyramid.kind_name d.Pyramid.d_kind);
          ("detail", d.Pyramid.d_detail);
@@ -116,11 +99,6 @@ let layer dir : string * string =
    engine existed read back as "scalar". *)
 let engine dir : string =
   Option.value (List.assoc_opt "engine" (config_kv dir)) ~default:"scalar"
-
-(* Lockstep region fusion at the diverging stage; repros written before
-   fusion existed read back as "1" (the default toggle). *)
-let fusion dir : string =
-  Option.value (List.assoc_opt "fusion" (config_kv dir)) ~default:"1"
 
 (* The IR pass set active when the divergence was found; repros written
    before the middle-end existed read back as the default ("all"). *)

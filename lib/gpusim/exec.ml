@@ -89,7 +89,7 @@ type engine_outcome =
 (* Result of one launch: raw event counters plus launch geometry. *)
 type launch_stats = {
   counters : Counters.t;
-  attr : Attr.t option;        (* per-site attribution when [attribute] *)
+  attr : Attr.t option;        (* when [Minic.Site.enabled] *)
   block_threads : int;
   n_blocks : int;
   occupancy : Occupancy.result;
@@ -111,13 +111,6 @@ let domains =
         | Some n when n >= 1 -> n
         | _ -> Domain.recommended_domain_count ())
      | None -> Domain.recommended_domain_count ())
-
-(* Per-site attribution (`oclcu prof --attribute`): when on, every
-   counted event is charged to the Minic.Site of the statement that
-   caused it, and per-item branch decisions are recorded for the
-   warp-divergence counter.  Off by default — the extra stream pushes
-   cost real time on the hot path.  Initialised from OCLCU_ATTRIBUTE=1. *)
-let attribute = ref (Sys.getenv_opt "OCLCU_ATTRIBUTE" = Some "1")
 
 (* Opt-in per-block Kernel spans (OCLCU_TRACE_BLOCKS=1): buffered per
    domain and flushed in block order, so the trace is identical at every
@@ -359,9 +352,7 @@ let special_ty = function
    of whole ASTs would defeat the point.
 
    Each entry also holds the module's lockstep warp plans, keyed by
-   kernel name, warp width and the region-fusion flag (fusion is baked
-   into a plan's closures at emission time, so fused and unfused plans
-   must not share a slot).  Errors are cached too: ineligibility is
+   kernel name and warp width.  Errors are cached too: ineligibility is
    decided once, not re-analysed per launch.  One mutex guards both:
    modules are shared across domains and tests launch from spawned
    domains. *)
@@ -369,7 +360,7 @@ type ir_entry = {
   ie_prog : Minic.Ast.program;
   ie_passes : string;
   ie_est : Ir.Emit.t;
-  ie_plans : (string * int * bool, (Lockstep.plan, string) result) Hashtbl.t;
+  ie_plans : (string * int, (Lockstep.plan, string) result) Hashtbl.t;
 }
 
 let ir_cache : ir_entry list ref = ref []
@@ -398,7 +389,7 @@ let ir_entry prog =
         e)
 
 let lockstep_plan_for (e : ir_entry) ~name ~warp =
-  let key = (name, warp, !Lockstep.fusion) in
+  let key = (name, warp) in
   Mutex.protect ir_cache_lock (fun () ->
       match Hashtbl.find_opt e.ie_plans key with
       | Some r -> r
@@ -538,7 +529,12 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
     let aclean =
       match plan with Some _ -> Lazy.force atomics_clean | None -> false
     in
-    let attr = if !attribute then Some (Attr.create ()) else None in
+    (* per-site attribution ([Minic.Site.enabled], `oclcu prof
+       --attribute`): every counted event is charged to the site of the
+       statement that caused it, and per-item branch decisions are
+       recorded for the warp-divergence counter.  Off by default — the
+       extra stream pushes cost real time on the hot path. *)
+    let attr = if !Minic.Site.enabled then Some (Attr.create ()) else None in
     (* the running item's index view; [set_cur] rewrites it in place *)
     let cur = { gid = [| 0; 0; 0 |]; lid = [| 0; 0; 0 |]; grp = [| 0; 0; 0 |] } in
     let cur_item = ref 0 in
@@ -578,7 +574,7 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
     (* branch-decision streams; attribution mode only (extra pushes on
        every branch cost real time otherwise) *)
     let bstreams =
-      if !attribute then
+      if !Minic.Site.enabled then
         Some (Array.init group_threads (fun _ -> Counters.bstream_create ()))
       else None
     in
@@ -1070,7 +1066,7 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
       let total = Counters.create () in
       Array.iter (fun w -> Counters.merge total w.w_counters) workers;
       let attr =
-        if not !attribute then None
+        if not !Minic.Site.enabled then None
         else begin
           let t = Attr.create () in
           Array.iter

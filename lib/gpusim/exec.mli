@@ -29,12 +29,6 @@ type parallel_outcome =
   | Parallel of int      (** ran concurrently on N workers, accepted *)
   | Replayed of string   (** parallel attempt rolled back: why *)
 
-(** Per-site attribution (`oclcu prof --attribute`): charge every
-    counted event to the {!Minic.Site} of the statement that caused it
-    and record per-item branch decisions for the warp-divergence
-    counter.  Off by default; initialised from [OCLCU_ATTRIBUTE=1]. *)
-val attribute : bool ref
-
 (** Emit one {!Trace.Event.Kernel} span per executed block (buffered and
     flushed in block order, so the trace is identical at every domain
     count).  Off by default; initialised from [OCLCU_TRACE_BLOCKS=1]. *)
@@ -115,7 +109,11 @@ type pool_stats = {
 
 type launch_stats = {
   counters : Counters.t;
-  attr : Attr.t option;  (** per-site attribution when {!attribute} *)
+  attr : Attr.t option;
+  (** per-site attribution, present when {!Minic.Site.enabled}: every
+      counted event charged to the site of the statement that caused
+      it, plus per-item branch decisions for the warp-divergence
+      counter *)
   block_threads : int;
   n_blocks : int;
   occupancy : Occupancy.result;

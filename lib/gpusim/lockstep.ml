@@ -34,11 +34,12 @@
    Execution reuses `Ir.Emit`'s per-instruction closures for the
    general case (one `renv` per lane sharing the block context), so a
    lane's semantics are the scalar backend's by definition.  On top of
-   that, registers whose every definition and use fits a small fast
-   class (int/float scalar arithmetic, NDRange index queries, typed
-   element loads/stores) live unboxed in contiguous Bigarray lane files
-   (`Vm.Lanes`) and execute SIMD-style without touching the boxed
-   world. *)
+   that, every instruction of a small fast class (int/float scalar
+   arithmetic, NDRange index queries, typed element loads/stores) runs
+   as micro-ops over contiguous Bigarray lane files (`Vm.Lanes`).
+   Registers whose every definition and use fits that class live there
+   outright; a boxed register a fast instruction touches crosses in and
+   out through a shadow lane slot. *)
 
 open Minic.Ast
 module I = Vm.Interp
@@ -215,22 +216,12 @@ type hooks = {
   k_atomics_clean : bool;
 }
 
-(* Escape hatch: OCLCU_LOCKSTEP_FUSION=0 disables region fusion (every
-   instruction keeps its own per-warp closure), isolating fusion bugs
-   and giving the bench its ablation baseline.  Read at plan time;
-   `Exec` keys its plan cache on the flag. *)
-let fusion =
-  ref
-    (match Sys.getenv_opt "OCLCU_LOCKSTEP_FUSION" with
-     | Some "0" -> false
-     | _ -> true)
-
 (* Planted-bug knobs, used only by test_fusion.ml to prove the
    differential net catches mis-fusions: [bug_drop_mask] executes
-   fused regions over every live lane instead of the active mask
-   (a dropped divergence check); [bug_skip_charge] skips a region's
-   batched counter/attr charges.  Both are read at region *execution*
-   time so cached plans are affected too. *)
+   micro-op sequences over every live lane instead of the active mask
+   (a dropped divergence check); [bug_skip_charge] skips a sequence's
+   batched counter/attr charges.  Both are read at *execution* time so
+   cached plans are affected too. *)
 let bug_drop_mask = ref false
 let bug_skip_charge = ref false
 
@@ -327,8 +318,10 @@ type cenv = {
   c_store : slot array;
   c_w : int; (* lane-file stride = warp size *)
   c_iid : int ref;
+  c_shadow : int array;
+  (* lane-file base of a boxed register's shadow slot (in the file its
+     class selects), -1 when no fast shape reads or writes it *)
   c_sited : bool;
-  c_fuse : bool; (* fuse straight-line runs into region loops *)
   c_regions : int ref; (* fused regions formed (census) *)
 }
 
@@ -418,62 +411,47 @@ let cond_keep (c : cenv) (o : Core.operand) : (wenv -> int -> int) option =
      | _ -> None)
   | _ -> None
 
-(* Writers for fast definitions; [ty] is the class type of the target,
-   which every definition of the register produces. *)
-let wr_i (c : cenv) r : wenv -> int -> int64 -> unit =
-  match c.c_store.(r) with
-  | SInt k ->
-    let base = k * c.c_w in
-    fun w l v -> Lanes.set_i w.ki (base + l) v
-  | SRow ->
-    let ty = match c.c_cls.(r) with CI t -> t | _ -> assert false in
-    fun w l v -> w.renvs.(l).Emit.regs.(r) <- I.tv (V.VInt v) ty
-  | SFloat _ -> assert false
-
-let wr_f (c : cenv) r : wenv -> int -> float -> unit =
-  match c.c_store.(r) with
-  | SFloat k ->
-    let base = k * c.c_w in
-    fun w l v -> Lanes.set_f w.kf (base + l) v
-  | SRow ->
-    let ty = match c.c_cls.(r) with CF t -> t | _ -> assert false in
-    fun w l v -> w.renvs.(l).Emit.regs.(r) <- I.tv (V.VFloat v) ty
-  | SInt _ -> assert false
-
 (* ------------------------------------------------------------------ *)
 (* Fused regions                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A maximal straight-line run of lane-resident fast-shape
-   instructions executes as ONE region: a flat array of pre-decoded
-   micro-ops interpreted in a tight loop, each micro-op running its
-   own per-lane loop directly over the Bigarray lane files.  No
-   reader/op/writer closures, no tval boxing: every operand is either
+(* Every fast-shape instruction executes as micro-ops: a flat array of
+   pre-decoded operations interpreted in a tight loop, each micro-op
+   running its own per-lane loop directly over the Bigarray lane files.
+   No reader/op/writer closures, no tval boxing: every operand is either
    an immediate or an absolute lane-file base, every operation is
    matched inline, so the int64/float temporaries stay unboxed inside
    one function body.
 
-   Legality (= the [fuse_ikind] residency check below, on top of
-   `Ir.Region.segment`'s straight-line guarantee):
+   A maximal straight-line run of lane-resident fast shapes is ONE
+   fused region.  Legality (on top of `Ir.Region.segment`'s
+   straight-line guarantee):
    - every instruction is a fast shape (`Ir.Region.fast_shape`);
-   - every register operand is lane-resident (slot in the int/float
-     lane file) and every constant operand is a plain VInt/VFloat —
-     an SRow (boxed) register anywhere disqualifies the instruction;
+   - every register it reads or writes is lane-resident (slot in the
+     int/float lane file) — an SRow (boxed) register anywhere keeps the
+     instruction out of the run;
    - the divergence mask is read once at region entry: a run contains
      no control flow, so the mask cannot change inside it, and
      instruction-major order within the run preserves lane program
-     order (same argument as the per-instruction path);
+     order;
    - loads/stores keep their per-instruction hazard-log identity
      (fresh iid, `Ir.Region.ikind_uniform` flag, full-mask bit) and
      call [k_access] before resolving the arena, exactly like the
-     unfused emitters.
+     scalar closures.
+
+   A fast shape that touches a boxed register runs alone, as a
+   one-instruction sequence: unbox micro-ops copy its boxed operands'
+   active lanes into their shadow slots, the instruction's micro-op
+   reads and writes those slots, and a box micro-op copies a boxed
+   destination back at its class type — what the scalar closure would
+   have written.
 
    Counter/attr charges are batched with exact-sum compensation: the
-   chargeable instructions of a region are folded at plan time into a
-   (site, class, per-lane count) table, and region entry charges
+   chargeable instructions of a sequence are folded at plan time into a
+   (site, class, per-lane count) table, and sequence entry charges
    count x popcount(mask) through [k_charge].  The mask is constant
-   across the region, so the product equals the sum of the per-lane
-   per-instruction charges the scalar engine makes; a mid-region
+   across the sequence, so the product equals the sum of the per-lane
+   per-instruction charges the scalar engine makes; a mid-sequence
    fault Bails the launch and the scalar rerun starts from fresh
    counters, so over-charge before a fault is unobservable. *)
 
@@ -555,30 +533,77 @@ type mop =
       v : fsrc;
       r32 : bool;
     }
+  (* boxed-register crossings: [dst]/[src] is the shadow's lane base *)
+  | MUnboxI of { reg : int; dst : int }
+  | MUnboxF of { reg : int; dst : int }
+  | MBoxI of { reg : int; ty : ty; src : int }
+  | MBoxF of { reg : int; ty : ty; src : int }
+
+(* Lane-file base of a register's int (float) storage: its own slot
+   when lane-resident, its shadow when boxed. *)
+let lane_i (c : cenv) r : int option =
+  match c.c_store.(r), c.c_cls.(r) with
+  | SInt k, _ -> Some (k * c.c_w)
+  | SRow, CI _ -> Some c.c_shadow.(r)
+  | _ -> None
+
+let lane_f (c : cenv) r : int option =
+  match c.c_store.(r), c.c_cls.(r) with
+  | SFloat k, _ -> Some (k * c.c_w)
+  | SRow, CF _ -> Some c.c_shadow.(r)
+  | _ -> None
 
 let src_i (c : cenv) (o : Core.operand) : isrc option =
   match o with
   | Core.Cst { I.v = V.VInt n; _ } -> Some (KI n)
   | Core.Cst _ -> None
-  | Core.Reg r ->
-    (match c.c_store.(r) with
-     | SInt k -> Some (LI (k * c.c_w))
-     | SRow | SFloat _ -> None)
+  | Core.Reg r -> Option.map (fun b -> LI b) (lane_i c r)
 
 let src_f (c : cenv) (o : Core.operand) : fsrc option =
   match o with
   | Core.Cst { I.v = V.VFloat f; _ } -> Some (KF f)
   | Core.Cst _ -> None
-  | Core.Reg r ->
-    (match c.c_store.(r) with
-     | SFloat k -> Some (LF (k * c.c_w))
-     | SRow | SInt _ -> None)
+  | Core.Reg r -> Option.map (fun b -> LF b) (lane_f c r)
 
-let dst_i (c : cenv) r : int option =
-  match c.c_store.(r) with SInt k -> Some (k * c.c_w) | _ -> None
+(* The register an instruction defines, if any. *)
+let ikind_def = function
+  | Core.Let (r, _) | Core.SetReg (r, _, _) | Core.SetRaw (r, _) -> Some r
+  | _ -> None
 
-let dst_f (c : cenv) r : int option =
-  match c.c_store.(r) with SFloat k -> Some (k * c.c_w) | _ -> None
+(* The boxed registers [k] reads or writes; a fast shape with none is
+   lane-resident and can join a fused region. *)
+let boxed_regs (c : cenv) (k : Core.ikind) : int list =
+  List.filter
+    (fun r -> c.c_store.(r) = SRow)
+    (List.filter_map
+       (function Core.Reg r -> Some r | Core.Cst _ -> None)
+       (Core.ikind_operands k)
+     @ Option.to_list (ikind_def k))
+
+(* The crossings around a fast shape: unboxes of its boxed operands
+   (each register once) before it, a box of its boxed destination
+   after it.  Both are empty for a resident instruction. *)
+let crossings (c : cenv) (k : Core.ikind) : mop list * mop list =
+  let boxed r = c.c_store.(r) = SRow in
+  let unbox r =
+    match c.c_cls.(r) with
+    | CF _ -> MUnboxF { reg = r; dst = c.c_shadow.(r) }
+    | _ -> MUnboxI { reg = r; dst = c.c_shadow.(r) }
+  in
+  let box r =
+    match c.c_cls.(r) with
+    | CI ty -> [ MBoxI { reg = r; ty; src = c.c_shadow.(r) } ]
+    | CF ty -> [ MBoxF { reg = r; ty; src = c.c_shadow.(r) } ]
+    | CTop -> []
+  in
+  let reads =
+    List.sort_uniq compare
+      (List.filter_map
+         (function Core.Reg r when boxed r -> Some r | _ -> None)
+         (Core.ikind_operands k))
+  in
+  ( List.map unbox reads,
+    match ikind_def k with Some r when boxed r -> box r | _ -> [] )
 
 let ( let* ) = Option.bind
 
@@ -589,35 +614,36 @@ let fuse_cast (c : cenv) r t o : (mop * I.op_class option) option =
   match Layout.resolve c.c_lt t, cls_operand c.c_cls o with
   | TScalar ((Float | Double) as s), CF _ ->
     let* sa = src_f c o in
-    let* d = dst_f c r in
+    let* d = lane_f c r in
     Some (MCastF { dst = d; a = sa; r32 = s = Float }, None)
   | TScalar ((Float | Double) as s), CI _ ->
     let* sa = src_i c o in
-    let* d = dst_f c r in
+    let* d = lane_f c r in
     Some (MItoF { dst = d; a = sa; r32 = s = Float }, None)
   | TScalar s, CI _ when s <> Void ->
     let* sa = src_i c o in
-    let* d = dst_i c r in
+    let* d = lane_i c r in
     let wsh, wsg = wrap_spec s in
     Some (MCastI { dst = d; a = sa; wsh; wsg }, None)
   | TScalar s, CF _ when s <> Void ->
     let* sa = src_f c o in
-    let* d = dst_i c r in
+    let* d = lane_i c r in
     let wsh, wsg = wrap_spec s in
     Some (MFtoI { dst = d; a = sa; wsh; wsg }, None)
   | TPtr _, CI _ ->
     let* sa = src_i c o in
-    let* d = dst_i c r in
+    let* d = lane_i c r in
     Some (MCastI { dst = d; a = sa; wsh = 0; wsg = false }, None)
   | _ -> None
 
 (* Decode one instruction into a micro-op plus its per-lane charge
-   class, or [None] if it is not fully lane-resident.  The micro-op
-   semantics transcribe the corresponding [emit_fast] emitter (which
-   transcribes the scalar closure): same `I.int_binop`/`I.float_binop`
-   arithmetic, same wrap/round normalization, same charges, same
-   hazard facts, same failure points.  [Some _] implies
-   [Ir.Region.fast_shape] holds. *)
+   class; boxed registers are read and written through their shadows.
+   The micro-op semantics transcribe the scalar closure: same
+   `I.int_binop`/`I.float_binop` arithmetic, same wrap/round
+   normalization, same charges, same hazard facts, same failure points.
+   Every [Ir.Region.fast_shape] instruction decodes, and callers pass
+   nothing else: a boxed register has a shadow only when a fast shape
+   touches it. *)
 let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
   (mop * I.op_class option) option =
   match k with
@@ -629,7 +655,7 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
        let unsigned = case = BUU in
        let* sa = src_i c a in
        let* sb = src_i c b in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        let wsh, wsg =
          if cmp then (0, false)
          else wrap_spec (if unsigned then UInt else Int)
@@ -641,43 +667,43 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
        let* sa = src_f c a in
        let* sb = src_f c b in
        if cmp then
-         let* d = dst_i c r in
+         let* d = lane_i c r in
          Some (MCmpFF { op; dst = d; a = sa; b = sb }, Some I.Op_float)
        else
-         let* d = dst_f c r in
+         let* d = lane_f c r in
          Some (MBinFF { op; dst = d; a = sa; b = sb }, Some I.Op_float))
   | Core.Let (r, Core.Un (u, a)) ->
     (match u, cls_operand c.c_cls a with
      | Core.UNeg, CI _ ->
        let* sa = src_i c a in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        Some (MNegI { dst = d; a = sa }, Some I.Op_int)
      | Core.UNeg, CF _ ->
        let* sa = src_f c a in
-       let* d = dst_f c r in
+       let* d = lane_f c r in
        Some (MNegF { dst = d; a = sa }, Some I.Op_float)
      | Core.ULnot, CI _ ->
        let* sa = src_i c a in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        Some (MLnot { dst = d; a = sa }, Some I.Op_int)
      | Core.UBnot, CI _ ->
        let* sa = src_i c a in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        Some (MBnot { dst = d; a = sa }, Some I.Op_int)
      | Core.UBool, CI _ ->
        let* sa = src_i c a in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        Some (MBool { dst = d; a = sa }, None)
      | _ -> None)
   | Core.Let (r, Core.Mov o) ->
     (match cls_operand c.c_cls o with
      | CI _ ->
        let* sa = src_i c o in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        Some (MCastI { dst = d; a = sa; wsh = 0; wsg = false }, None)
      | CF _ ->
        let* sa = src_f c o in
-       let* d = dst_f c r in
+       let* d = lane_f c r in
        Some (MCastF { dst = d; a = sa; r32 = false }, None)
      | CTop -> None)
   | Core.Let (r, Core.CastV (t, o)) -> fuse_cast c r t o
@@ -685,11 +711,11 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
     (match cls_operand c.c_cls o with
      | CI tc when equal_ty tc t ->
        let* sa = src_i c o in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        Some (MCastI { dst = d; a = sa; wsh = 0; wsg = false }, None)
      | CF tc when equal_ty tc t ->
        let* sa = src_f c o in
-       let* d = dst_f c r in
+       let* d = lane_f c r in
        Some (MCastF { dst = d; a = sa; r32 = false }, None)
      | _ -> fuse_cast c r t o)
   | Core.Let (r, Core.CallE (n, ops)) when Region.idx_external n ->
@@ -705,7 +731,7 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
       | o :: _ ->
         (match src_i c o with Some s -> Some (Some s) | None -> None)
     in
-    let* d = dst_i c r in
+    let* d = lane_i c r in
     Some (MIdx { which; dst = d; dim }, None)
   | Core.Let (r, Core.ReadLv (Core.LvIdx (a, i_op, elt, esz))) ->
     let uni = ikind_uniform c.c_uni k in
@@ -714,7 +740,7 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
     let esz64 = Int64.of_int esz in
     (match scalar_elt c.c_lt elt with
      | Some (`I s) ->
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        let wsh, wsg = wrap_spec s in
        Some
          ( MLoadI
@@ -722,7 +748,7 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
                n = max 1 (scalar_size s); wsh; wsg },
            None )
      | Some (`F s) ->
-       let* d = dst_f c r in
+       let* d = lane_f c r in
        Some
          ( MLoadF
              { iid; uni; dst = d; base = sb; idx = si; esz = esz64;
@@ -733,16 +759,16 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
     (match Layout.resolve c.c_lt ty with
      | TScalar ((Float | Double) as s) ->
        let* sa = src_f c o in
-       let* d = dst_f c r in
+       let* d = lane_f c r in
        Some (MCastF { dst = d; a = sa; r32 = s = Float }, None)
      | TScalar s when s <> Void ->
        let* sa = src_i c o in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        let wsh, wsg = wrap_spec s in
        Some (MCastI { dst = d; a = sa; wsh; wsg }, None)
      | TPtr _ ->
        let* sa = src_i c o in
-       let* d = dst_i c r in
+       let* d = lane_i c r in
        Some (MCastI { dst = d; a = sa; wsh = 0; wsg = false }, None)
      | _ -> None)
   | Core.Store (Core.LvIdx (a, i_op, elt, esz), o) ->
@@ -979,14 +1005,35 @@ let exec_mop (w : wenv) (nact : int) (full : bool) (m : mop) : unit =
       Memory.store_float (ctx.I.arena_of sp) off n
         (if r32 then Int32.float_of_bits (Int32.bits_of_float x) else x)
     done
+  | MUnboxI { reg; dst } ->
+    for k = 0 to nact - 1 do
+      let l = Array.unsafe_get lx k in
+      Lanes.set_i w.ki (dst + l) (V.to_int w.renvs.(l).Emit.regs.(reg).I.v)
+    done
+  | MUnboxF { reg; dst } ->
+    for k = 0 to nact - 1 do
+      let l = Array.unsafe_get lx k in
+      Lanes.set_f w.kf (dst + l) (V.to_float w.renvs.(l).Emit.regs.(reg).I.v)
+    done
+  | MBoxI { reg; ty; src } ->
+    for k = 0 to nact - 1 do
+      let l = Array.unsafe_get lx k in
+      w.renvs.(l).Emit.regs.(reg) <- I.tv (V.VInt (Lanes.get_i w.ki (src + l))) ty
+    done
+  | MBoxF { reg; ty; src } ->
+    for k = 0 to nact - 1 do
+      let l = Array.unsafe_get lx k in
+      w.renvs.(l).Emit.regs.(reg) <-
+        I.tv (V.VFloat (Lanes.get_f w.kf (src + l))) ty
+    done
 
-(* Compile a fusable run into one region closure.  Returns the closure
-   and the site the region leaves in [cur_site] (so the caller's
-   site-tracking stays exact: MSite micro-ops are emitted at every
-   site change in instruction order, like the unfused site closures).
-   Each instruction still consumes a fresh iid, so hazard-log
-   clustering sees the same instruction identities as the unfused
-   path. *)
+(* Compile a straight-line list of fast shapes — a fused region, or
+   one instruction with its boxed crossings — into one closure.
+   Returns the closure and the site it leaves in [cur_site] (so the
+   caller's site-tracking stays exact: MSite micro-ops are emitted at
+   every site change in instruction order, like the site closures).
+   Each instruction consumes a fresh iid, so hazard-log clustering sees
+   one identity per instruction. *)
 let emit_fused (c : cenv) (tracked : int option) (instrs : Core.instr list) :
   (wenv -> unit) * int option =
   let mops = ref [] in
@@ -1001,9 +1048,10 @@ let emit_fused (c : cenv) (tracked : int option) (instrs : Core.instr list) :
        let iid = !(c.c_iid) in
        incr c.c_iid;
        match fuse_ikind c ~iid i.Core.i_kind with
-       | None -> assert false (* segment only groups fusable instrs *)
+       | None -> assert false (* callers pass fast shapes only *)
        | Some (m, chg) ->
-         mops := m :: !mops;
+         let unboxes, box = crossings c i.Core.i_kind in
+         mops := List.rev_append box (m :: List.rev_append unboxes !mops);
          (match chg with
           | None -> ()
           | Some cls ->
@@ -1012,7 +1060,6 @@ let emit_fused (c : cenv) (tracked : int option) (instrs : Core.instr list) :
             let n = Option.value (List.assoc_opt key !charges) ~default:0 in
             charges := (key, n + 1) :: List.remove_assoc key !charges))
     instrs;
-  incr c.c_regions;
   let mops = Array.of_list (List.rev !mops) in
   let charges =
     Array.of_list (List.rev_map (fun ((s, k), n) -> (s, k, n)) !charges)
@@ -1029,8 +1076,8 @@ let emit_fused (c : cenv) (tracked : int option) (instrs : Core.instr list) :
         done
       end;
       let mask = if !bug_drop_mask then live else w.mask in
-      (* expand the (region-constant) mask once into a dense lane-index
-         scratch shared by every micro-op's counted loop *)
+      (* expand the (sequence-constant) mask once into a dense
+         lane-index scratch shared by every micro-op's counted loop *)
       let nact = ref 0 in
       let m = ref mask and l = ref 0 in
       while !m <> 0 do
@@ -1087,281 +1134,26 @@ let emit_generic (c : cenv) (i : Core.instr) : wenv -> unit =
       | None -> ()
     end
 
-(* Unfused cast emitters: [cast_value]'s statically-resolved scalar
-   conversions, charge-free, one lane at a time under the mask
-   (mirrors [fuse_cast] shape for shape). *)
-let emit_cast (c : cenv) r t o : wenv -> unit =
-  match Layout.resolve c.c_lt t, cls_operand c.c_cls o with
-  | TScalar ((Float | Double) as s), CF _ ->
-    let ra = Option.get (rd_f c o) and wr = wr_f c r in
-    fun w ->
-      if w.mask <> 0 then
-        iter_lanes w.mask (fun l -> wr w l (V.round_float s (ra w l)))
-  | TScalar ((Float | Double) as s), CI _ ->
-    let ra = Option.get (rd_i c o) and wr = wr_f c r in
-    fun w ->
-      if w.mask <> 0 then
-        iter_lanes w.mask (fun l ->
-            wr w l (V.round_float s (Int64.to_float (ra w l))))
-  | TScalar s, CI _ ->
-    let ra = Option.get (rd_i c o) and wr = wr_i c r in
-    fun w ->
-      if w.mask <> 0 then
-        iter_lanes w.mask (fun l -> wr w l (V.wrap_int s (ra w l)))
-  | TScalar s, CF _ ->
-    let ra = Option.get (rd_f c o) and wr = wr_i c r in
-    fun w ->
-      if w.mask <> 0 then
-        iter_lanes w.mask (fun l ->
-            wr w l (V.wrap_int s (Int64.of_float (Float.trunc (ra w l)))))
-  | TPtr _, CI _ ->
-    let ra = Option.get (rd_i c o) and wr = wr_i c r in
-    fun w ->
-      if w.mask <> 0 then iter_lanes w.mask (fun l -> wr w l (ra w l))
-  | _ -> assert false
-
-(* Fast execution for the shapes [fast_shape] accepted.  Each emitter
-   mirrors the corresponding scalar closure exactly: same charges, same
-   wrap/round normalization, same failure behavior (failures propagate
-   and become a Bail, and the scalar rerun reproduces them). *)
-let emit_fast (c : cenv) (i : Core.instr) : wenv -> unit =
-  let lt = c.c_lt in
-  let iid = !(c.c_iid) in
-  incr c.c_iid;
-  match i.Core.i_kind with
-  | Core.Let (r, Core.Bin (op, a, b)) ->
-    let case, _ = Option.get (bin_case c.c_cls op a b) in
-    let cmp = is_cmp op in
-    (match case with
-     | BII ->
-       let ra = Option.get (rd_i c a) and rb = Option.get (rd_i c b) in
-       let wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           charge w I.Op_int;
-           iter_lanes w.mask (fun l ->
-               let v = I.int_binop op (ra w l) (rb w l) ~unsigned:false in
-               wr w l (if cmp then v else V.wrap_int Int v))
-         end
-     | BUU ->
-       let ra = Option.get (rd_i c a) and rb = Option.get (rd_i c b) in
-       let wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           charge w I.Op_int;
-           iter_lanes w.mask (fun l ->
-               let v = I.int_binop op (ra w l) (rb w l) ~unsigned:true in
-               wr w l (if cmp then v else V.wrap_int UInt v))
-         end
-     | BFF ->
-       let ra = Option.get (rd_f c a) and rb = Option.get (rd_f c b) in
-       if cmp then begin
-         let wr = wr_i c r in
-         fun w ->
-           if w.mask <> 0 then begin
-             charge w I.Op_float;
-             iter_lanes w.mask (fun l ->
-                 wr w l (V.to_int (I.float_binop op (ra w l) (rb w l))))
-           end
-       end
-       else begin
-         let wr = wr_f c r in
-         fun w ->
-           if w.mask <> 0 then begin
-             charge w I.Op_float;
-             iter_lanes w.mask (fun l ->
-                 match I.float_binop op (ra w l) (rb w l) with
-                 | V.VFloat f -> wr w l (V.round_float Float f)
-                 | _ -> I.fail "non-float result of float arithmetic")
-           end
-       end)
-  | Core.Let (r, Core.Un (u, a)) ->
-    (match u, cls_operand c.c_cls a with
-     | Core.UNeg, CI _ ->
-       let ra = Option.get (rd_i c a) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           charge w I.Op_int;
-           iter_lanes w.mask (fun l -> wr w l (Int64.neg (ra w l)))
-         end
-     | Core.UNeg, CF _ ->
-       let ra = Option.get (rd_f c a) and wr = wr_f c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           charge w I.Op_float;
-           iter_lanes w.mask (fun l -> wr w l (-.(ra w l)))
-         end
-     | Core.ULnot, CI _ ->
-       let ra = Option.get (rd_i c a) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           charge w I.Op_int;
-           iter_lanes w.mask (fun l ->
-               wr w l (if ra w l = 0L then 1L else 0L))
-         end
-     | Core.UBnot, CI _ ->
-       let ra = Option.get (rd_i c a) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           charge w I.Op_int;
-           iter_lanes w.mask (fun l -> wr w l (Int64.lognot (ra w l)))
-         end
-     | Core.UBool, CI _ ->
-       let ra = Option.get (rd_i c a) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then
-           iter_lanes w.mask (fun l ->
-               wr w l (if ra w l <> 0L then 1L else 0L))
-     | _ -> assert false)
-  | Core.Let (r, Core.Mov o) ->
-    (match cls_operand c.c_cls o with
-     | CI _ ->
-       let ra = Option.get (rd_i c o) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then iter_lanes w.mask (fun l -> wr w l (ra w l))
-     | CF _ ->
-       let ra = Option.get (rd_f c o) and wr = wr_f c r in
-       fun w ->
-         if w.mask <> 0 then iter_lanes w.mask (fun l -> wr w l (ra w l))
-     | CTop -> assert false)
-  | Core.Let (r, Core.CastV (t, o)) -> emit_cast c r t o
-  | Core.Let (r, Core.CastRet (t, o)) ->
-    (match cls_operand c.c_cls o with
-     | CI tc when equal_ty tc t ->
-       let ra = Option.get (rd_i c o) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then iter_lanes w.mask (fun l -> wr w l (ra w l))
-     | CF tc when equal_ty tc t ->
-       let ra = Option.get (rd_f c o) and wr = wr_f c r in
-       fun w ->
-         if w.mask <> 0 then iter_lanes w.mask (fun l -> wr w l (ra w l))
-     | _ -> emit_cast c r t o)
-  | Core.Let (r, Core.CallE (n, ops)) ->
-    let which =
-      match n with
-      | "get_global_id" -> `Gid
-      | "get_local_id" -> `Lid
-      | _ -> `Grp
-    in
-    let dim =
-      match ops with
-      | [] -> None
-      | o :: _ -> Some (Option.get (rd_i c o))
-    in
-    let wr = wr_i c r in
-    fun w ->
-      if w.mask <> 0 then
-        iter_lanes w.mask (fun l ->
-            let d =
-              match dim with None -> 0 | Some f -> Int64.to_int (f w l)
-            in
-            wr w l (Int64.of_int (w.h.k_idx which (w.lane0 + l) d)))
-  | Core.Let (r, Core.ReadLv (Core.LvIdx (a, i_op, elt, esz))) ->
-    let uni = ikind_uniform c.c_uni i.Core.i_kind in
-    let ra = Option.get (rd_i c a) and ri = Option.get (rd_i c i_op) in
-    let esz64 = Int64.of_int esz in
-    (match Option.get (scalar_elt lt elt) with
-     | `I s ->
-       let n = max 1 (scalar_size s) in
-       let wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           set_flags w iid uni;
-           let ctx = w.h.k_ctx in
-           iter_lanes w.mask (fun l ->
-               let base = ra w l in
-               if V.is_null base then I.fail "null pointer indexed";
-               let addr = Int64.add base (Int64.mul (ri w l) esz64) in
-               let sp = V.ptr_space addr and off = V.ptr_offset addr in
-               w.h.k_access (w.lane0 + l) Memory.Load sp off n;
-               wr w l
-                 (V.wrap_int s (Memory.load_int (ctx.I.arena_of sp) off n)))
-         end
-     | `F s ->
-       let n = scalar_size s in
-       let wr = wr_f c r in
-       fun w ->
-         if w.mask <> 0 then begin
-           set_flags w iid uni;
-           let ctx = w.h.k_ctx in
-           iter_lanes w.mask (fun l ->
-               let base = ra w l in
-               if V.is_null base then I.fail "null pointer indexed";
-               let addr = Int64.add base (Int64.mul (ri w l) esz64) in
-               let sp = V.ptr_space addr and off = V.ptr_offset addr in
-               w.h.k_access (w.lane0 + l) Memory.Load sp off n;
-               wr w l (Memory.load_float (ctx.I.arena_of sp) off n))
-         end)
-  | Core.SetReg (r, ty, o) ->
-    (match Layout.resolve lt ty with
-     | TScalar ((Float | Double) as s) ->
-       let ra = Option.get (rd_f c o) and wr = wr_f c r in
-       fun w ->
-         if w.mask <> 0 then
-           iter_lanes w.mask (fun l -> wr w l (V.round_float s (ra w l)))
-     | TScalar s ->
-       let ra = Option.get (rd_i c o) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then
-           iter_lanes w.mask (fun l -> wr w l (V.wrap_int s (ra w l)))
-     | TPtr _ ->
-       let ra = Option.get (rd_i c o) and wr = wr_i c r in
-       fun w ->
-         if w.mask <> 0 then iter_lanes w.mask (fun l -> wr w l (ra w l))
-     | _ -> assert false)
-  | Core.Store (Core.LvIdx (a, i_op, elt, esz), o) ->
-    let uni = ikind_uniform c.c_uni i.Core.i_kind in
-    let ra = Option.get (rd_i c a) and ri = Option.get (rd_i c i_op) in
-    let esz64 = Int64.of_int esz in
-    (match Option.get (scalar_elt lt elt) with
-     | `I s ->
-       let n = max 1 (scalar_size s) in
-       let rv = Option.get (rd_i c o) in
-       fun w ->
-         if w.mask <> 0 then begin
-           set_flags w iid uni;
-           let ctx = w.h.k_ctx in
-           iter_lanes w.mask (fun l ->
-               let base = ra w l in
-               if V.is_null base then I.fail "null pointer indexed";
-               let addr = Int64.add base (Int64.mul (ri w l) esz64) in
-               let sp = V.ptr_space addr and off = V.ptr_offset addr in
-               w.h.k_access (w.lane0 + l) Memory.Store sp off n;
-               Memory.store_int (ctx.I.arena_of sp) off n (rv w l))
-         end
-     | `F s ->
-       let n = scalar_size s in
-       let rv = Option.get (rd_f c o) in
-       fun w ->
-         if w.mask <> 0 then begin
-           set_flags w iid uni;
-           let ctx = w.h.k_ctx in
-           iter_lanes w.mask (fun l ->
-               let base = ra w l in
-               if V.is_null base then I.fail "null pointer indexed";
-               let addr = Int64.add base (Int64.mul (ri w l) esz64) in
-               let sp = V.ptr_space addr and off = V.ptr_offset addr in
-               w.h.k_access (w.lane0 + l) Memory.Store sp off n;
-               Memory.store_float (ctx.I.arena_of sp) off n
-                 (V.round_float s (rv w l)))
-         end)
-  | _ -> assert false
-
 let barrier_name n = n = "barrier" || n = "__syncthreads"
 
 let rec emit_body (c : cenv) (tracked : int option) (b : Core.body) :
   wenv -> unit =
-  (* fusable = decodes to a micro-op (implies fast_shape + full lane
-     residency); barriers and control flow never decode, so they
-     always end a run *)
-  let fusable (i : Core.instr) =
-    c.c_fuse && Option.is_some (fuse_ikind c ~iid:0 i.Core.i_kind)
-  in
+  (* fusable = a fast shape over lane-resident registers only;
+     barriers and control flow are never fast shapes, so they always
+     end a run *)
+  let fast (i : Core.instr) = fast_shape c.c_lt c.c_cls i.Core.i_kind in
+  let fusable i = fast i && boxed_regs c i.Core.i_kind = [] in
   let rec build tracked acc = function
     | [] -> acc
     | Region.Straight instrs :: rest ->
       (* site closures fold into the region as MSite micro-ops *)
+      incr c.c_regions;
       let f, tracked = emit_fused c tracked instrs in
+      build tracked (f :: acc) rest
+    | Region.Other (Core.Ins i) :: rest when fast i ->
+      (* a fast shape touching a boxed register: alone, with its
+         crossings *)
+      let f, tracked = emit_fused c tracked [ i ] in
       build tracked (f :: acc) rest
     | Region.Other (Core.Ins ({ Core.i_kind = Core.Barrier _; _ } as i))
       :: rest ->
@@ -1385,11 +1177,7 @@ let rec emit_body (c : cenv) (tracked : int option) (b : Core.body) :
           (site_closure i.Core.i_site :: acc, Some i.Core.i_site)
         else (acc, tracked)
       in
-      let f =
-        if fast_shape c.c_lt c.c_cls i.Core.i_kind then emit_fast c i
-        else emit_generic c i
-      in
-      build tracked (f :: acc) rest
+      build tracked (emit_generic c i :: acc) rest
     | Region.Other (Core.If (site, cond, t, e)) :: rest ->
       let acc =
         if c.c_sited && tracked <> Some site then site_closure site :: acc
@@ -1651,7 +1439,8 @@ type plan = {
   p_nregs : int;
   p_nmem : int;
   p_sited : bool;
-  p_fused : int; (* fused regions formed (0 when fusion is off) *)
+  p_fused : int; (* fused regions formed *)
+  p_crossed : int; (* fast shapes run alone through boxed crossings *)
   p_ret : ty;
   p_binders : (wenv -> I.tval array -> unit) array;
   p_body : wenv -> unit;
@@ -1694,9 +1483,9 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
                  c_cls = cls;
                  c_store = Array.make nregs SRow;
                  c_w = warp;
+                 c_shadow = Array.make nregs (-1);
                  c_iid = ref 0;
                  c_sited = fn.Core.f_sited;
-                 c_fuse = !fusion;
                  c_regions = ref 0 }
              in
              (* residency: lane files hold registers whose every def is
@@ -1709,10 +1498,8 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
              let mark_ins (i : Core.instr) =
                if not (fast_shape lt cls i.Core.i_kind) then begin
                  List.iter mark_op (Core.ikind_operands i.Core.i_kind);
-                 match i.Core.i_kind with
-                 | Core.Let (r, _) | Core.SetReg (r, _, _)
-                 | Core.SetRaw (r, _) -> boxed.(r) <- true
-                 | _ -> ()
+                 Option.iter (fun r -> boxed.(r) <- true)
+                   (ikind_def i.Core.i_kind)
                end
              in
              Region.iter_instrs mark_ins fn.Core.f_body;
@@ -1729,6 +1516,30 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
                    incr nkf
                  | CTop -> ()
              done;
+             (* shadows: one lane slot per boxed register a fast shape
+                reads or writes *)
+             let crossed = ref 0 in
+             let shadow r =
+               if c0.c_shadow.(r) < 0 then
+                 match cls.(r) with
+                 | CI _ ->
+                   c0.c_shadow.(r) <- !nki * warp;
+                   incr nki
+                 | CF _ ->
+                   c0.c_shadow.(r) <- !nkf * warp;
+                   incr nkf
+                 | CTop -> ()
+             in
+             Region.iter_instrs
+               (fun i ->
+                  let k = i.Core.i_kind in
+                  if fast_shape lt cls k then
+                    match boxed_regs c0 k with
+                    | [] -> ()
+                    | rs ->
+                      incr crossed;
+                      List.iter shadow rs)
+               fn.Core.f_body;
              let fname = fn.Core.f_name in
              let binders =
                Array.mapi
@@ -1786,6 +1597,7 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
                  p_nmem = Array.length fn.Core.f_mem;
                  p_sited = fn.Core.f_sited;
                  p_fused = !(c0.c_regions);
+                 p_crossed = !crossed;
                  p_ret = fn.Core.f_ret;
                  p_binders = binders;
                  p_body = body })

@@ -19,7 +19,6 @@ let with_ref r v f =
 
 let with_attribution f =
   with_ref Minic.Site.enabled true @@ fun () ->
-  with_ref Gpusim.Exec.attribute true @@ fun () ->
   Minic.Site.reset ();
   f ()
 

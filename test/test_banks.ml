@@ -54,7 +54,7 @@ let lws = 8
 let launch ~backend ~passes ~domains prog ~out_bytes ~inputs =
   with_ref Gpusim.Exec.backend backend @@ fun () ->
   with_ref Gpusim.Exec.domains domains @@ fun () ->
-  with_ref Gpusim.Exec.attribute true @@ fun () ->
+  with_ref Minic.Site.enabled true @@ fun () ->
   Ir.Pipeline.with_passes passes @@ fun () ->
   let dev =
     Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia

@@ -1,15 +1,18 @@
-(* Directed regressions for lockstep instruction-region fusion.
+(* Directed regressions for lockstep micro-op execution.
 
-   The fused-region interpreter (Gpusim.Lockstep + Ir.Region) executes
-   straight-line runs of fast-shape instructions as single per-warp
-   loops.  Each test here pins one region-boundary hazard: a divergence
-   join landing between regions, a barrier splitting a run, a cross-lane
-   hazard bailing out mid-region with a clean rollback, and
-   translator-injected (site-0) code charging through the batched
-   counter path.  The planted-bug cases flip the engine's deliberate
-   bug knobs ([bug_drop_mask], [bug_skip_charge]) and demand that the
-   differential harness *catches* the corruption — a net that cannot
-   see a dropped mask check or a skipped charge is not a net. *)
+   The micro-op interpreter (Gpusim.Lockstep + Ir.Region) executes
+   straight-line runs of lane-resident fast-shape instructions as single
+   per-warp loops (fused regions), and every other fast shape alone,
+   with its boxed registers crossing through shadow lane slots.  Each
+   test here pins one hazard: a divergence join landing between
+   regions, a barrier splitting a run, a cross-lane hazard bailing out
+   mid-region with a clean rollback, translator-injected (site-0) code
+   charging through the batched counter path, and boxed crossings
+   under divergence and barriers.  The planted-bug cases flip the
+   engine's deliberate bug knobs ([bug_drop_mask], [bug_skip_charge])
+   and demand that the differential harness *catches* the corruption —
+   a net that cannot see a dropped mask check or a skipped charge is
+   not a net. *)
 
 module T = Test_lockstep
 
@@ -21,14 +24,7 @@ let with_bug (r : bool ref) f =
   r := true;
   Fun.protect ~finally:(fun () -> r := false) f
 
-(* Region-boundary and planted-bug tests exercise fused execution by
-   construction, so they force the toggle on regardless of the ambient
-   OCLCU_LOCKSTEP_FUSION (CI runs the whole suite with it off too). *)
-let test_fused name speed f =
-  Alcotest.test_case name speed (fun () -> T.with_fusion true f)
-
-(* Compile [src]'s kernels and return the lockstep plan for [kernel]
-   under the ambient fusion toggle. *)
+(* Compile [src]'s kernels and return the lockstep plan for [kernel]. *)
 let plan_of ~src ~kernel =
   let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
   let est =
@@ -42,7 +38,7 @@ let plan_of ~src ~kernel =
 (* --- region boundaries --------------------------------------------------- *)
 
 let boundary_tests =
-  [ test_fused "divergence join lands between regions" `Quick
+  [ Alcotest.test_case "divergence join lands between regions" `Quick
       (fun () ->
          (* the if/else arms and the straight-line tail are separate
             regions; after the join every lane must be active again for
@@ -72,7 +68,7 @@ __kernel void join(__global int* out) {
          check_ints "host model" expected (T.expect_ran out eng);
          check "arms and tail fused" true
            ((plan_of ~src ~kernel:"join").Gpusim.Lockstep.p_fused >= 3));
-    test_fused "barrier splits a straight-line run" `Quick (fun () ->
+    Alcotest.test_case "barrier splits a straight-line run" `Quick (fun () ->
         (* without the barrier this body is one straight line; the
            barrier must end the region so the local-memory exchange
            sees every lane's store *)
@@ -99,7 +95,7 @@ __kernel void bar(__global int* out, __local int* tmp) {
         check_ints "host model" expected (T.expect_ran out eng);
         check "split into >= 2 regions" true
           ((plan_of ~src ~kernel:"bar").Gpusim.Lockstep.p_fused >= 2));
-    test_fused "hazard bail inside a fused region rolls back" `Quick
+    Alcotest.test_case "hazard bail inside a fused region rolls back" `Quick
       (fun () ->
          (* both stores fuse into one region; the cross-lane clobber of
             c[0] is detected at the hazard check, the whole warp-side
@@ -152,7 +148,7 @@ __kernel void clob(__global int* out, __global int* c) {
          check_ints "last item wins" s_c l_c;
          check_int "sequential winner" ((7 * 3) + 1) l_c.(0);
          check "rerun counters are the scalar counters" true (s_ctr = l_ctr));
-    test_fused "translated (site-0) code charges exactly" `Quick
+    Alcotest.test_case "translated (site-0) code charges exactly" `Quick
       (fun () ->
          (* ocl->cuda translation injects unannotated index plumbing;
             the fused charge table must reproduce the scalar engine's
@@ -181,7 +177,7 @@ __kernel void tx(__global int* out) {
 (* --- planted bugs: the net must catch them ------------------------------- *)
 
 let planted_tests =
-  [ test_fused "dropped mask check is caught" `Quick (fun () ->
+  [ Alcotest.test_case "dropped mask check is caught" `Quick (fun () ->
         (* [bug_drop_mask] makes fused regions run every live lane
            instead of the divergence mask; a region under a branch then
            clobbers the else-lanes.  The differential harness must see
@@ -207,7 +203,7 @@ __kernel void pb(__global int* out) {
         let clean, eng, _ = run () in
         check_ints "clean run matches host model" expected
           (T.expect_ran clean eng));
-    test_fused "skipped region charge is caught" `Quick (fun () ->
+    Alcotest.test_case "skipped region charge is caught" `Quick (fun () ->
         (* [bug_skip_charge] drops the batched counter/attr charges at
            region entry; the counters comparison against the scalar
            engine must flag the deficit *)
@@ -236,61 +232,78 @@ __kernel void chg(__global int* out) {
           ((b_ctr, b_attr) <> (s_ctr, s_attr));
         let l_ctr, l_attr = run Gpusim.Exec.Lockstep in
         check "clean counters agree" true (s_ctr = l_ctr);
-        check "clean attribution agrees" true (s_attr = l_attr)) ]
-
-(* --- the escape hatch and the census ------------------------------------- *)
-
-let toggle_tests =
-  [ Alcotest.test_case "fusion toggle gates region formation" `Quick
+        check "clean attribution agrees" true (s_attr = l_attr));
+    Alcotest.test_case "dropped mask on a boxed crossing is caught" `Quick
       (fun () ->
+         (* [v] is defined by a division (not a fast shape), so it lives
+            boxed, and the branch holds nothing but fast shapes over it:
+            [v * 5] unboxes it, the write-back boxes it.  Under
+            [bug_drop_mask] those one-instruction runs write every live
+            lane's [v], so the odd lanes must come out wrong. *)
          let src = {|
-__kernel void straight(__global int* out) {
+__kernel void bx(__global int* out) {
   int t = (int)get_global_id(0);
-  int v = t * 2 + 1;
-  v = v * v - t;
+  int v = t / 3;
+  if (t % 2 == 0) v = v * 5;
   out[t] = v;
 }
 |}
          in
-         let fused =
-           T.with_fusion true (fun () -> plan_of ~src ~kernel:"straight")
-         in
-         let unfused =
-           T.with_fusion false (fun () -> plan_of ~src ~kernel:"straight")
-         in
-         check "fused plan formed regions" true
-           (fused.Gpusim.Lockstep.p_fused > 0);
-         check_int "unfused plan formed none" 0
-           unfused.Gpusim.Lockstep.p_fused);
-    Alcotest.test_case "unfused lockstep still matches scalar" `Quick
-      (fun () ->
-         (* OCLCU_LOCKSTEP_FUSION=0 routes here: the per-instruction
-            path must stay a correct, independently testable engine *)
-         let src = {|
-__kernel void nf(__global int* out) {
-  int t = (int)get_global_id(0);
-  int acc = 0;
-  for (int j = 0; j < 9; j++) acc += (t + j) * (j | 1);
-  out[t] = acc;
-}
-|}
-         in
-         T.with_fusion false @@ fun () ->
-         let out, eng =
-           T.both ~src ~kernel:"nf" ~gws:[| 64; 1; 1 |] ~lws:[| 16; 1; 1 |]
-             ~out_ints:64 ()
+         check "branch runs through crossings" true
+           ((plan_of ~src ~kernel:"bx").Gpusim.Lockstep.p_crossed >= 2);
+         let run () =
+           T.launch ~engine:Gpusim.Exec.Lockstep ~src ~kernel:"bx"
+             ~gws:[| 32; 1; 1 |] ~lws:[| 8; 1; 1 |] ~out_ints:32 ()
          in
          let expected =
-           Array.init 64 (fun t ->
-               let acc = ref 0 in
-               for j = 0 to 8 do
-                 acc := !acc + ((t + j) * (j lor 1))
-               done;
-               !acc)
+           Array.init 32 (fun t -> if t mod 2 = 0 then t / 3 * 5 else t / 3)
          in
-         check_ints "host model" expected (T.expect_ran out eng)) ]
+         let buggy, _, _ = with_bug Gpusim.Lockstep.bug_drop_mask run in
+         check "planted mask bug detected on an odd lane" true
+           (List.exists
+              (fun t -> t mod 2 = 1 && buggy.(t) <> expected.(t))
+              (List.init 32 Fun.id));
+         let clean, eng, _ = run () in
+         check_ints "clean run matches host model" expected
+           (T.expect_ran clean eng)) ]
+
+(* --- boxed crossings ----------------------------------------------------- *)
+
+let crossing_tests =
+  [ Alcotest.test_case "boxed crossings match scalar at 1 and 4 domains"
+      `Quick (fun () ->
+        (* the `local-reduce` bench kernel: the stride [s] is halved by a
+           division, so it lives boxed, and the loop test, [t < s] and
+           [t + s] run alone through unbox/box crossings — under
+           divergence and between barriers *)
+        let src = {|
+__kernel void reduce(__global int* out, __local int* tmp) {
+  int t = (int)get_local_id(0);
+  tmp[t] = t + (int)get_group_id(0);
+  barrier(CLK_LOCAL_MEM_FENCE);
+  for (int s = 32; s > 0; s /= 2) {
+    if (t < s) tmp[t] = tmp[t] + tmp[t + s];
+    barrier(CLK_LOCAL_MEM_FENCE);
+  }
+  if (t == 0) out[get_group_id(0)] = tmp[0];
+}
+|}
+        in
+        check "kernel has boxed crossings" true
+          ((plan_of ~src ~kernel:"reduce").Gpusim.Lockstep.p_crossed > 0);
+        let expected = Array.init 4 (fun g -> 2016 + (64 * g)) in
+        List.iter
+          (fun domains ->
+             let out, eng =
+               T.both ~domains ~src ~kernel:"reduce" ~gws:[| 256; 1; 1 |]
+                 ~lws:[| 64; 1; 1 |]
+                 ~extra_args:[ Gpusim.Exec.Arg_local (64 * 4) ]
+                 ~out_ints:4 ()
+             in
+             check_ints "host model" expected (T.expect_ran out eng))
+          [ 1; 4 ]) ]
 
 let suites =
   [ ("fusion.boundaries", boundary_tests);
     ("fusion.planted", planted_tests);
-    ("fusion.toggle", toggle_tests) ]
+    ("fusion.crossings", crossing_tests) ]

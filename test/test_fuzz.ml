@@ -154,6 +154,11 @@ let repro_tests =
              ~name:"unit" ~case ~d ~layer:("L2", "work-item 1, event 7")
              ~seed:11 ~index:0
          in
+         (* repros written while lockstep region fusion was a toggle
+            carry a [fusion=] line; they must still load and replay *)
+         let config = Filename.concat dir "config" in
+         Fuzz.Repro.write_file config
+           (Fuzz.Repro.read_file config ^ "fusion=1\n");
          let case' = Fuzz.Repro.load dir in
          let verdict, site = Fuzz.Repro.layer dir in
          check_str "layer verdict stored" "L2" verdict;

@@ -449,7 +449,6 @@ let prop_differential =
    for the rewriting passes. *)
 let attribution_elim_sums () =
   with_ref Minic.Site.enabled true @@ fun () ->
-  with_ref Gpusim.Exec.attribute true @@ fun () ->
   Minic.Site.reset ();
   let prog = Minic.Site.annotate (parse (diff_src ~c1:3 ~c2:7 ~op:"+")) in
   let table passes =

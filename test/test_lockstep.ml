@@ -29,14 +29,9 @@ let with_domains n f =
   Fun.protect ~finally:(fun () -> Gpusim.Exec.domains := saved) f
 
 let with_attr f =
-  let saved = !Gpusim.Exec.attribute in
-  Gpusim.Exec.attribute := true;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.attribute := saved) f
-
-let with_fusion v f =
-  let saved = !Gpusim.Lockstep.fusion in
-  Gpusim.Lockstep.fusion := v;
-  Fun.protect ~finally:(fun () -> Gpusim.Lockstep.fusion := saved) f
+  let saved = !Minic.Site.enabled in
+  Minic.Site.enabled := true;
+  Fun.protect ~finally:(fun () -> Minic.Site.enabled := saved) f
 
 let gbuf (dev : Gpusim.Device.t) bytes =
   Vm.Memory.alloc dev.global ~align:256 bytes
@@ -352,8 +347,8 @@ let run_with ~engine ~backend ~domains case plan =
 let prop_differential =
   QCheck.Test.make ~count:35
     ~name:
-      "generated kernels: fused and unfused lockstep = scalar on bytes, \
-       counters and attribution at domains {1,4}"
+      "generated kernels: lockstep = scalar on bytes, counters and \
+       attribution at domains {1,4}"
     QCheck.(int_range 0 100_000)
     (fun seed ->
        let case = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
@@ -362,19 +357,17 @@ let prop_differential =
          run_with ~engine:Gpusim.Exec.Scalar ~backend:Gpusim.Exec.Compiled
            ~domains:1 case plan
        in
-       (* three-way: region-fused lockstep and the unfused
-          per-instruction path must both reproduce the scalar
-          observables — byte-identical buffers, identical Counters.t
-          (including warp-divergence rows), identical per-site Attr
-          sums (including elimination credits) *)
+       (* lockstep must reproduce the scalar observables —
+          byte-identical buffers, identical Counters.t (including
+          warp-divergence rows), identical per-site Attr sums
+          (including elimination credits) *)
        let lockstep_agrees =
          List.for_all
-           (fun (fuse, domains) ->
-              with_fusion fuse (fun () ->
-                  run_with ~engine:Gpusim.Exec.Lockstep
-                    ~backend:Gpusim.Exec.Compiled ~domains case plan)
+           (fun domains ->
+              run_with ~engine:Gpusim.Exec.Lockstep
+                ~backend:Gpusim.Exec.Compiled ~domains case plan
               = reference)
-           [ (true, 1); (true, 4); (false, 1); (false, 4) ]
+           [ 1; 4 ]
        in
        (* third leg: the interpreter reproduces the buffer bytes (its
           counters legitimately differ when IR passes rewrite ops) *)
