@@ -152,9 +152,11 @@ let translate_cmd =
                           (fun (k, n) -> Printf.sprintf "%s %d" k n)
                           parts))
               | None -> ());
-             let ni, nf, nb = Ir.Emit.census est.Ir.Emit.e_layout fn in
-             Printf.printf "; %s: registers %d int-banked, %d float-banked, %d boxed\n"
-               name ni nf nb;
+             let c = Ir.Emit.census est.Ir.Emit.e_layout fn in
+             Printf.printf
+               "; %s: registers %d int-banked, %d float-banked, %d boxed; \
+                in slots %d vector registers, %d vector locals\n"
+               name c.c_ints c.c_flts c.c_boxed c.c_vregs c.c_vlocals;
              print_string (Ir.Core.dump_fn fn)
            | Some (Error why) ->
              Printf.printf "; %s: interpreter (%s)\n" name why

@@ -67,7 +67,8 @@ let mut_vars env =
 
 let int_class = [ TScalar Int; TScalar UInt ]
 
-let vec_tys = [ TVec (Int, 2); TVec (Int, 4); TVec (Float, 2); TVec (Float, 4) ]
+let vec_tys =
+  [ TVec (Int, 2); TVec (Int, 4); TVec (Float, 2); TVec (Float, 4); TVec (Double, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -82,7 +83,7 @@ let mask_index env e = Binary (Band, e, int_lit (env.elems - 1))
 let rec gen_expr env ty depth : expr =
   match ty with
   | TScalar (Int | UInt) -> gen_int env ty depth
-  | TScalar Float -> gen_float env depth
+  | TScalar ((Float | Double) as s) -> gen_real env s depth
   | TVec (s, w) -> gen_vec env s w depth
   | _ -> int_lit 1
 
@@ -128,7 +129,7 @@ and gen_int env ty depth =
     | 6 ->
       Cond (gen_int env (TScalar Int) (depth - 1),
             gen_int env ty (depth - 1), gen_int env ty (depth - 1))
-    | 7 -> Cast (ty, gen_float env (depth - 1))
+    | 7 -> Cast (ty, gen_real env (Rng.pick env.rng [ Float; Double ]) (depth - 1))
     | 8 ->
       (* a scalar component of an int vector variable *)
       (match pick_vec_var env Int with
@@ -142,36 +143,50 @@ and gen_int env ty depth =
                  gen_int env (TScalar Int) (depth - 1) ])
        | _ -> leaf ())
 
-and gen_float env depth =
+and gen_float env depth = gen_real env Float depth
+
+(* float or double expressions; operands mix in the other precision and
+   ints, as C promotes them *)
+and gen_real env s depth =
+  let other = if s = Float then Double else Float in
   let leaf () =
     match Rng.int env.rng 3 with
-    | 0 -> FloatLit (float_of_int (Rng.range env.rng (-40) 40) /. 4.0, Float)
+    | 0 -> FloatLit (float_of_int (Rng.range env.rng (-40) 40) /. 4.0, s)
     | 1 ->
-      (match vars_of env (TScalar Float) with
-       | [] -> FloatLit (1.5, Float)
+      (match vars_of env (TScalar s) with
+       | [] -> FloatLit (1.5, s)
        | vs -> Ident (Rng.pick env.rng vs))
     | _ ->
-      (match List.filter (fun (_, t) -> equal_ty t (TScalar Float)) env.ro_bufs with
-       | [] -> FloatLit (0.25, Float)
+      (match List.filter (fun (_, t) -> equal_ty t (TScalar s)) env.ro_bufs with
+       | [] -> FloatLit (0.25, s)
        | bufs ->
          let b, _ = Rng.pick env.rng bufs in
          Index (Ident b, mask_index env (gen_int env (TScalar Int) 0)))
   in
   if depth <= 0 then leaf ()
   else
-    match Rng.int env.rng 7 with
+    match Rng.int env.rng 9 with
     | 0 | 1 ->
       let op = Rng.pick env.rng [ Add; Sub; Mul ] in
-      Binary (op, gen_float env (depth - 1), gen_float env (depth - 1))
+      Binary (op, gen_real env s (depth - 1), gen_real env s (depth - 1))
     | 2 ->
-      Binary (Div, gen_float env (depth - 1),
-              FloatLit (float_of_int (Rng.pick env.rng [ 2; 4; 8; -2 ]), Float))
+      Binary (Div, gen_real env s (depth - 1),
+              FloatLit (float_of_int (Rng.pick env.rng [ 2; 4; 8; -2 ]), s))
     | 3 ->
-      Cond (gen_int env (TScalar Int) (depth - 1), gen_float env (depth - 1),
-            gen_float env (depth - 1))
-    | 4 -> Cast (TScalar Float, gen_int env (TScalar Int) (depth - 1))
+      Cond (gen_int env (TScalar Int) (depth - 1), gen_real env s (depth - 1),
+            gen_real env s (depth - 1))
+    | 4 -> Cast (TScalar s, gen_int env (TScalar Int) (depth - 1))
+    | 5 ->
+      let op = Rng.pick env.rng [ Add; Sub; Mul ] in
+      let mixed =
+        if Rng.bool env.rng then gen_real env other (depth - 1)
+        else gen_int env (TScalar Int) (depth - 1)
+      in
+      if Rng.bool env.rng then Binary (op, gen_real env s (depth - 1), mixed)
+      else Binary (op, mixed, gen_real env s (depth - 1))
+    | 6 -> Cast (TScalar s, gen_real env other (depth - 1))
     | _ ->
-      (match pick_vec_var env Float with
+      (match pick_vec_var env s with
        | Some (v, w) -> Member (Ident v, component env w)
        | None -> leaf ())
 
@@ -188,7 +203,7 @@ and gen_vec env s w depth =
   else
     match Rng.int env.rng 6 with
     | 0 | 1 ->
-      let ops = if s = Float then [ Add; Sub; Mul ] else [ Add; Sub; Mul; Bxor; Band ] in
+      let ops = if is_float_scalar s then [ Add; Sub; Mul ] else [ Add; Sub; Mul; Bxor; Band ] in
       Binary (Rng.pick env.rng ops, gen_vec env s w (depth - 1),
               gen_vec env s w (depth - 1))
     | 2 when w = 2 ->
@@ -233,6 +248,7 @@ let gen_decl env =
     if Rng.chance env.rng 35 then Rng.pick env.rng vec_tys
     else if Rng.chance env.rng 12 then TScalar UInt
     else if Rng.chance env.rng 40 then TScalar Float
+    else if Rng.chance env.rng 20 then TScalar Double
     else TScalar Int
   in
   let name = fresh env "t" in
@@ -268,7 +284,7 @@ let rec gen_stmt env ~depth : stmt =
        let rhs = gen_expr env ty (Rng.range env.rng 1 3) in
        let op =
          match ty with
-         | TScalar Float -> if Rng.chance env.rng 30 then Some Add else None
+         | TScalar (Float | Double) -> if Rng.chance env.rng 30 then Some Add else None
          | TScalar _ ->
            if Rng.chance env.rng 40 then
              Some (Rng.pick env.rng [ Add; Sub; Mul; Bxor ])
@@ -281,17 +297,17 @@ let rec gen_stmt env ~depth : stmt =
     (* swizzle assignment, single- or multi-component (§5) *)
     (match
        List.filter_map
-         (fun (n, t, m) -> match t with TVec (s, 4) when m -> Some (n, s) | _ -> None)
+         (fun (n, t, m) -> match t with TVec (s, w) when m -> Some (n, s, w) | _ -> None)
          env.vars
      with
      | [] -> gen_stmt env ~depth
      | cands ->
-       let v, s = Rng.pick env.rng cands in
-       if Rng.bool env.rng then
+       let v, s, w = Rng.pick env.rng cands in
+       if w = 4 && Rng.bool env.rng then
          let sw = Rng.pick env.rng [ "xy"; "zw"; "wx"; "lo"; "hi"; "even"; "odd" ] in
          SExpr (Assign (None, Member (Ident v, sw), gen_vec env s 2 1))
        else
-         let sw = Rng.pick env.rng [ "x"; "y"; "z"; "w" ] in
+         let sw = Rng.pick env.rng (if w = 4 then [ "x"; "y"; "z"; "w" ] else [ "x"; "y" ]) in
          SExpr (Assign (None, Member (Ident v, sw), gen_expr env (TScalar s) 1)))
   | 5 when depth > 0 ->
     let cond = gen_int env (TScalar Int) 2 in
@@ -431,9 +447,12 @@ let generate rng : case =
   let has_inb = Rng.chance rng 85 in
   let has_finb = Rng.chance rng 60 in
   let has_vinb = Rng.chance rng 50 in
+  let has_dinb = Rng.chance rng 30 in
+  let has_dout = Rng.chance rng 30 in
   let ro_bufs =
     (if has_inb then [ ("inb", TScalar Int) ] else [])
     @ (if has_finb then [ ("finb", TScalar Float) ] else [])
+    @ (if has_dinb then [ ("dinb", TScalar Double) ] else [])
     @ (if has_vinb then [ ("vinb", vin_elt) ] else [])
   in
   let env =
@@ -466,6 +485,9 @@ let generate rng : case =
     @ (if has_fout then
          [ SExpr (Assign (None, own "fout", gen_float env 2)) ]
        else [])
+    @ (if has_dout then
+         [ SExpr (Assign (None, own "dout", gen_real env Double 2)) ]
+       else [])
     @
     (match vout_elt with
      | TVec (s, w) when has_vout ->
@@ -480,9 +502,11 @@ let generate rng : case =
   let params =
     [ gbuf "out" (TScalar Int) ]
     @ (if has_fout then [ gbuf "fout" (TScalar Float) ] else [])
+    @ (if has_dout then [ gbuf "dout" (TScalar Double) ] else [])
     @ (if has_vout then [ gbuf "vout" vout_elt ] else [])
     @ (if has_inb then [ gbuf "inb" (TScalar Int) ] else [])
     @ (if has_finb then [ gbuf "finb" (TScalar Float) ] else [])
+    @ (if has_dinb then [ gbuf "dinb" (TScalar Double) ] else [])
     @ (if has_vinb then [ gbuf "vinb" vin_elt ] else [])
     @ (if has_aux then [ gbuf "aux" (TScalar Int) ] else [])
     @ (if has_scratch then

@@ -24,9 +24,10 @@ module Layout = Vm.Layout
    per-call (and thus per-work-item), like the interpreter's call
    scope.  A register lives either boxed in [regs] or unboxed in one of
    the two banks (see "Register residency" below); each bank holds the
-   function's banked registers followed by the constants its typed
-   closures read.  [ambient] is the attribution site current at
-   function entry, the meaning of an instruction's -1 site tag. *)
+   function's vector slots (see "Short-vector slots"), then its banked
+   registers, then the constants its typed closures read.  [ambient] is
+   the attribution site current at function entry, the meaning of an
+   instruction's -1 site tag. *)
 type renv = {
   ctx : I.ctx;
   regs : I.tval array;
@@ -236,21 +237,23 @@ let normalizer lt (ty : ty) : I.tval -> I.tval =
 
 (* A register is banked — held unboxed in the per-call [ints] or
    [flts] array instead of as a fresh [tval] per write — when
-   (a) its class ([Region.classify]) is a float, or an int scalar of at
-       most 32 bits, whose values fit a native int exactly;
+   (a) its class ([classify]) is a float, or an int scalar of at most
+       32 bits, whose values fit a native int exactly;
    (b) every definition is a parameter binder or a native shape;
    (c) every use is a native shape or an If/loop condition.
    Pointers and 64-bit ints stay boxed: a pointer register can carry any
    int64 (a cast from a long), and a native int has 63 bits.
 
-   A native shape is a [Region.fast_shape] instruction whose int
-   constants lie within +-2^61 and whose operands are not wild.  A wild
-   register is the result of a non-native Mov, negation, complement or
-   identity CastRet — the shapes that do not wrap, so they can carry an
-   out-of-range constant onward.  Every other narrow-class value is
-   wrapped to 32 bits or is a finite chain of negations away from such a
-   value, so the native reads of the typed closures are exact.  One pass
-   in textual order suffices, because definitions dominate uses. *)
+   A native shape is an [emit_shape] instruction whose int constants
+   lie within +-2^61 and whose operands are not wild, or an instruction
+   that touches a vector held in slots (see "Short-vector slots").  A
+   wild register is the result of a non-native Mov, negation,
+   complement or identity CastRet — the shapes that do not wrap, so
+   they can carry an out-of-range constant onward.  Every other
+   narrow-class value is wrapped to 32 bits or is a finite chain of
+   negations away from such a value, so the native reads of the typed
+   closures are exact.  One pass in textual order suffices, because
+   definitions dominate uses. *)
 
 let native_limit = Int64.shift_left 1L 61
 
@@ -274,24 +277,282 @@ let unwrapped = function
   | Core.Mov _ | Core.Un ((Core.UNeg | Core.UBnot), _) | Core.CastRet _ -> true
   | _ -> false
 
+(* Binary shapes, classed like Interp.binop on the operands' *resolved*
+   scalars: float or double arithmetic (Div included) and compares,
+   where either operand may be an int, and int/uint arithmetic over any
+   narrow int operands.  A superset of [Region.bin_case], which keys on
+   the literal types the lockstep engine models. *)
+type bshape = BInt of bool (* unsigned *) | BFlt of scalar (* Float, Double *)
+
+let operand_scalar lt cls o =
+  match Region.cls_operand cls o with
+  | Region.CI t ->
+    (match Layout.resolve lt t with
+     | TScalar s when s <> Void && not (is_float_scalar s) -> Some s
+     | _ -> None)
+  | Region.CF t ->
+    (match Layout.resolve lt t with
+     | TScalar ((Float | Double) as s) -> Some s
+     | _ -> None)
+  | Region.CTop -> None
+
+let bin_shape lt cls (op : binop) a b : (bshape * Region.vcls) option =
+  match operand_scalar lt cls a, operand_scalar lt cls b with
+  | Some sa, Some sb ->
+    let sc = I.promote sa sb in
+    let cmp = Region.is_cmp op in
+    if is_float_scalar sc then
+      match op with
+      | Add | Sub | Mul | Div | Lt | Gt | Le | Ge | Eq | Ne ->
+        Some (BFlt sc, if cmp then Region.CI (TScalar Int) else Region.CF (TScalar sc))
+      | _ -> None
+    else if (sc = Int || sc = UInt) && narrow_scalar sa && narrow_scalar sb
+            && Region.fast_op op
+    then Some (BInt (sc = UInt), Region.CI (TScalar (if cmp then Int else sc)))
+    else None
+  | _ -> None
+
+(* Emit's instruction shapes with a typed closure: the fast shapes, with
+   binary operators classed by [bin_shape]. *)
+let emit_shape lt cls (k : Core.ikind) =
+  match k with
+  | Core.Let (_, Core.Bin (op, a, b)) -> bin_shape lt cls op a b <> None
+  | _ -> Region.fast_shape lt cls k
+
+(* Register classes: [Region.classify], with two more Let shapes classed
+   — the [bin_shape] results, and a single component loaded from a
+   vector variable, which Interp.load types at its element scalar. *)
+let classify lt (fn : Core.fn) : Region.vcls array =
+  let cls = Region.classify lt fn in
+  Region.iter_instrs
+    (fun i ->
+       match i.Core.i_kind with
+       | Core.Let (r, rhs) ->
+         cls.(r) <-
+           (match rhs with
+            | Core.Bin (op, a, b) ->
+              (match bin_shape lt cls op a b with Some (_, c) -> c | None -> Region.CTop)
+            | Core.ReadLv (Core.LvSwz (Core.LvVar _, [| _ |], s)) when s <> Void ->
+              if is_float_scalar s then Region.CF (TScalar s) else Region.CI (TScalar s)
+            | _ -> Region.let_class lt cls fn.Core.f_mem rhs)
+       | _ -> ())
+    fn.Core.f_body;
+  cls
+
+(* ------------------------------------------------------------------ *)
+(* Short-vector slots                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A vector local lives in consecutive bank slots (the float bank for
+   float and double components, the int bank for narrow ints) instead
+   of private memory when
+   (a) it is a private, non-shared variable of such a vector type;
+   (b) every use is a whole-vector load or store, or a single-component
+       load or store of the variable itself ([local_access]): it is
+       never address-taken, indexed (v[i]), swizzled to several
+       components or brace-initialized;
+   (c) it is never read before it is written: along every path from its
+       declaration, each component a load reads has been stored.  A
+       store inside one arm of an If, or inside a loop, does not count
+       after it.
+   A vector register lives in slots when its definition is a vector
+   LvIdx load or a load of a slotted local, and every use stores it
+   whole, by a vector LvIdx store or to a slotted local of its type.
+
+   Each access still makes the interpreter's one on_access call with
+   its kind, space, address and size ([private_accesses] feeds
+   Timing.issue_cost), and the DeclMem still allocates, so later private
+   addresses do not move.  Slot values are normalized to the element
+   type, as a load from memory would return them.  Exec never runs the
+   IR under an observer, so the slot closures do not model one. *)
+
+let slot_scalar s = is_float_scalar s || narrow_scalar s
+
+let vec_of lt ty =
+  match Layout.resolve lt ty with
+  | TVec (s, n) when slot_scalar s && n > 0 -> Some (s, n)
+  | _ -> None
+
+(* The access an instruction makes to a vector variable as a whole (-1)
+   or to one component: variable, store?, component. *)
+let local_access (k : Core.ikind) =
+  match k with
+  | Core.Let (_, Core.ReadLv (Core.LvVar v)) -> Some (v, false, -1)
+  | Core.Let (_, Core.ReadLv (Core.LvSwz (Core.LvVar v, [| c |], _))) -> Some (v, false, c)
+  | Core.Store (Core.LvVar v, _) -> Some (v, true, -1)
+  | Core.Store (Core.LvSwz (Core.LvVar v, [| c |], _), _) -> Some (v, true, c)
+  | _ -> None
+
+let rec lv_vars acc = function
+  | Core.LvVar v -> v :: acc
+  | Core.LvIdxDyn (_, _, Some l) | Core.LvSwz (l, _, _) -> lv_vars acc l
+  | Core.LvFree _ | Core.LvIdx _ | Core.LvDeref _ | Core.LvIdxDyn (_, _, None) -> acc
+
+(* Every memory variable an instruction names. *)
+let ikind_vars = function
+  | Core.Let (_, (Core.ReadLv l | Core.AddrofLv l))
+  | Core.Do (Core.ReadLv l | Core.AddrofLv l)
+  | Core.Store (l, _) -> lv_vars [] l
+  | Core.ZeroFill v | Core.StoreElt (v, _, _, _) -> [ v ]
+  | _ -> []
+
+let slotted_locals lt (fn : Core.fn) : (scalar * int) option array =
+  let vty =
+    Array.map
+      (fun (m : Core.minfo) ->
+         if m.Core.m_shared
+         || not (m.Core.m_space = AS_none || m.Core.m_space = AS_private)
+         then None
+         else vec_of lt m.Core.m_ty)
+      fn.Core.f_mem
+  in
+  let ok = Array.map Option.is_some vty in
+  let full v = match vty.(v) with Some (_, n) -> (1 lsl n) - 1 | None -> 0 in
+  (* rule (b) *)
+  let elt_ok s = function
+    | Core.Let (_, Core.ReadLv (Core.LvSwz (_, _, s')))
+    | Core.Store (Core.LvSwz (_, _, s'), _) -> s' = s
+    | _ -> true
+  in
+  Region.iter_instrs
+    (fun i ->
+       let k = i.Core.i_kind in
+       match local_access k with
+       | Some (v, _, c) ->
+         (match vty.(v) with
+          | Some (s, n) when c < n && elt_ok s k -> ()
+          | _ -> ok.(v) <- false)
+       | None -> List.iter (fun v -> ok.(v) <- false) (ikind_vars k))
+    fn.Core.f_body;
+  (* rule (c): components surely written, per variable *)
+  let rec walk st b = List.iter (node st) b
+  and node st = function
+    | Core.Ins i ->
+      (match i.Core.i_kind with
+       | Core.DeclMem v -> st.(v) <- 0
+       | k ->
+         (match local_access k with
+          | Some (v, store, c) ->
+            let bits = if c < 0 then full v else 1 lsl c in
+            if store then st.(v) <- st.(v) lor bits
+            else if st.(v) land bits <> bits then ok.(v) <- false
+          | None -> ()))
+    | Core.If (_, _, t, e) ->
+      let st' = Array.copy st in
+      walk st t;
+      walk st' e;
+      Array.iteri (fun v m -> st.(v) <- m land st'.(v)) st
+    | Core.Loop l ->
+      (* the condition, body and update each start from the state on
+         entry: a continue reaches the update mid-body *)
+      walk st l.Core.l_init;
+      walk st l.Core.l_pre;
+      (match l.Core.l_cond with Some (cb, _) -> walk (Array.copy st) cb | None -> ());
+      walk (Array.copy st) l.Core.l_body;
+      walk (Array.copy st) l.Core.l_update
+    | Core.Return _ | Core.Break | Core.Continue -> ()
+  in
+  walk (Array.make (Array.length vty) 0) fn.Core.f_body;
+  Array.mapi (fun v t -> if ok.(v) then t else None) vty
+
+(* A vector LvIdx access whose address operands the typed closures read
+   exactly. *)
+let idx_ok cls a i =
+  Region.intish cls a && Region.intish cls i && cst_ok a && cst_ok i
+
+(* The vector register an instruction defines or stores whole, with
+   its type, when the shape allows slots. *)
+let vreg_def lt cls vmem (k : Core.ikind) =
+  match k with
+  | Core.Let (r, Core.ReadLv (Core.LvIdx (a, i, elt, _))) when idx_ok cls a i ->
+    Option.map (fun t -> (r, t)) (vec_of lt elt)
+  | Core.Let (r, Core.ReadLv (Core.LvVar v)) -> Option.map (fun t -> (r, t)) vmem.(v)
+  | _ -> None
+
+let vreg_use lt cls vmem (k : Core.ikind) =
+  match k with
+  | Core.Store (Core.LvIdx (a, i, elt, _), Core.Reg r) when idx_ok cls a i ->
+    Option.map (fun t -> (r, t)) (vec_of lt elt)
+  | Core.Store (Core.LvVar v, Core.Reg r) -> Option.map (fun t -> (r, t)) vmem.(v)
+  | _ -> None
+
+let slotted_regs lt (fn : Core.fn) cls vmem : (scalar * int) option array =
+  let n = Array.length cls in
+  let vty = Array.make n None and bad = Array.make n false in
+  let uses = Array.make n 0 and stores = Array.make n 0 in
+  Array.iter (fun (p : Core.pbind) -> bad.(p.Core.p_reg) <- true) fn.Core.f_params;
+  Core.body_defs ~lets:(fun _ -> ()) ~sets:(fun r -> bad.(r) <- true) fn.Core.f_body;
+  Core.body_uses (fun r -> uses.(r) <- uses.(r) + 1) fn.Core.f_body;
+  Region.iter_instrs
+    (fun i ->
+       let k = i.Core.i_kind in
+       (match vreg_def lt cls vmem k with Some (r, t) -> vty.(r) <- Some t | None -> ());
+       match vreg_use lt cls vmem k with
+       | Some (r, t) ->
+         if vty.(r) = Some t then stores.(r) <- stores.(r) + 1 else bad.(r) <- true
+       | None -> ())
+    fn.Core.f_body;
+  Array.mapi
+    (fun r t -> if bad.(r) || uses.(r) <> stores.(r) then None else t)
+    vty
+
+(* Does the instruction touch a vector held in slots, given the first
+   slot of each vector local and register (-1: none)?  Residency and
+   emission both ask this one question of the one plan. *)
+let vec_touch vmem vreg (k : Core.ikind) =
+  (match local_access k with Some (v, _, _) -> vmem.(v) >= 0 | None -> false)
+  ||
+  match k with
+  | Core.Let (r, Core.ReadLv (Core.LvIdx _)) | Core.Store (Core.LvIdx _, Core.Reg r) ->
+    vreg.(r) >= 0
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* The bank plan                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type census = {
+  c_ints : int;     (* int-banked scalar registers *)
+  c_flts : int;     (* float-banked scalar registers *)
+  c_boxed : int;    (* registers holding a tval *)
+  c_vregs : int;    (* vector registers held in slots *)
+  c_vlocals : int;  (* vector locals held in slots *)
+}
+
 type residency = {
   r_cls : Region.vcls array;
   r_wild : bool array;
   r_slot : int array;  (* bank index (int or float bank by class), -1 boxed *)
-  r_ints : int;
+  r_vreg : int array;  (* first slot of a vector register, -1 none *)
+  r_vmem : int array;  (* first slot of a vector local, -1 in memory *)
+  r_ints : int;        (* int bank slots, before the constants *)
   r_flts : int;
-  r_live : int;        (* registers the function defines or reads *)
+  r_census : census;
 }
 
-let native_shape lt cls wild (k : Core.ikind) =
-  Region.fast_shape lt cls k
+let native_shape lt cls wild k =
+  emit_shape lt cls k
   && List.for_all
        (fun o ->
           cst_ok o && match o with Core.Reg r -> not wild.(r) | Core.Cst _ -> true)
        (Core.ikind_operands k)
 
 let residency lt (fn : Core.fn) : residency =
-  let cls = Region.classify lt fn in
+  let cls = classify lt fn in
+  let vmem = slotted_locals lt fn in
+  let vreg = slotted_regs lt fn cls vmem in
+  (* vector slots open each bank; the scalar registers follow *)
+  let ni = ref 0 and nf = ref 0 in
+  let place = function
+    | None -> -1
+    | Some (s, w) ->
+      let c = if is_float_scalar s then nf else ni in
+      let k = !c in
+      c := k + w;
+      k
+  in
+  let r_vreg = Array.map place vreg in
+  let r_vmem = Array.map place vmem in
   let n = Array.length cls in
   let wild = Array.make n false in
   let boxed = Array.init n (fun r -> not (bankable lt cls.(r))) in
@@ -307,7 +568,7 @@ let residency lt (fn : Core.fn) : residency =
       (match k with
        | Core.Let (r, _) | Core.SetReg (r, _, _) | Core.SetRaw (r, _) -> live.(r) <- true
        | _ -> ());
-      if not (native_shape lt cls wild k) then begin
+      if not (vec_touch r_vmem r_vreg k || native_shape lt cls wild k) then begin
         List.iter mark (Core.ikind_operands k);
         match k with
         | Core.Let (r, rhs) ->
@@ -337,9 +598,9 @@ let residency lt (fn : Core.fn) : residency =
   in
   walk fn.Core.f_body;
   let slot = Array.make n (-1) in
-  let ni = ref 0 and nf = ref 0 in
+  let vi = !ni and vf = !nf in
   for r = 0 to n - 1 do
-    if not boxed.(r) then
+    if r_vreg.(r) < 0 && not boxed.(r) then
       match cls.(r) with
       | Region.CI _ ->
         slot.(r) <- !ni;
@@ -349,15 +610,19 @@ let residency lt (fn : Core.fn) : residency =
         incr nf
       | Region.CTop -> ()
   done;
-  { r_cls = cls; r_wild = wild; r_slot = slot; r_ints = !ni; r_flts = !nf;
-    r_live = Array.fold_left (fun a l -> if l then a + 1 else a) 0 live }
+  let count a = Array.fold_left (fun acc k -> if k >= 0 then acc + 1 else acc) 0 a in
+  let nlive = Array.fold_left (fun a l -> if l then a + 1 else a) 0 live in
+  let si = !ni - vi and sf = !nf - vf and vregs = count r_vreg in
+  { r_cls = cls; r_wild = wild; r_slot = slot; r_vreg; r_vmem;
+    r_ints = !ni; r_flts = !nf;
+    r_census =
+      { c_ints = si; c_flts = sf; c_boxed = nlive - si - sf - vregs;
+        c_vregs = vregs; c_vlocals = count r_vmem } }
 
-(* Residency census of a function: int-banked, float-banked and boxed
-   registers among those it defines or reads (oclcu translate
-   --ir-dump). *)
-let census lt (fn : Core.fn) : int * int * int =
-  let r = residency lt fn in
-  (r.r_ints, r.r_flts, r.r_live - r.r_ints - r.r_flts)
+(* Residency census of a function: the banked, boxed and slotted
+   registers among those it defines or reads, and its slotted vector
+   locals (oclcu translate --ir-dump). *)
+let census lt (fn : Core.fn) : census = (residency lt fn).r_census
 
 (* ------------------------------------------------------------------ *)
 (* Module state                                                        *)
@@ -399,8 +664,8 @@ type bst = {
 }
 
 (* Bank layout under construction: the residency, then one slot per
-   distinct constant a typed closure reads, appended after the banked
-   registers. *)
+   distinct constant a typed closure reads, appended after the vector
+   slots and banked registers. *)
 and bank = {
   k_res : residency;
   k_ints : (int, int) Hashtbl.t;
@@ -412,8 +677,17 @@ and bank = {
 let boxed_bst est (fn : Core.fn) =
   { est; fmem = fn.Core.f_mem; sited = fn.Core.f_sited; bank = None }
 
+(* A vector held in slots has no tval and no memory contents: reaching
+   it on a generic path would read an empty register or stale memory,
+   which the one plan residency and emission share rules out. *)
+let on_generic_path what = invalid_arg ("Emit: slotted vector " ^ what ^ " on a generic path")
+
 let slot_of (bst : bst) r =
-  match bst.bank with Some k -> k.k_res.r_slot.(r) | None -> -1
+  match bst.bank with
+  | Some k ->
+    if k.k_res.r_vreg.(r) >= 0 then on_generic_path "register";
+    k.k_res.r_slot.(r)
+  | None -> -1
 
 (* Generic reader: banked registers are boxed on the way out (rule (c)
    keeps that off the hot path). *)
@@ -452,7 +726,10 @@ let wr (bst : bst) r : renv -> I.tval -> unit =
 (* Operand descriptors: a bank index (>= 0), or a boxed register r as
    -1 - r.  A boxed operand of a known class is read straight out of its
    tval, so reads never allocate; only a boxed destination does. *)
-let ddesc (k : bank) r = let s = k.k_res.r_slot.(r) in if s >= 0 then s else -1 - r
+let ddesc (k : bank) r =
+  if k.k_res.r_vreg.(r) >= 0 then on_generic_path "register";
+  let s = k.k_res.r_slot.(r) in
+  if s >= 0 then s else -1 - r
 
 let idesc (k : bank) = function
   | Core.Reg r -> ddesc k r
@@ -562,38 +839,63 @@ let[@inline] flip env d = geti env d lxor min_int
 let int_op (env : renv) = env.ctx.I.on_op I.Op_int
 let float_op (env : renv) = env.ctx.I.on_op I.Op_float
 
-let typed_bin (k : bank) r op a b : (renv -> unit) option =
-  match Region.bin_case k.k_res.r_cls op a b with
+(* V.to_float of a classed operand. *)
+let freader (k : bank) o : renv -> float =
+  match Region.cls_operand k.k_res.r_cls o with
+  | Region.CF _ -> let x = fdesc k o in fun env -> getf env x
+  | _ -> let x = idesc k o in fun env -> Int64.to_float (geti64 env x)
+
+let typed_bin lt (k : bank) r op a b : (renv -> unit) option =
+  match bin_shape lt k.k_res.r_cls op a b with
   | None -> None
   | Some (c, rc) ->
     let ty = match rc with Region.CI t | Region.CF t -> t | Region.CTop -> assert false in
     let d = ddesc k r in
     (match c with
-     | Region.BFF ->
-       let x = fdesc k a and y = fdesc k b in
-       (match op with
-        | Add ->
-          Some (fun env -> float_op env; setf env d ty (round32 (getf env x +. getf env y)))
-        | Sub ->
-          Some (fun env -> float_op env; setf env d ty (round32 (getf env x -. getf env y)))
-        | Mul ->
-          Some (fun env -> float_op env; setf env d ty (round32 (getf env x *. getf env y)))
-        | Lt ->
-          Some (fun env -> float_op env; seti env d ty (if getf env x < getf env y then 1 else 0))
-        | Gt ->
-          Some (fun env -> float_op env; seti env d ty (if getf env x > getf env y then 1 else 0))
-        | Le ->
-          Some (fun env -> float_op env; seti env d ty (if getf env x <= getf env y then 1 else 0))
-        | Ge ->
-          Some (fun env -> float_op env; seti env d ty (if getf env x >= getf env y then 1 else 0))
-        | Eq ->
-          Some (fun env -> float_op env; seti env d ty (if getf env x = getf env y then 1 else 0))
-        | Ne ->
-          Some (fun env -> float_op env; seti env d ty (if getf env x <> getf env y then 1 else 0))
-        | _ -> None)
-     | Region.BII | Region.BUU ->
+     | BFlt sc ->
+       (* Interp.binop: the charge of the promoted type, fp32 rounding
+          for float results *)
+       let cc =
+         match op with Div -> I.Op_special | _ -> if sc = Double then I.Op_double else I.Op_float
+       in
+       let single = sc = Float in
+       let ch (env : renv) = env.ctx.I.on_op cc in
+       let both_f =
+         match Region.cls_operand k.k_res.r_cls a, Region.cls_operand k.k_res.r_cls b with
+         | Region.CF _, Region.CF _ -> true
+         | _ -> false
+       in
+       if both_f then
+         let x = fdesc k a and y = fdesc k b in
+         match op with
+         | Add -> Some (fun env -> ch env; setf env d ty (round single (getf env x +. getf env y)))
+         | Sub -> Some (fun env -> ch env; setf env d ty (round single (getf env x -. getf env y)))
+         | Mul -> Some (fun env -> ch env; setf env d ty (round single (getf env x *. getf env y)))
+         | Div -> Some (fun env -> ch env; setf env d ty (round single (getf env x /. getf env y)))
+         | Lt -> Some (fun env -> ch env; seti env d ty (if getf env x < getf env y then 1 else 0))
+         | Gt -> Some (fun env -> ch env; seti env d ty (if getf env x > getf env y then 1 else 0))
+         | Le -> Some (fun env -> ch env; seti env d ty (if getf env x <= getf env y then 1 else 0))
+         | Ge -> Some (fun env -> ch env; seti env d ty (if getf env x >= getf env y then 1 else 0))
+         | Eq -> Some (fun env -> ch env; seti env d ty (if getf env x = getf env y then 1 else 0))
+         | Ne -> Some (fun env -> ch env; seti env d ty (if getf env x <> getf env y then 1 else 0))
+         | _ -> None
+       else
+         (* an int operand converts like V.to_float *)
+         let x = freader k a and y = freader k b in
+         (match op with
+          | Add -> Some (fun env -> ch env; setf env d ty (round single (x env +. y env)))
+          | Sub -> Some (fun env -> ch env; setf env d ty (round single (x env -. y env)))
+          | Mul -> Some (fun env -> ch env; setf env d ty (round single (x env *. y env)))
+          | Div -> Some (fun env -> ch env; setf env d ty (round single (x env /. y env)))
+          | Lt -> Some (fun env -> ch env; seti env d ty (if x env < y env then 1 else 0))
+          | Gt -> Some (fun env -> ch env; seti env d ty (if x env > y env then 1 else 0))
+          | Le -> Some (fun env -> ch env; seti env d ty (if x env <= y env then 1 else 0))
+          | Ge -> Some (fun env -> ch env; seti env d ty (if x env >= y env then 1 else 0))
+          | Eq -> Some (fun env -> ch env; seti env d ty (if x env = y env then 1 else 0))
+          | Ne -> Some (fun env -> ch env; seti env d ty (if x env <> y env then 1 else 0))
+          | _ -> None)
+     | BInt u ->
        let x = idesc k a and y = idesc k b in
-       let u = c = Region.BUU in
        let sh, mask = wrap_params (if u then UInt else Int) in
        (match op with
         | Add -> Some (fun env -> int_op env; seti env d ty (wrap sh mask (geti env x + geti env y)))
@@ -695,12 +997,171 @@ let typed_un lt (k : bank) r u a : (renv -> unit) option =
      | _ -> None)
 
 (* ------------------------------------------------------------------ *)
+(* Vector slots                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One closure per instruction that touches a slotted vector (see
+   "Short-vector slots"), with the on_access call, the conversions and
+   the failure order of the generic load or store it replaces.  Memory
+   stores and out-of-bounds faults go component by component, like
+   Interp.store_raw, so a fault leaves the same partial buffer. *)
+let vec_ikind (bst : bst) (k : bank) (ik : Core.ikind) : renv -> unit =
+  let lt = bst.est.e_layout and res = k.k_res in
+  let local v =
+    match vec_of lt bst.fmem.(v).Core.m_ty with
+    | Some (s, n) -> (res.r_vmem.(v), s, n)
+    | None -> invalid_arg "Emit.vec_ikind"
+  in
+  let access kind (env : renv) v off n =
+    let b = Array.unsafe_get env.mem v in
+    env.ctx.I.on_access kind b.I.b_space (b.I.b_addr + off) n
+  in
+  let blit fl src dst n (env : renv) =
+    if fl then Float.Array.blit env.flts src env.flts dst n
+    else Array.blit env.ints src env.ints dst n
+  in
+  match ik with
+  | Core.Let (r, Core.ReadLv (Core.LvVar v)) ->
+    let kv, s, n = local v in
+    let fl = is_float_scalar s and sz = scalar_size s * n in
+    let kr = res.r_vreg.(r) in
+    if kr >= 0 then fun env -> access Memory.Load env v 0 sz; blit fl kv kr n env
+    else
+      (* a boxed vector: Interp.load's components, at the declared type *)
+      let ty = bst.fmem.(v).Core.m_ty in
+      fun env ->
+        access Memory.Load env v 0 sz;
+        env.regs.(r) <-
+          I.tv
+            (V.VVec
+               (Array.init n (fun c ->
+                    if fl then V.VFloat (Float.Array.get env.flts (kv + c))
+                    else V.VInt (Int64.of_int env.ints.(kv + c)))))
+            ty
+  | Core.Let (r, Core.ReadLv (Core.LvSwz (Core.LvVar v, [| c |], _))) ->
+    let kv, s, _ = local v in
+    let es = scalar_size s and j = kv + c and ty = TScalar s and d = ddesc k r in
+    if is_float_scalar s then
+      fun env -> access Memory.Load env v (c * es) es; setf env d ty (Float.Array.unsafe_get env.flts j)
+    else fun env -> access Memory.Load env v (c * es) es; seti env d ty (Array.unsafe_get env.ints j)
+  | Core.Store (Core.LvVar v, o) ->
+    let kv, s, n = local v in
+    let fl = is_float_scalar s and sz = scalar_size s * n in
+    (match o with
+     | Core.Reg r when res.r_vreg.(r) >= 0 ->
+       let kr = res.r_vreg.(r) in
+       fun env -> access Memory.Store env v 0 sz; blit fl kr kv n env
+     | _ ->
+       (* Interp.store_raw: a scalar splats, missing components are 0 *)
+       let co = rd bst o in
+       fun env ->
+         let x = (co env).I.v in
+         access Memory.Store env v 0 sz;
+         let comps = match x with V.VVec cs -> cs | x -> Array.make n x in
+         for c = 0 to n - 1 do
+           let e = if c < Array.length comps then comps.(c) else V.VInt 0L in
+           if fl then Float.Array.set env.flts (kv + c) (V.round_float s (V.to_float e))
+           else env.ints.(kv + c) <- Int64.to_int (V.wrap_int s (V.to_int e))
+         done)
+  | Core.Store (Core.LvSwz (Core.LvVar v, [| c |], _), o) ->
+    let kv, s, _ = local v in
+    let es = scalar_size s and j = kv + c in
+    let fl = is_float_scalar s and single = s = Float in
+    (match o, Region.cls_operand res.r_cls o with
+     | Core.Reg _, Region.CF _ when fl ->
+       let x = fdesc k o in
+       fun env ->
+         access Memory.Store env v (c * es) es;
+         Float.Array.unsafe_set env.flts j (round single (getf env x))
+     | Core.Reg _, Region.CI _ when fl ->
+       let x = idesc k o in
+       fun env ->
+         access Memory.Store env v (c * es) es;
+         Float.Array.unsafe_set env.flts j (round single (Int64.to_float (geti64 env x)))
+     | Core.Reg _, Region.CI _ ->
+       let x = idesc k o and sh, mask = wrap_params s in
+       fun env ->
+         access Memory.Store env v (c * es) es;
+         Array.unsafe_set env.ints j (wrap sh mask (geti env x))
+     | _ ->
+       (* Interp.store_lvalue on a one-component lvalue *)
+       let co = rd bst o in
+       fun env ->
+         let e =
+           match (co env).I.v with
+           | V.VVec cs when Array.length cs = 0 ->
+             I.fail "vector component assignment: %d components for %d slots" 0 1
+           | V.VVec cs -> cs.(0)
+           | e -> e
+         in
+         access Memory.Store env v (c * es) es;
+         if fl then Float.Array.set env.flts j (V.round_float s (V.to_float e))
+         else env.ints.(j) <- Int64.to_int (V.wrap_int s (V.to_int e)))
+  | Core.Let (r, Core.ReadLv (Core.LvIdx (a, i, elt, esz))) ->
+    let s, n = Option.get (vec_of lt elt) in
+    let xa = idesc k a and xi = idesc k i and kr = res.r_vreg.(r) in
+    let es = scalar_size s in
+    let sh, mask = if is_float_scalar s then (0, 0) else wrap_params s in
+    let fl = is_float_scalar s in
+    fun env ->
+      let addr = idx_addr env xa xi esz in
+      let sp = space_of addr and off = offset_of addr in
+      let ctx = env.ctx in
+      ctx.I.on_access Memory.Load sp off (es * n);
+      let ar = ctx.I.arena_of sp in
+      for c = 0 to n - 1 do
+        let o = off + (c * es) in
+        check ar o es;
+        let data = ar.Memory.data in
+        if fl then
+          Float.Array.unsafe_set env.flts (kr + c)
+            (if es = 4 then Int32.float_of_bits (Bytes.get_int32_le data o)
+             else Int64.float_of_bits (Bytes.get_int64_le data o))
+        else
+          Array.unsafe_set env.ints (kr + c)
+            (wrap sh mask
+               (if es = 4 then Int32.to_int (Bytes.get_int32_le data o)
+                else if es = 2 then Bytes.get_uint16_le data o
+                else Char.code (Bytes.get data o)))
+      done
+  | Core.Store (Core.LvIdx (a, i, elt, esz), Core.Reg r) ->
+    let s, n = Option.get (vec_of lt elt) in
+    let xa = idesc k a and xi = idesc k i and kr = res.r_vreg.(r) in
+    let es = scalar_size s and fl = is_float_scalar s in
+    fun env ->
+      let addr = idx_addr env xa xi esz in
+      let sp = space_of addr and off = offset_of addr in
+      let ctx = env.ctx in
+      ctx.I.on_access Memory.Store sp off (es * n);
+      let ar = ctx.I.arena_of sp in
+      for c = 0 to n - 1 do
+        let o = off + (c * es) in
+        check ar o es;
+        let data = ar.Memory.data in
+        if fl then begin
+          let f = Float.Array.unsafe_get env.flts (kr + c) in
+          if es = 4 then Bytes.set_int32_le data o (Int32.bits_of_float f)
+          else Bytes.set_int64_le data o (Int64.bits_of_float f)
+        end
+        else begin
+          let x = Array.unsafe_get env.ints (kr + c) in
+          if es = 4 then Bytes.set_int32_le data o (Int32.of_int x)
+          else if es = 2 then Bytes.set_uint16_le data o (x land 0xFFFF)
+          else Bytes.set data o (Char.unsafe_chr (x land 0xFF))
+        end
+      done
+  | _ -> invalid_arg "Emit.vec_ikind"
+
+(* ------------------------------------------------------------------ *)
 (* Lvalues                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let rec emit_lv (bst : bst) (lv : Core.lv) : clv =
   match lv with
   | Core.LvVar v ->
+    (match bst.bank with
+     | Some k when k.k_res.r_vmem.(v) >= 0 -> on_generic_path "local"
+     | _ -> ());
     let ty = bst.fmem.(v).Core.m_ty in
     CMem
       ( (fun env ->
@@ -953,32 +1414,19 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
        | Some t -> t
        | None -> I.fail "unbound identifier %s" name)
   | Core.CallE (name, ops) ->
-    let cargs = List.map (rd bst) ops in
-    fun env ->
-      let ctx = env.ctx in
-      let argv = List.map (fun f -> f env) cargs in
-      (match Hashtbl.find_opt ctx.I.externals name with
-       | Some ext -> ext ctx argv
-       | None ->
-         (match I.default_builtin ctx name argv with
-          | Some r -> r
-          | None ->
-            if name = "dim3" then begin
-              let addr =
-                Memory.alloc (ctx.I.arena_of ctx.I.stack_space) ~align:4 12
-              in
-              let a = ctx.I.arena_of ctx.I.stack_space in
-              let get i =
-                match List.nth_opt argv i with
-                | Some a -> V.to_int a.I.v
-                | None -> 1L
-              in
-              Memory.store_int a addr 4 (get 0);
-              Memory.store_int a (addr + 4) 4 (get 1);
-              Memory.store_int a (addr + 8) 4 (get 2);
-              I.tv (V.VInt (V.make_ptr ctx.I.stack_space addr)) (TNamed "dim3")
-            end
-            else I.fail "unknown function %s" name))
+    (* the callee resolves once per launch context, through its memo *)
+    let id = I.intern_external name in
+    (match List.map (rd bst) ops with
+     | [] ->
+       fun env -> (I.resolve_external env.ctx id name) env.ctx []
+     | [ ca ] ->
+       fun env ->
+         let a = ca env in
+         (I.resolve_external env.ctx id name) env.ctx [ a ]
+     | cargs ->
+       fun env ->
+         let argv = List.map (fun f -> f env) cargs in
+         (I.resolve_external env.ctx id name) env.ctx argv)
   | Core.CallU (name, ops) ->
     let cargs = Array.of_list (List.map (rd bst) ops) in
     let est = bst.est in
@@ -1005,6 +1453,7 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
 
 and emit_ikind (bst : bst) (k : Core.ikind) : renv -> unit =
   match bst.bank with
+  | Some bk when vec_touch bk.k_res.r_vmem bk.k_res.r_vreg k -> vec_ikind bst bk k
   | Some bk when native_shape bst.est.e_layout bk.k_res.r_cls bk.k_res.r_wild k ->
     (match typed_ikind bst bk k with Some f -> f | None -> generic_ikind bst k)
   | _ -> generic_ikind bst k
@@ -1016,7 +1465,7 @@ and emit_ikind (bst : bst) (k : Core.ikind) : renv -> unit =
 and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option =
   let lt = bst.est.e_layout in
   match k with
-  | Core.Let (r, Core.Bin (op, a, b)) -> typed_bin bk r op a b
+  | Core.Let (r, Core.Bin (op, a, b)) -> typed_bin lt bk r op a b
   | Core.Let (r, Core.Un (u, a)) -> typed_un lt bk r u a
   | Core.Let (r, Core.Mov a) when bankable lt bk.k_res.r_cls.(r) -> typed_copy bk r a
   | Core.Let (r, Core.CastV (t, a)) -> typed_cast lt bk r t a
@@ -1356,7 +1805,8 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
       fn.Core.f_params
   in
   let body = emit_body bst (Some (-1)) fn.Core.f_body in
-  (* bank templates: zeroed registers, then the constants *)
+  (* bank templates: zeroed vector slots and registers, then the
+     constants *)
   let ints = Array.make bk.k_ni 0 in
   Hashtbl.iter (fun n k -> ints.(k) <- n) bk.k_ints;
   let flts = Float.Array.make bk.k_nf 0. in

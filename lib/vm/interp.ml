@@ -69,6 +69,10 @@ type ctx = {
   on_elim : int -> unit;
   (* layered-observation hooks; absent in normal execution *)
   observer : observer option;
+  (* resolved external callees by interned name id ([intern_external]);
+     a copy [{ ctx with ... }] shares it, so per-item copies of a launch
+     context resolve each name once between them *)
+  ext_memo : ext_memo;
 }
 
 (* Observation hooks for the translation validator's layered runs.  When
@@ -84,6 +88,8 @@ and observer = {
   obs_enter : string -> unit;   (* entering a defined function, by name *)
   obs_leave : string -> unit;
 }
+
+and ext_memo = { mutable resolved : (ctx -> tval list -> tval) array }
 
 exception Return_exc of tval
 exception Break_exc
@@ -129,9 +135,8 @@ let make ~prog ~arena_of ?(externals = []) ?(special_ident = no_special)
     call_depth = 0;
     launch_handler = None;
     on_elim;
-    observer }
-
-let add_external ctx name f = Hashtbl.replace ctx.externals name f
+    observer;
+    ext_memo = { resolved = [||] } }
 
 (* ------------------------------------------------------------------ *)
 (* Typed loads and stores                                              *)
@@ -549,9 +554,11 @@ let float2 f ctx args =
     tv (Value.VFloat (f (Value.to_float a.v) (Value.to_float b.v))) (TScalar Float)
   | _ -> fail "arity"
 
-let default_builtin ctx name (args : tval list) : tval option =
-  let f1 f = Some (float1 f ctx args) in
-  let f2 f = Some (float2 f ctx args) in
+(* The default built-in named [name], if any: the callee an external
+   call reaches when the context's table does not bind the name. *)
+let default_builtin name : (ctx -> tval list -> tval) option =
+  let f1 f = Some (float1 f) in
+  let f2 f = Some (float2 f) in
   match name with
   | "sqrt" | "sqrtf" | "native_sqrt" -> f1 Float.sqrt
   | "rsqrt" | "rsqrtf" | "native_rsqrt" -> f1 (fun x -> 1.0 /. Float.sqrt x)
@@ -574,54 +581,136 @@ let default_builtin ctx name (args : tval list) : tval option =
   | "fmod" | "fmodf" -> f2 Float.rem
   | "hypot" | "hypotf" -> f2 Float.hypot
   | "mad" | "fma" | "fmaf" ->
-    (match args with
-     | [ a; b; c ] ->
-       ctx.on_op Op_float;
-       Some
-         (tv
-            (Value.VFloat
-               (Float.fma (Value.to_float a.v) (Value.to_float b.v)
-                  (Value.to_float c.v)))
-            (TScalar Float))
-     | _ -> fail "arity")
+    Some
+      (fun ctx args ->
+         match args with
+         | [ a; b; c ] ->
+           ctx.on_op Op_float;
+           tv
+             (Value.VFloat
+                (Float.fma (Value.to_float a.v) (Value.to_float b.v)
+                   (Value.to_float c.v)))
+             (TScalar Float)
+         | _ -> fail "arity")
   | "min" ->
-    (match args with
-     | [ a; b ] -> ctx.on_op Op_int; Some (binop ctx Lt a b |> fun c -> if Value.to_bool c.v then a else b)
-     | _ -> fail "arity")
+    Some
+      (fun ctx args ->
+         match args with
+         | [ a; b ] ->
+           ctx.on_op Op_int;
+           if Value.to_bool (binop ctx Lt a b).v then a else b
+         | _ -> fail "arity")
   | "max" ->
-    (match args with
-     | [ a; b ] -> ctx.on_op Op_int; Some (binop ctx Gt a b |> fun c -> if Value.to_bool c.v then a else b)
-     | _ -> fail "arity")
+    Some
+      (fun ctx args ->
+         match args with
+         | [ a; b ] ->
+           ctx.on_op Op_int;
+           if Value.to_bool (binop ctx Gt a b).v then a else b
+         | _ -> fail "arity")
   | "abs" ->
-    (match args with
-     | [ a ] -> ctx.on_op Op_int; Some (tv (VInt (Int64.abs (Value.to_int a.v))) a.ty)
-     | _ -> fail "arity")
+    Some
+      (fun ctx args ->
+         match args with
+         | [ a ] -> ctx.on_op Op_int; tv (VInt (Int64.abs (Value.to_int a.v))) a.ty
+         | _ -> fail "arity")
   | "clamp" ->
-    (match args with
-     | [ x; lo; hi ] ->
-       ctx.on_op Op_int;
-       let a = binop ctx Lt x lo in
-       let b = binop ctx Gt x hi in
-       Some (if Value.to_bool a.v then lo else if Value.to_bool b.v then hi else x)
-     | _ -> fail "arity")
+    Some
+      (fun ctx args ->
+         match args with
+         | [ x; lo; hi ] ->
+           ctx.on_op Op_int;
+           let a = binop ctx Lt x lo in
+           let b = binop ctx Gt x hi in
+           if Value.to_bool a.v then lo else if Value.to_bool b.v then hi else x
+         | _ -> fail "arity")
   | _ ->
     (* make_float4(...) and friends *)
     if String.length name > 5 && String.sub name 0 5 = "make_" then begin
       let tyname = String.sub name 5 (String.length name - 5) in
       match Minic.Parser.vector_of_name tyname with
       | Some (s, n) ->
-        let comps = Array.make n (if is_float_scalar s then Value.VFloat 0. else Value.VInt 0L) in
-        List.iteri
-          (fun i a ->
-             if i < n then
-               comps.(i) <-
-                 (if is_float_scalar s then Value.VFloat (Value.to_float a.v)
-                  else Value.VInt (Value.to_int a.v)))
-          args;
-        Some (tv (VVec comps) (TVec (s, n)))
+        Some
+          (fun _ args ->
+             let comps =
+               Array.make n (if is_float_scalar s then Value.VFloat 0. else Value.VInt 0L)
+             in
+             List.iteri
+               (fun i a ->
+                  if i < n then
+                    comps.(i) <-
+                      (if is_float_scalar s then Value.VFloat (Value.to_float a.v)
+                       else Value.VInt (Value.to_int a.v)))
+               args;
+             tv (VVec comps) (TVec (s, n)))
       | None -> None
     end
     else None
+
+(* dim3 constructor: build a temporary struct; missing components
+   default to 1, per the dim3 constructor *)
+let dim3 ctx argv =
+  let a = ctx.arena_of ctx.stack_space in
+  let addr = Memory.alloc a ~align:4 12 in
+  let get i =
+    match List.nth_opt argv i with
+    | Some a -> Value.to_int a.v
+    | None -> 1L
+  in
+  Memory.store_int a addr 4 (get 0);
+  Memory.store_int a (addr + 4) 4 (get 1);
+  Memory.store_int a (addr + 8) 4 (get 2);
+  tv (VInt (Value.make_ptr ctx.stack_space addr)) (TNamed "dim3")
+
+(* The callee of an external call to [name] under [ctx]: the context's
+   table, else a default built-in, else the dim3 constructor.  An
+   unknown name fails when called, after its arguments are evaluated. *)
+let external_fn ctx name : ctx -> tval list -> tval =
+  match Hashtbl.find_opt ctx.externals name with
+  | Some f -> f
+  | None ->
+    (match default_builtin name with
+     | Some f -> f
+     | None ->
+       if name = "dim3" then dim3 else fun _ _ -> fail "unknown function %s" name)
+
+(* Call sites that run many times intern their callee's name once, and
+   look it up through the context's memo by id: the table a context is
+   made with is never written afterwards, so the first resolution holds
+   for the context's lifetime. *)
+let ext_ids : (string, int) Hashtbl.t = Hashtbl.create 64
+let ext_lock = Mutex.create ()
+
+let intern_external name =
+  Mutex.protect ext_lock (fun () ->
+      match Hashtbl.find_opt ext_ids name with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length ext_ids in
+        Hashtbl.replace ext_ids name id;
+        id)
+
+let unresolved : ctx -> tval list -> tval = fun _ _ -> fail "unresolved external"
+
+let resolve_external ctx id name =
+  let m = ctx.ext_memo in
+  let r = m.resolved in
+  if id < Array.length r && Array.unsafe_get r id != unresolved then
+    Array.unsafe_get r id
+  else begin
+    let f = external_fn ctx name in
+    let r =
+      if id < Array.length r then r
+      else begin
+        let g = Array.make (max (id + 1) (2 * Array.length r)) unresolved in
+        Array.blit r 0 g 0 (Array.length r);
+        m.resolved <- g;
+        g
+      end
+    in
+    r.(id) <- f;
+    f
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -930,28 +1019,7 @@ and eval_call ctx name tmpl args : tval =
     call_function ctx f (List.mapi eval_arg args)
   | None ->
     let argv = List.map (eval ctx) args in
-    (match Hashtbl.find_opt ctx.externals name with
-     | Some ext -> ext ctx argv
-     | None ->
-       (match default_builtin ctx name argv with
-        | Some r -> r
-        | None ->
-          if name = "dim3" then begin
-            (* dim3 constructor: build a temporary struct *)
-            let addr = Memory.alloc (ctx.arena_of ctx.stack_space) ~align:4 12 in
-            let a = ctx.arena_of ctx.stack_space in
-            (* missing components default to 1, per the dim3 constructor *)
-            let get i =
-              match List.nth_opt argv i with
-              | Some a -> Value.to_int a.v
-              | None -> 1L
-            in
-            Memory.store_int a addr 4 (get 0);
-            Memory.store_int a (addr + 4) 4 (get 1);
-            Memory.store_int a (addr + 8) 4 (get 2);
-            tv (VInt (Value.make_ptr ctx.stack_space addr)) (TNamed "dim3")
-          end
-          else fail "unknown function %s" name))
+    external_fn ctx name ctx argv
 
 and call_function ctx f args =
   (match f.fn_body with

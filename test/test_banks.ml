@@ -26,9 +26,11 @@ let with_ref r v f =
   r := v;
   Fun.protect ~finally:(fun () -> r := saved) f
 
+(* The bytes are global memory from the output buffer to the end of the
+   inputs, so a failing launch is compared on its partial buffers too. *)
 type outcome =
   | Done of string * Gpusim.Counters.t * (int * Gpusim.Attr.site) list option
-  | Failed of string
+  | Failed of string * string
 
 (* Input buffers are filled by [fill arena addr]; the kernel takes the
    output buffer first, then the inputs, all as global pointers. *)
@@ -48,10 +50,17 @@ let floats l =
       (fun a addr ->
          List.iteri (fun i v -> Vm.Memory.store_float a (addr + (4 * i)) 4 v) l) }
 
+let doubles l =
+  { bytes = 8 * List.length l;
+    fill =
+      (fun a addr ->
+         List.iteri (fun i v -> Vm.Memory.store_float a (addr + (8 * i)) 8 v) l) }
+
 let gws = 16
 let lws = 8
 
-let launch ~backend ~passes ~domains prog ~out_bytes ~inputs =
+let launch ?(extra_externals = []) ~backend ~passes ~domains prog ~out_bytes
+    ~inputs =
   with_ref Gpusim.Exec.backend backend @@ fun () ->
   with_ref Gpusim.Exec.domains domains @@ fun () ->
   with_ref Minic.Site.enabled true @@ fun () ->
@@ -77,9 +86,12 @@ let launch ~backend ~passes ~domains prog ~out_bytes ~inputs =
       inputs
   in
   let k = Option.get (find_function prog "k") in
+  let memory () =
+    Bytes.to_string (Vm.Memory.load_bytes g out (g.Vm.Memory.brk - out))
+  in
   match
     Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
-      ~host_arena:(Vm.Memory.create "host") ~kernel:k
+      ~host_arena:(Vm.Memory.create "host") ~extra_externals ~kernel:k
       ~cfg:
         { global_size = [| gws; 1; 1 |];
           local_size = [| lws; 1; 1 |];
@@ -88,18 +100,19 @@ let launch ~backend ~passes ~domains prog ~out_bytes ~inputs =
   with
   | stats ->
     Done
-      ( Bytes.to_string (Vm.Memory.load_bytes g out out_bytes),
+      ( memory (),
         stats.Gpusim.Exec.counters,
         Option.map Gpusim.Attr.to_list stats.Gpusim.Exec.attr )
-  | exception e -> Failed (Printexc.to_string e)
+  | exception e -> Failed (Printexc.to_string e, memory ())
+
+let words b =
+  let n = min 48 (String.length b / 4) in
+  String.concat " "
+    (List.init n (fun i -> Int32.to_string (String.get_int32_le b (4 * i))))
 
 let show = function
-  | Done (b, _, _) ->
-    let n = String.length b / 4 in
-    "done: "
-    ^ String.concat " "
-        (List.init n (fun i -> Int32.to_string (String.get_int32_le b (4 * i))))
-  | Failed m -> "failed: " ^ m
+  | Done (b, _, _) -> "done: " ^ words b
+  | Failed (m, b) -> "failed: " ^ m ^ "; memory: " ^ words b
 
 (* What part of the IR's outcome [got] differs from the interpreter's
    [reference], or None when they agree.  With [exact], counters (under
@@ -120,7 +133,8 @@ let comparable ~exact reference got =
       Some ("counters (" ^ String.concat ", " broken ^ ")")
     else if exact && a <> a' then Some "attribution rows"
     else None
-  | Failed x, Failed y when x = y -> None
+  | Failed (x, b), Failed (y, b') when x = y ->
+    if b <> b' then Some "partial buffers" else None
   | _ -> Some "outcomes"
 
 (* Interpreter vs IR backend at 1 and 4 domains; returns the reference.
@@ -128,21 +142,21 @@ let comparable ~exact reference got =
    promoted private traffic), so counters and attribution rows must
    match too; with every pass on,
    ops are eliminated, and buffers and failures must still match. *)
-let differential ~src ~out_bytes ~inputs =
+let differential ?extra_externals ~src ~out_bytes ~inputs () =
   with_ref Minic.Site.enabled true @@ fun () ->
   Minic.Site.reset ();
   let prog =
     Minic.Site.annotate (Minic.Parser.program ~dialect:Minic.Parser.OpenCL src)
   in
   let reference =
-    launch ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.all ~domains:1
-      prog ~out_bytes ~inputs
+    launch ?extra_externals ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.all
+      ~domains:1 prog ~out_bytes ~inputs
   in
   List.iter
     (fun (passes, domains) ->
        let got =
-         launch ~backend:Gpusim.Exec.Compiled ~passes ~domains prog
-           ~out_bytes ~inputs
+         launch ?extra_externals ~backend:Gpusim.Exec.Compiled ~passes ~domains
+           prog ~out_bytes ~inputs
        in
        let exact = passes = Ir.Pipeline.none in
        match comparable ~exact reference got with
@@ -161,22 +175,24 @@ let differential ~src ~out_bytes ~inputs =
 
 (* The kernel is IR-compiled and banks at least [ints] int and [flts]
    float registers. *)
-let banked prog ~ints ~flts =
+let census prog =
   let est =
     Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty ~cfg:Ir.Pipeline.all prog
   in
   match Ir.Emit.ir est "k" with
-  | Some (Ok fn) ->
-    let ni, nf, _ = Ir.Emit.census (Vm.Layout.make_env prog) fn in
-    if ni < ints || nf < flts then
-      Alcotest.failf "expected >= %d int and >= %d float banked, got %d/%d"
-        ints flts ni nf
+  | Some (Ok fn) -> Ir.Emit.census est.Ir.Emit.e_layout fn
   | Some (Error e) -> Alcotest.failf "kernel not IR-compiled: %s" e
   | None -> Alcotest.fail "no kernel k"
 
+let banked prog ~ints ~flts =
+  let c = census prog in
+  if c.c_ints < ints || c.c_flts < flts then
+    Alcotest.failf "expected >= %d int and >= %d float banked, got %d/%d"
+      ints flts c.c_ints c.c_flts
+
 let expect_done = function
   | Done _ -> ()
-  | Failed m -> Alcotest.failf "kernel failed: %s" m
+  | Failed (m, _) -> Alcotest.failf "kernel failed: %s" m
 
 let counts = ints [ 0; 31; 32; 33; 63; -1; -33; 64 ]
 
@@ -206,7 +222,7 @@ let uint_inputs =
 let uint_case () =
   let prog, r =
     differential ~src:uint_src ~out_bytes:(gws * 40)
-      ~inputs:[ counts; ints uint_inputs ]
+      ~inputs:[ counts; ints uint_inputs ] ()
   in
   expect_done r;
   banked prog ~ints:4 ~flts:0
@@ -236,7 +252,7 @@ let int_inputs =
 let int_case () =
   let prog, r =
     differential ~src:int_src ~out_bytes:(gws * 40)
-      ~inputs:[ counts; ints int_inputs ]
+      ~inputs:[ counts; ints int_inputs ] ()
   in
   expect_done r;
   banked prog ~ints:4 ~flts:0
@@ -264,7 +280,7 @@ let f2i_inputs =
 
 let f2i_case () =
   let prog, r =
-    differential ~src:f2i_src ~out_bytes:(gws * 32) ~inputs:[ floats f2i_inputs ]
+    differential ~src:f2i_src ~out_bytes:(gws * 32) ~inputs:[ floats f2i_inputs ] ()
   in
   expect_done r;
   banked prog ~ints:1 ~flts:1
@@ -292,7 +308,7 @@ __kernel void k(__global float* out, __global int* in) {
 let i2f_case () =
   let prog, r =
     differential ~src:i2f_src ~out_bytes:(gws * 20)
-      ~inputs:[ ints (List.init 16 (fun j -> (j * 7919) - 40000 + (j land 1))) ]
+      ~inputs:[ ints (List.init 16 (fun j -> (j * 7919) - 40000 + (j land 1))) ] ()
   in
   expect_done r;
   banked prog ~ints:1 ~flts:3
@@ -320,7 +336,7 @@ __kernel void k(__global int* out, __global int* in) {
 let failure_case src expect () =
   let _, r =
     differential ~src ~out_bytes:(gws * 4)
-      ~inputs:[ ints (List.init 16 (fun j -> j * 3)) ]
+      ~inputs:[ ints (List.init 16 (fun j -> j * 3)) ] ()
   in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -328,22 +344,308 @@ let failure_case src expect () =
     go 0
   in
   match r with
-  | Failed m ->
+  | Failed (m, _) ->
     if not (contains m expect) then Alcotest.failf "unexpected failure %S" m
   | Done _ -> Alcotest.fail "expected the kernel to fail"
+
+(* --- resolved-type and double arithmetic ------------------------------ *)
+
+let counters_of = function
+  | Done (_, c, _) -> c
+  | Failed (m, _) -> Alcotest.failf "kernel failed: %s" m
+
+let doubles_of = function
+  | Done (b, _, _) -> List.init (gws * 4) (fun i -> Int64.float_of_bits (String.get_int64_le b (8 * i)))
+  | Failed (m, _) -> Alcotest.failf "kernel failed: %s" m
+
+(* float + double is double (Op_double), float * int is float (Op_float,
+   fp32 rounding), either `/` is Op_special; compares charge their
+   promoted type *)
+let mixed_src = {|
+__kernel void k(__global double* out, __global float* fin, __global double* din,
+                __global int* iin) {
+  int i = get_global_id(0);
+  float f = fin[i];
+  double d = din[i];
+  int n = iin[i];
+  out[i * 8 + 0] = f + d;
+  out[i * 8 + 1] = d * n - f;
+  out[i * 8 + 2] = f * n - 0.5f;
+  out[i * 8 + 3] = d / f;
+  out[i * 8 + 4] = f / (float)n + f / 3.0f;
+  out[i * 8 + 5] = (f < d) + (n > f) * 2 + (d == n) * 4 + (f != d) * 8;
+  out[i * 8 + 6] = (double)(f * 3.1f) - d * 1e-3;
+  out[i * 8 + 7] = n - d + (float)d;
+}
+|}
+
+let real_inputs =
+  [ 0.1; -2.5; 3.75; 1e-7; 16777217.; -0.; 1e30; 0.3; 7.; -7.; 2.5e-3; 100.;
+    1.0000001; -1e10; 65504.; 0.5 ]
+
+let mixed_case () =
+  let prog, r =
+    differential ~src:mixed_src ~out_bytes:(gws * 64)
+      ~inputs:
+        [ floats real_inputs;
+          doubles (List.map (fun x -> (x *. 1.7) +. 0.1) real_inputs);
+          ints (List.init 16 (fun j -> (j * 3) - 20)) ] ()
+  in
+  let c = counters_of r in
+  if c.ops_float = 0 || c.ops_double = 0 || c.ops_special = 0 then
+    Alcotest.failf "expected float, double and special charges, got %d/%d/%d"
+      c.ops_float c.ops_double c.ops_special;
+  banked prog ~ints:1 ~flts:12
+
+(* IEEE division by zero, and every compare on NaN, in both precisions *)
+let nan_src = {|
+__kernel void k(__global int* out, __global float* fin, __global double* din) {
+  int i = get_global_id(0);
+  float f = fin[i];
+  double d = din[i];
+  float q = f / (f - f);
+  double e = d / (d - d);
+  float z = f / 0.0f;
+  out[i * 8 + 0] = (q < 1.0f) + (q > 1.0f) * 2 + (q <= q) * 4 + (q >= 1.0f) * 8;
+  out[i * 8 + 1] = (q == q) + (q != q) * 2;
+  out[i * 8 + 2] = (e < d) + (e > d) * 2 + (e == e) * 4 + (e != e) * 8;
+  out[i * 8 + 3] = (z == z) + (z != z) * 2 + (z > 0.0f) * 4 + (z < 0.0f) * 8;
+  out[i * 8 + 4] = (z > f) + (q < d) * 2;
+  out[i * 8 + 5] = (f / 0.0f) == (d / 0.0);
+  out[i * 8 + 6] = (f - f) == 0.0f;
+  out[i * 8 + 7] = (f * d) != (f * d);
+}
+|}
+
+let specials =
+  [ 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity; 1.5; -2.25; 1e30;
+    3e38; 1e-40; -1e-45; 7.; Float.nan; -0.5; 2.; -3. ]
+
+let nan_case () =
+  let prog, r =
+    differential ~src:nan_src ~out_bytes:(gws * 32)
+      ~inputs:[ floats specials; doubles specials ] ()
+  in
+  expect_done r;
+  banked prog ~ints:8 ~flts:4
+
+(* --- short-vector slots ----------------------------------------------- *)
+
+(* float2 and short2 component stores normalize to the element type
+   (fp32 rounding, a 16-bit wrap) where a double2 one keeps the value;
+   all three locals live in slots *)
+let round_src = {|
+__kernel void k(__global double* out, __global double* din) {
+  int i = get_global_id(0);
+  double x = din[i] * 1.0000001;
+  float2 a;
+  double2 b;
+  short2 s;
+  a.x = x;
+  a.y = x * 3.0;
+  b.x = x;
+  b.y = x * 3.0;
+  s.x = i * 40000 + (int)x;
+  s.y = s.x + 1;
+  out[i * 4 + 0] = a.x;
+  out[i * 4 + 1] = b.x;
+  out[i * 4 + 2] = a.y + b.y;
+  out[i * 4 + 3] = s.y;
+}
+|}
+
+let round_case () =
+  let prog, r =
+    differential ~src:round_src ~out_bytes:(gws * 32)
+      ~inputs:[ doubles real_inputs ] ()
+  in
+  let out = doubles_of r in
+  if not (List.exists (fun i -> List.nth out (4 * i) <> List.nth out ((4 * i) + 1))
+            (List.init gws Fun.id))
+  then Alcotest.fail "no float2 component rounded";
+  let c = census prog in
+  Alcotest.(check int) "vector locals in slots" 3 c.c_vlocals
+
+(* vector loads and stores through slots: global -> local -> local ->
+   global, a component update, and a whole load into a boxed register
+   (vector arithmetic); each access charges one private access *)
+let copy_src = {|
+__kernel void k(__global float4* out, __global float4* in) {
+  int i = get_global_id(0);
+  float4 v = in[i];
+  float4 w = v;
+  w.z = w.x + w.y;
+  out[i] = w;
+  out[i + 16] = (float4)(v.x, 1.0f, 2.0f, 3.0f) + v;
+}
+|}
+
+let copy_case () =
+  let prog, r =
+    differential ~src:copy_src ~out_bytes:(gws * 32)
+      ~inputs:[ floats (List.init 64 (fun j -> (float_of_int j *. 0.37) -. 9.)) ] ()
+  in
+  expect_done r;
+  let c = census prog in
+  Alcotest.(check (pair int int)) "vector registers and locals in slots" (3, 2)
+    (c.c_vregs, c.c_vlocals);
+  (* store v, load v, store w, load w.x, load w.y, store w.z, load w,
+     load v.x, load v *)
+  let ir =
+    launch ~backend:Gpusim.Exec.Compiled ~passes:Ir.Pipeline.none ~domains:1 prog
+      ~out_bytes:(gws * 32)
+      ~inputs:[ floats (List.init 64 float_of_int) ]
+  in
+  Alcotest.(check int) "private accesses" (9 * gws)
+    (counters_of ir).Gpusim.Counters.private_accesses
+
+(* Vector locals that stay in private memory: each kernel breaks one
+   rule, and must still agree with the interpreter. *)
+let in_memory =
+  [ ( "read before written",
+      {|
+__kernel void k(__global float* out, __global float* fin, __global int* iin) {
+  int i = get_global_id(0);
+  float2 v;
+  v.x = fin[i];
+  out[i] = v.x + v.y;
+}
+|} );
+    ( "declared outside a loop, first written inside it",
+      {|
+__kernel void k(__global float* out, __global float* fin, __global int* iin) {
+  int i = get_global_id(0);
+  float2 v;
+  for (int j = 0; j < iin[i] % 3; j++) { v.x = fin[j]; v.y = 2.0f * j; }
+  out[i] = v.x - v.y;
+}
+|} );
+    ( "address taken",
+      {|
+__kernel void k(__global float* out, __global float* fin, __global int* iin) {
+  int i = get_global_id(0);
+  float2 v;
+  v.x = fin[i];
+  v.y = 1.0f;
+  float* p = &v.y;
+  *p = *p + v.x;
+  out[i] = v.y;
+}
+|} );
+    ( "indexed",
+      {|
+__kernel void k(__global float* out, __global float* fin, __global int* iin) {
+  int i = get_global_id(0);
+  float4 v = (float4)(1.0f, 2.0f, 3.0f, fin[i]);
+  out[i] = v[i & 3];
+}
+|} );
+    ( ".xy swizzle",
+      {|
+__kernel void k(__global float* out, __global float* fin, __global int* iin) {
+  int i = get_global_id(0);
+  float4 v = (float4)(1.0f, 2.0f, 3.0f, fin[i]);
+  v.xy = (float2)(fin[i], 0.5f);
+  out[i] = v.x + v.y + v.w;
+}
+|} );
+    ( "brace initializer",
+      {|
+__kernel void k(__global float* out, __global float* fin, __global int* iin) {
+  int i = get_global_id(0);
+  float2 v = { fin[i], 2.0f };
+  out[i] = v.x * v.y;
+}
+|} ) ]
+
+let in_memory_case src () =
+  let prog, r =
+    differential ~src ~out_bytes:(gws * 4)
+      ~inputs:[ floats real_inputs; ints (List.init 16 (fun j -> (j * 5) - 7)) ] ()
+  in
+  expect_done r;
+  Alcotest.(check int) "vector locals in slots" 0 (census prog).c_vlocals
+
+(* [tail] holds six floats and ends global memory, so tail[1] straddles
+   its end: components 0 and 1 lie inside, 2 does not.  The slotted load
+   and store fault on component 2, the store after writing 0 and 1. *)
+let oob_load_src = {|
+__kernel void k(__global int* out, __global float4* tail) {
+  int i = get_global_id(0);
+  out[i] = i;
+  if (i == 5) {
+    float4 v = tail[1];
+    out[i] = (int)v.x;
+  }
+}
+|}
+
+let oob_store_src = {|
+__kernel void k(__global int* out, __global float4* tail) {
+  int i = get_global_id(0);
+  float4 v = (float4)(1.5f, 2.5f, 3.5f, 4.5f);
+  out[i] = i;
+  if (i == 5) tail[1] = v;
+}
+|}
+
+let oob_case ~stores src () =
+  let prog, r =
+    differential ~src ~out_bytes:(gws * 4) ~inputs:[ floats (List.init 6 float_of_int) ] ()
+  in
+  (match r with
+   | Failed (_, b) ->
+     (* tail starts 256 bytes after out; tail[1] at 16 bytes into it *)
+     let at o = Int32.float_of_bits (String.get_int32_le b (256 + 16 + o)) in
+     let expect = if stores then (1.5, 2.5) else (4., 5.) in
+     Alcotest.(check (pair (float 0.) (float 0.))) "tail[1].x, .y" expect (at 0, at 4)
+   | Done _ -> Alcotest.fail "expected a fault");
+  if (census prog).c_vregs = 0 then Alcotest.fail "no vector register in slots"
+
+(* --- external calls ---------------------------------------------------- *)
+
+(* The memo resolves through the launch's table, so an extra external
+   that overrides a built-in is still the one called. *)
+let override_src = {|
+__kernel void k(__global int* out) {
+  int i = get_global_id(0);
+  out[i] = i + 100 + get_global_id(1) * 1000;
+}
+|}
+
+let override_case () =
+  let extra_externals =
+    [ ( "get_global_id",
+        fun _ (args : Vm.Interp.tval list) ->
+          match args with
+          | [ a ] -> Vm.Interp.tint (3 + Int64.to_int (Vm.Value.to_int a.Vm.Interp.v))
+          | _ -> Vm.Interp.tint 0 ) ]
+  in
+  let _, r =
+    differential ~extra_externals ~src:override_src ~out_bytes:(gws * 4)
+      ~inputs:[] ()
+  in
+  match r with
+  | Done (b, _, _) ->
+    Alcotest.(check (pair int32 int32)) "out[0], out[3]" (0l, 4103l)
+      (String.get_int32_le b 0, String.get_int32_le b 12)
+  | Failed (m, _) -> Alcotest.failf "kernel failed: %s" m
 
 (* --- residency census ------------------------------------------------ *)
 
 (* The census line `oclcu translate --ir-dump` prints, pinned for two
-   small kernels, so a change that silently boxes more registers shows
-   up here rather than only as a slower benchmark. *)
+   small kernels and FT's first butterfly, so a change that silently
+   boxes more registers or moves a vector back to memory shows up here
+   rather than only as a slower benchmark. *)
 let census_of src kernel =
   let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
   let est =
     Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty ~cfg:Ir.Pipeline.all prog
   in
   match Ir.Emit.ir est kernel with
-  | Some (Ok fn) -> Ir.Emit.census est.Ir.Emit.e_layout fn
+  | Some (Ok fn) ->
+    let c = Ir.Emit.census est.Ir.Emit.e_layout fn in
+    [ c.c_ints; c.c_flts; c.c_boxed; c.c_vregs; c.c_vlocals ]
   | Some (Error e) -> Alcotest.failf "%s not IR-compiled: %s" kernel e
   | None -> Alcotest.failf "no kernel %s" kernel
 
@@ -376,19 +678,41 @@ __kernel void hash(__global uint* out, __global float* fout, __global int* in, i
 |}
 
 let census_pinned () =
-  let pin what (ni, nf, nb) (ni', nf', nb') =
-    Alcotest.(check (triple int int int))
-      (what ^ ": int-banked, float-banked, boxed") (ni, nf, nb) (ni', nf', nb')
+  let pin what expected got =
+    Alcotest.(check (list int))
+      (what ^ ": int-banked, float-banked, boxed; vector registers and locals in slots")
+      expected got
   in
-  (* the loads are typed `__global float`, which Region.bin_case does
-     not class, so vadd's float arithmetic and its store stay boxed *)
-  pin "vadd" (4, 0, 7) (census_of (vadd_source ()) "vadd");
-  pin "hash" (24, 2, 12) (census_of hash_src "hash")
+  (* the `__global float` loads class on their resolved type, so vadd's
+     float arithmetic and its store run banked; the pointers and the
+     bounds check's merge stay boxed *)
+  pin "vadd" [ 5; 3; 3; 0; 0 ] (census_of (vadd_source ()) "vadd");
+  pin "hash" [ 24; 2; 12; 0; 0 ] (census_of hash_src "hash");
+  (* double2 tile elements move through slots, their components through
+     the float bank *)
+  pin "cffts1" [ 23; 16; 3; 7; 5 ] (census_of Suite.Npb.ft_src "cffts1")
 
 let suites =
   [ ( "banks.census",
       [ Alcotest.test_case "residency census of vadd and an int kernel" `Quick
           census_pinned ] );
+    ( "banks.doubles",
+      [ Alcotest.test_case "mixed float/double/int operands and charges" `Quick
+          mixed_case;
+        Alcotest.test_case "float division by zero and NaN compares" `Quick
+          nan_case ] );
+    ( "banks.vectors",
+      [ Alcotest.test_case "component stores round, wrap or keep" `Quick round_case;
+        Alcotest.test_case "vector copies through slots" `Quick copy_case;
+        Alcotest.test_case "out-of-bounds vector load" `Quick (oob_case ~stores:false oob_load_src);
+        Alcotest.test_case "out-of-bounds vector store" `Quick (oob_case ~stores:true oob_store_src) ]
+      @ List.map
+          (fun (what, src) ->
+             Alcotest.test_case ("stays in memory: " ^ what) `Quick (in_memory_case src))
+          in_memory );
+    ( "banks.externals",
+      [ Alcotest.test_case "extra external overrides get_global_id" `Quick
+          override_case ] );
     ( "banks.differential",
       [ Alcotest.test_case "uint negate/complement, unsigned compare and >>"
           `Quick uint_case;
