@@ -24,14 +24,6 @@ module SS = Set.Make (String)
 module SM = Map.Make (String)
 module IS = Set.Make (Int)
 
-(* Opt-in emission of analyzer warnings from the clBuildProgram /
-   cuModuleLoad pipelines (OCLCU_ANALYZE=1 in the environment). *)
-let pipeline_warnings =
-  ref
-    (match Sys.getenv_opt "OCLCU_ANALYZE" with
-     | None | Some "" | Some "0" -> false
-     | Some _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Thread-id taint                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -104,13 +104,6 @@ let fresh cu =
 let load_module cu (prog : Minic.Ast.program) : modul =
   traced cu ~cat:Trace.Event.Build "cuModuleLoad" @@ fun () ->
   api cu;
-  if !Xlat_analysis.Checks.pipeline_warnings then
-    List.iter
-      (fun d ->
-         prerr_endline
-           (Printf.sprintf "cuModuleLoad warning: %s"
-              (Xlat_analysis.Diag.to_string d)))
-      (Xlat_analysis.Checks.analyze_program prog);
   let globals = Hashtbl.create 16 in
   let arena_of : addr_space -> Vm.Memory.arena = function
     | AS_global -> cu.dev.Gpusim.Device.global

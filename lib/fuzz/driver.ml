@@ -38,11 +38,12 @@ let shrink ~(d : Pyramid.divergence) (case : Gen.case) : Gen.case * int =
 let run ?(out_dir = "_fuzz") ?time_budget ?(log = fun _ -> ()) ~seed ~count ()
   : stats =
   let stats = make_stats () in
-  let t0 = Sys.time () in
+  let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
+  let t0 = now () in
   let budget_left () =
     match time_budget with
     | None -> true
-    | Some s -> Sys.time () -. t0 < s
+    | Some s -> now () -. t0 < s
   in
   let i = ref 0 in
   while !i < count && budget_left () do

@@ -247,14 +247,6 @@ type wenv = {
 
 let all_live w = ((1 lsl w.n) - 1) land lnot w.ret
 
-let lowest_lane m =
-  let l = ref 0 and m = ref m in
-  while !m land 1 = 0 do
-    incr l;
-    m := !m asr 1
-  done;
-  !l
-
 (* Linear scan from lane 0: one shift + test per candidate lane, so a
    full iteration is O(warp), not O(warp^2) lowest-bit rescans. *)
 let[@inline] iter_lanes mask f =
@@ -300,7 +292,6 @@ type vcls = Region.vcls = CI of ty | CF of ty | CTop
 type bincase = Region.bincase = BII | BUU | BFF
 
 let is_cmp = Region.is_cmp
-let cls_of_decl = Region.cls_of_decl
 let cls_operand = Region.cls_operand
 let bin_case = Region.bin_case
 let scalar_elt = Region.scalar_elt

@@ -392,25 +392,3 @@ let dump_fn (fn : fn) : string =
     fn.f_nregs (Array.length fn.f_mem);
   walk "  " fn.f_body;
   Buffer.contents buf
-
-(* Static instruction count, for the --ir-dump per-pass summary. *)
-let count_instrs (fn : fn) : int =
-  let n = ref 0 in
-  let rec node = function
-    | Ins { i_kind = Elim _; _ } -> ()
-    | Ins _ -> incr n
-    | If (_, _, t, e) ->
-      incr n;
-      walk t;
-      walk e
-    | Loop l ->
-      incr n;
-      walk l.l_init;
-      walk l.l_pre;
-      (match l.l_cond with Some (cb, _) -> walk cb | None -> ());
-      walk l.l_body;
-      walk l.l_update
-    | Return _ | Break | Continue -> incr n
-  and walk b = List.iter node b in
-  walk fn.f_body;
-  !n

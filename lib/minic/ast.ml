@@ -185,8 +185,6 @@ type program = topdecl list [@@deriving show { with_path = false }, eq]
 
 let int_lit n = IntLit (Int64.of_int n, Int)
 let tint = TScalar Int
-let tfloat = TScalar Float
-let tvoid = TScalar Void
 
 let is_unsigned = function
   | UChar | UShort | UInt | ULong | ULongLong | Bool -> true
@@ -224,8 +222,6 @@ let rec strip_array = function
   | t -> t
 
 let is_pointer t = match unqual t with TPtr _ -> true | _ -> false
-
-let is_vector t = match unqual t with TVec _ -> true | _ -> false
 
 let rec map_type f t =
   let t = f t in
@@ -332,9 +328,6 @@ let kernels prog =
 
 let find_function prog name =
   List.find_opt (fun f -> f.fn_name = name) (functions prog)
-
-let global_vars prog =
-  List.filter_map (function TVar d -> Some d | _ -> None) prog
 
 let structs prog =
   List.filter_map (function TStruct (n, fs) -> Some (n, fs) | _ -> None) prog

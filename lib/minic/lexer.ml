@@ -260,8 +260,6 @@ let peek2 lx =
     lx.peeked <- [ (t1, l1); (t2, lx.line) ];
     t2
 
-let push_back lx t = lx.peeked <- (t, lx.line) :: lx.peeked
-
 let line lx = lx.line
 
 (* Snapshots allow the parser to backtrack (cast vs. parenthesised

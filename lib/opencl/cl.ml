@@ -353,10 +353,10 @@ let materialize_globals cl ast globals =
     (fun name b -> Hashtbl.replace cl.dev.Gpusim.Device.symbols name b)
     globals
 
-(* Parse + analysis results keyed by source digest.  Returning the same
-   AST for the same source also lets Gpusim.Exec reuse its compiled form
-   across contexts (its cache is keyed by AST identity). *)
-let parse_cache : (Minic.Ast.program * string list) Trace.Build_cache.t =
+(* Parse results keyed by source digest.  Returning the same AST for the
+   same source also lets Gpusim.Exec reuse its compiled form across
+   contexts (its cache is keyed by AST identity). *)
+let parse_cache : Minic.Ast.program Trace.Build_cache.t =
   Trace.Build_cache.create "clBuildProgram parse"
 
 let build_program cl (p : program) =
@@ -365,42 +365,21 @@ let build_program cl (p : program) =
   @@ fun () ->
   api cl;
   cl.build_count <- cl.build_count + 1;
-  let warn = !Xlat_analysis.Checks.pipeline_warnings in
-  let warnings_of ast =
-    if warn then
-      List.map
-        (fun d ->
-           Printf.sprintf "clBuildProgram warning: %s"
-             (Xlat_analysis.Diag.to_string d))
-        (Xlat_analysis.Checks.analyze_program ast)
-    else []
-  in
   (match
      match p.p_pre with
      | Some ast ->
        (* translator hand-off: no parse, and no re-annotation — the AST
           already carries its origin sites *)
-       (ast, warnings_of ast)
+       ast
      | None ->
        Trace.Build_cache.find_or_build parse_cache
-         ~key:(Trace.Build_cache.key p.p_src
-               ^ (if warn then "+w" else "")
-               ^ Minic.Site.cache_salt ())
+         ~key:(Trace.Build_cache.key p.p_src ^ Minic.Site.cache_salt ())
          (fun () ->
-            let ast =
-              Minic.Parser.program ~dialect:Minic.Parser.OpenCL p.p_src
-            in
-            let warnings = warnings_of ast in
-            (* annotate after analysis so the checks see the plain AST *)
-            (Minic.Site.maybe_annotate ast, warnings))
+            Minic.Site.maybe_annotate
+              (Minic.Parser.program ~dialect:Minic.Parser.OpenCL p.p_src))
    with
-   | ast, warnings ->
+   | ast ->
      p.p_ast <- Some ast;
-     List.iter
-       (fun line ->
-          p.p_log <- p.p_log ^ line ^ "\n";
-          prerr_endline line)
-       warnings;
      (* a cache hit skips the parse, not the per-context device state or
         the simulated build time: figure shapes are unchanged *)
      materialize_globals cl ast p.p_globals;

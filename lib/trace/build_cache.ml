@@ -65,6 +65,3 @@ let stats c = (c.stats.hits, c.stats.misses)
 (* (name, hits, misses) for every cache created so far, creation order. *)
 let all_stats () =
   List.map (fun (n, s) -> (n, s.hits, s.misses)) !registry
-
-let reset_stats () =
-  List.iter (fun (_, s) -> s.hits <- 0; s.misses <- 0) !registry

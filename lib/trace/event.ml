@@ -37,7 +37,7 @@ type span = {
   sp_name : string;
   sp_t0 : float;                (* simulated ns, monotone across the trace *)
   sp_t1 : float;                (* simulated ns, >= sp_t0 *)
-  sp_wall0 : float;             (* wall-clock ns (process CPU time) *)
+  sp_wall0 : float;             (* host wall-clock ns, monotonic clock *)
   sp_wall1 : float;
   sp_args : (string * string) list;
 }

@@ -249,5 +249,4 @@ let to_float_opt = function
   | Float x -> Some x
   | _ -> None
 
-let to_list_opt = function List l -> Some l | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None

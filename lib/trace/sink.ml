@@ -68,7 +68,9 @@ let default_clock = ref (fun () -> 0.0)
 let set_default_clock f = default_clock := f
 let default_now () = !default_clock ()
 
-let wall_ns () = Sys.time () *. 1e9
+(* Host wall-clock ns on a monotonic clock: the span's real duration,
+   whatever the number of domains running meanwhile. *)
+let wall_ns () = Int64.to_float (Monotonic_clock.now ())
 
 (* Rebase a raw simulated timestamp onto the sink's monotone timeline.
    Call with the lock held. *)

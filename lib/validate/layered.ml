@@ -40,13 +40,6 @@ let all_layers = [ L0; L1; L2; L3 ]
 
 let layer_name = function L0 -> "L0" | L1 -> "L1" | L2 -> "L2" | L3 -> "L3"
 
-let layer_of_string = function
-  | "L0" -> Some L0
-  | "L1" -> Some L1
-  | "L2" -> Some L2
-  | "L3" -> Some L3
-  | _ -> None
-
 type status =
   | Equivalent
   | Vacuous of string   (* statically sliced out: layer cannot act *)
@@ -73,11 +66,6 @@ let report_lines r =
   List.map
     (fun (l, st) -> Printf.sprintf "%s: %s" (layer_name l) (status_line st))
     r.rp_layers
-
-let verdict_string r =
-  match r.rp_diverged with
-  | None -> "equivalent"
-  | Some (l, _) -> layer_name l
 
 (* ------------------------------------------------------------------ *)
 (* Driving plans                                                       *)

@@ -1,7 +1,9 @@
 (* Whole-corpus integration tests.  Every application must produce
    identical results in the original and translated configuration; FT is
    excluded here because its large kernel budget belongs to the bench
-   harness (it is still validated by bench/main.exe fig7b). *)
+   harness.  It is still validated under `dune runtest`: its fig7b row,
+   outputs_agree included, is part of the figure golden that bench/dune
+   diffs against BENCH_results.json. *)
 
 open Bridge.Framework
 

@@ -122,7 +122,30 @@ let sink_tests =
            (Trace.Sink.dropped_spans ());
          Alcotest.(check string) "newest survives" "s40"
            (List.nth es 15).Trace.Event.sp_name;
-         Trace.Sink.disable ()) ]
+         Trace.Sink.disable ());
+    Alcotest.test_case "wall time: two busy domains do not stretch a span"
+      `Quick (fun () ->
+          (* Process CPU time would count both domains' work, about twice
+             the interval; a wall clock cannot exceed it. *)
+          let now () = Int64.to_float (Monotonic_clock.now ()) in
+          let burn () =
+            let t0 = now () and x = ref 0 in
+            while now () -. t0 < 50e6 do incr x done;
+            !x
+          in
+          Trace.Sink.enable ();
+          let before = now () in
+          Trace.Sink.with_span ~name:"burn" (fun () ->
+              let other = Domain.spawn burn in
+              ignore (burn ());
+              ignore (Domain.join other));
+          let after = now () in
+          let sp = List.hd (Trace.Sink.events ()) in
+          Trace.Sink.disable ();
+          let span = sp.Trace.Event.sp_wall1 -. sp.Trace.Event.sp_wall0 in
+          if span > after -. before then
+            Alcotest.failf "span wall %.0f ns exceeds the enclosing %.0f ns"
+              span (after -. before)) ]
 
 (* --- qcheck: the Chrome export of any span history is well-formed ------- *)
 
