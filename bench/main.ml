@@ -728,29 +728,19 @@ let with_setting r v f =
    launch's stats, for the engine and pool outcome assertions. *)
 let kernel_workload ~name ~src ~kernel ~out_ints ~gws ~lws ?(extra_args = [])
     () =
-  let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
-  let k = Option.get (Minic.Ast.find_function prog kernel) in
+  let out = String.make (out_ints * 4) '\000' in
+  let plan =
+    { Xlat_validate.Plan.prog =
+        Minic.Parser.program ~dialect:Minic.Parser.OpenCL src;
+      kernel;
+      args = Buf (Minic.Ast.TScalar Minic.Ast.Int, out) :: extra_args;
+      dyn_shared = 0 }
+  in
   let last = ref None in
   let run () =
-    let dev =
-      Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
-    in
-    let host = Vm.Memory.create "bench-host" in
-    let out = Vm.Memory.alloc dev.Gpusim.Device.global ~align:256 (out_ints * 4) in
-    let args =
-      Gpusim.Exec.Arg_val
-        (Vm.Interp.tv
-           (Vm.Value.VInt (Vm.Value.make_ptr Minic.Ast.AS_global out))
-           (Minic.Ast.TPtr (Minic.Ast.TScalar Minic.Ast.Int)))
-      :: extra_args
-    in
-    last :=
-      Some
-        (Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
-           ~host_arena:host ~kernel:k
-           ~cfg:{ global_size = gws; local_size = lws; dyn_shared = 0 }
-           ~args ());
-    Bytes.to_string (Vm.Memory.load_bytes dev.Gpusim.Device.global out (out_ints * 4))
+    let stats, bufs = Xlat_validate.Plan.run ~gws ~lws plan in
+    last := Some stats;
+    List.hd bufs
   in
   (name, run, last)
 
@@ -763,7 +753,7 @@ __kernel void spin(__global int* out) {
   out[get_global_id(0)] = (int)v;
 }
 |}
-    ~kernel:"spin" ~out_ints:4096 ~gws:[| 4096; 1; 1 |] ~lws:[| lws; 1; 1 |] ()
+    ~kernel:"spin" ~out_ints:4096 ~gws:4096 ~lws ()
 
 let stream_add () =
   kernel_workload ~name:"vector-stream.128x32"
@@ -775,7 +765,7 @@ __kernel void stream(__global int* out) {
   out[i] = acc;
 }
 |}
-    ~kernel:"stream" ~out_ints:4096 ~gws:[| 4096; 1; 1 |] ~lws:[| 32; 1; 1 |] ()
+    ~kernel:"stream" ~out_ints:4096 ~gws:4096 ~lws:32 ()
 
 let local_reduce () =
   kernel_workload ~name:"local-reduce.64x64"
@@ -791,8 +781,8 @@ __kernel void reduce(__global int* out, __local int* tmp) {
   if (t == 0) out[get_group_id(0)] = tmp[0];
 }
 |}
-    ~kernel:"reduce" ~out_ints:64 ~gws:[| 4096; 1; 1 |] ~lws:[| 64; 1; 1 |]
-    ~extra_args:[ Gpusim.Exec.Arg_local (64 * 4) ] ()
+    ~kernel:"reduce" ~out_ints:64 ~gws:4096 ~lws:64
+    ~extra_args:[ Xlat_validate.Plan.Local (64 * 4) ] ()
 
 (* The three workloads are many independent blocks (so the optimistic
    parallel engine accepts them) and lockstep-eligible. *)

@@ -6,7 +6,8 @@
      where every entry point is a wrapper over the CUDA driver API and
      clBuildProgram invokes the source-to-source translator (Fig. 2).
 
-   An application written once as a functor over [S] therefore runs in
+   An application is written once as a function of a host context
+   packed with its [S] implementation ([Framework.clctx]), so it runs in
    both the "original OpenCL" and the "translated CUDA" configurations of
    Figure 7 without any source change -- which is precisely the paper's
    claim about wrapper-based translation. *)

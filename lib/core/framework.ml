@@ -27,15 +27,9 @@ type run = {
 (* OpenCL applications (Figure 7 direction)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* An OpenCL application is a functor over the host API, so the same
-   source runs against the native framework and against the
-   OpenCL-on-CUDA wrapper library. *)
-module type CL_APP = functor (C : Cl_api.S) -> sig
-  val run : C.t -> string
-end
-
-(* First-class-module packaging of a host context, so applications can
-   be plain functions and live in lists. *)
+(* An OpenCL application is a function of a packed host context, so the
+   same source runs against the native framework and against the
+   OpenCL-on-CUDA wrapper library, and applications live in lists. *)
 type clctx = Clctx : (module Cl_api.S with type t = 'a) * 'a -> clctx
 
 type ocl_app = {
@@ -62,23 +56,6 @@ let run_app_on_cuda (app : ocl_app) ?dev () =
   let dev = match dev with Some d -> d | None -> device_of Titan_cuda in
   let c = Cl_on_cuda.Api.make dev in
   let out = app.oa_run (Clctx ((module Cl_on_cuda.Api), c)) in
-  { r_output = out;
-    r_time_ns = Cl_on_cuda.Api.time_ns c -. Cl_on_cuda.Api.build_time_ns c }
-
-(* Figure 7 normalises to execution time excluding the on-line build. *)
-let run_ocl_native (module A : CL_APP) ?dev () =
-  let dev = match dev with Some d -> d | None -> device_of Titan_opencl in
-  let module I = A (Cl_api.Native) in
-  let c = Cl_api.Native.make dev in
-  let out = I.run c in
-  { r_output = out;
-    r_time_ns = Cl_api.Native.time_ns c -. Cl_api.Native.build_time_ns c }
-
-let run_ocl_on_cuda (module A : CL_APP) ?dev () =
-  let dev = match dev with Some d -> d | None -> device_of Titan_cuda in
-  let module I = A (Cl_on_cuda.Api) in
-  let c = Cl_on_cuda.Api.make dev in
-  let out = I.run c in
   { r_output = out;
     r_time_ns = Cl_on_cuda.Api.time_ns c -. Cl_on_cuda.Api.build_time_ns c }
 

@@ -23,15 +23,10 @@ type run = {
 
 (** {2 OpenCL applications (Figure 7 direction)} *)
 
-(** An OpenCL application as a functor over the host API: the same code
-    runs against the native framework and the OpenCL-on-CUDA wrapper
-    library unchanged. *)
-module type CL_APP = functor (C : Cl_api.S) -> sig
-  val run : C.t -> string
-end
-
-(** First-class-module packaging of a host context, so applications can
-    be plain functions and live in lists (see {!Suite.Dsl.ops}). *)
+(** First-class-module packaging of a host context.  An application is
+    a plain function of one, so the same code runs against the native
+    framework and the OpenCL-on-CUDA wrapper library unchanged, and
+    applications live in lists (see {!Suite.Dsl.ops}). *)
 type clctx = Clctx : (module Cl_api.S with type t = 'a) * 'a -> clctx
 
 type ocl_app = {
@@ -51,11 +46,6 @@ val ocl_app :
 
 val run_app_native : ocl_app -> ?dev:Gpusim.Device.t -> unit -> run
 val run_app_on_cuda : ocl_app -> ?dev:Gpusim.Device.t -> unit -> run
-
-(** Functor-style variants of the same two configurations. *)
-
-val run_ocl_native : (module CL_APP) -> ?dev:Gpusim.Device.t -> unit -> run
-val run_ocl_on_cuda : (module CL_APP) -> ?dev:Gpusim.Device.t -> unit -> run
 
 (** {2 CUDA applications (Figure 8 direction)} *)
 

@@ -33,94 +33,45 @@ type verdict =
   | Skip of string
   | Diverge of divergence
 
-(* ------------------------------------------------------------------ *)
-(* Launch plans                                                        *)
-(* ------------------------------------------------------------------ *)
+module Plan = Xlat_validate.Plan
 
-type arg_spec =
-  | A_buf of string * ty * int   (* global buffer: name, element type, bytes *)
-  | A_local of int               (* dynamic __local, bytes *)
-  | A_int of int
-  | A_size of int                (* size_t scalar *)
+(* Deterministic initial contents: small finite values so float
+   arithmetic stays well-behaved.  Stage A fills its buffers once; the
+   later stages carry those bytes across the translators. *)
+let fill_buffer rng elt (b : Bytes.t) =
+  let s = match elt with TScalar s -> s | TVec (s, _) -> s | _ -> Char in
+  let sz = max 1 (scalar_size s) in
+  let n = Bytes.length b / sz in
+  for i = 0 to n - 1 do
+    let off = i * sz in
+    match s with
+    | Float ->
+      Bytes.set_int32_le b off
+        (Int32.bits_of_float (float_of_int (Rng.range rng (-256) 256) /. 4.0))
+    | Double ->
+      Bytes.set_int64_le b off
+        (Int64.bits_of_float (float_of_int (Rng.range rng (-256) 256) /. 4.0))
+    | Int | UInt ->
+      Bytes.set_int32_le b off (Int32.of_int (Rng.range rng (-120) 120))
+    | _ -> Bytes.set b off (Char.chr (Rng.int rng 256))
+  done
 
-type plan = {
-  lp_prog : program;
-  lp_args : arg_spec list;
-  lp_dyn_shared : int;
-}
-
-let sizeof prog ty =
-  Vm.Layout.sizeof (Vm.Layout.make_env prog) ty
-
-let pointee pa =
-  match pa.pa_ty with
-  | TPtr t -> unqual t
-  | TQual (_, TPtr t) -> unqual t
-  | t -> unqual t
-
-(* Stage A: launch the generated OpenCL kernel directly. *)
-let plan_of_case (c : Gen.case) (prog : program) : plan =
+(* The stage-A plan of the generated kernel in [prog] (the case's
+   program or an annotated copy): [c_elems]-element buffers filled from
+   [c_init_seed], [c_lws]-element dynamic __local slots, and [c_gws] for
+   every scalar. *)
+let plan_a (c : Gen.case) (prog : program) : Plan.t =
   let k =
     match find_function prog Gen.kernel_name with
     | Some k -> k
     | None -> failwith "fuzz: generated program lost its kernel"
   in
-  let args =
-    List.map
-      (fun pa ->
-         (* the parser nests the address space inside the pointee:
-            [__global int *p] is [TPtr (TQual (AS_global, int))] with
-            [pa_space = AS_none] *)
-         match unqual pa.pa_ty with
-         | TPtr t ->
-           let space =
-             match pa.pa_space, t with
-             | AS_none, TQual (sp, _) -> sp
-             | sp, _ -> sp
-           in
-           let elt = unqual t in
-           (match space with
-            | AS_local -> A_local (c.c_lws * sizeof prog elt)
-            | _ -> A_buf (pa.pa_name, elt, c.c_elems * sizeof prog elt))
-         | TScalar SizeT -> A_size c.c_gws
-         | _ -> A_int c.c_gws)
-      k.fn_params
-  in
-  { lp_prog = prog; lp_args = args; lp_dyn_shared = 0 }
-
-(* Stage B: map stage-A argument slots through the translator's roles.
-   A dynamic __local slot became a size_t parameter; its bytes move into
-   the launch configuration's dynamic-shared allocation (Fig. 5). *)
-let plan_of_cuda (base : plan) (prog : program)
-    (info : Xlat.Ocl_to_cuda.kernel_info) : plan =
-  let dyn = ref 0 in
-  let args =
-    List.map2
-      (fun role arg ->
-         match role, arg with
-         | Xlat.Ocl_to_cuda.P_keep, a -> a
-         | (Xlat.Ocl_to_cuda.P_local_size | Xlat.Ocl_to_cuda.P_const_size),
-           A_local bytes ->
-           dyn := !dyn + bytes;
-           A_size bytes
-         | _, a -> a)
-      info.Xlat.Ocl_to_cuda.ki_roles base.lp_args
-  in
-  { lp_prog = prog; lp_args = args; lp_dyn_shared = !dyn }
-
-(* Stage C: the round-tripped kernel keeps the CUDA parameter list and
-   appends (in order) the dynamic __local pool, symbol and texture
-   parameters; generated kernels only ever have the pool. *)
-let plan_of_roundtrip (cuda_plan : plan) (prog : program)
-    (km : Xlat.Cuda_to_ocl.kmeta) : plan =
-  let appended =
-    match km.Xlat.Cuda_to_ocl.km_dynshared with
-    | Some _ -> [ A_local cuda_plan.lp_dyn_shared ]
-    | None -> []
-  in
-  { lp_prog = prog;
-    lp_args = cuda_plan.lp_args @ appended;
-    lp_dyn_shared = 0 }
+  match
+    Plan.of_kernel prog k ~lws:c.c_lws ~elems:c.c_elems ~scalar:c.c_gws
+      ~fill:(fill_buffer (Rng.create c.c_init_seed))
+  with
+  | Ok p -> p
+  | Error why -> failwith ("fuzz: " ^ why)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -153,89 +104,20 @@ let counter_refinement ~ir ~interp =
        if ok then None else Some (Printf.sprintf "%s %d/%d" n x y))
     (List.combine ir interp)
 
-(* Deterministic initial contents: small finite values so float
-   arithmetic stays well-behaved.  The fill stream consumes the same
-   number of draws for a given buffer shape, so every stage sees
-   byte-identical initial memory. *)
-let fill_buffer rng elt (b : Bytes.t) =
-  let s = match elt with TScalar s -> s | TVec (s, _) -> s | _ -> Char in
-  let sz = max 1 (scalar_size s) in
-  let n = Bytes.length b / sz in
-  for i = 0 to n - 1 do
-    let off = i * sz in
-    match s with
-    | Float ->
-      Bytes.set_int32_le b off
-        (Int32.bits_of_float (float_of_int (Rng.range rng (-256) 256) /. 4.0))
-    | Double ->
-      Bytes.set_int64_le b off
-        (Int64.bits_of_float (float_of_int (Rng.range rng (-256) 256) /. 4.0))
-    | Int | UInt ->
-      Bytes.set_int32_le b off (Int32.of_int (Rng.range rng (-120) 120))
-    | _ -> Bytes.set b off (Char.chr (Rng.int rng 256))
-  done
-
-(* Execute a plan and return the full launch statistics alongside the
-   flattened output buffers.  [run_plan] keeps the historical shape; the
-   attribution tests use the stats directly (per-site tables). *)
-let launch_plan backend (c : Gen.case) (p : plan) :
+(* Run [p] at the case's geometry under [backend]: the launch
+   statistics and every buffer's final bytes, concatenated. *)
+let launch backend (c : Gen.case) (p : Plan.t) :
   Gpusim.Exec.launch_stats * string =
   let saved = !Gpusim.Exec.backend in
   Gpusim.Exec.backend := backend;
   Fun.protect ~finally:(fun () -> Gpusim.Exec.backend := saved) @@ fun () ->
-  let dev =
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
-  in
-  let host = Vm.Memory.create "fuzz-host" in
-  let init_rng = Rng.create c.c_init_seed in
-  let bufs = ref [] in
-  let args =
-    List.map
-      (fun spec ->
-         match spec with
-         | A_buf (_name, elt, size) ->
-           let addr = Vm.Memory.alloc dev.Gpusim.Device.global ~align:256 size in
-           let b = Bytes.create size in
-           fill_buffer init_rng elt b;
-           Vm.Memory.store_bytes dev.Gpusim.Device.global addr b;
-           bufs := (addr, size) :: !bufs;
-           Gpusim.Exec.Arg_val
-             (Vm.Interp.tv
-                (Vm.Value.VInt (Vm.Value.make_ptr AS_global addr))
-                (TPtr elt))
-         | A_local bytes -> Gpusim.Exec.Arg_local bytes
-         | A_int n -> Gpusim.Exec.Arg_val (Vm.Interp.tint n)
-         | A_size n ->
-           Gpusim.Exec.Arg_val
-             (Vm.Interp.tv (Vm.Value.VInt (Int64.of_int n)) (TScalar SizeT)))
-      p.lp_args
-  in
-  let kernel =
-    match find_function p.lp_prog Gen.kernel_name with
-    | Some k -> k
-    | None -> failwith "fuzz: kernel not found after translation"
-  in
-  let stats =
-    Gpusim.Exec.launch ~dev ~prog:p.lp_prog ~globals:(Hashtbl.create 4)
-      ~host_arena:host ~kernel
-      ~cfg:
-        { global_size = [| c.c_gws; 1; 1 |];
-          local_size = [| c.c_lws; 1; 1 |];
-          dyn_shared = p.lp_dyn_shared }
-      ~args ()
-  in
-  let out =
-    List.rev_map
-      (fun (addr, size) ->
-         Bytes.to_string (Vm.Memory.load_bytes dev.Gpusim.Device.global addr size))
-      !bufs
-    |> String.concat ""
-  in
-  (stats, out)
+  let stats, bufs = Plan.run ~gws:c.c_gws ~lws:c.c_lws p in
+  (stats, String.concat "" bufs)
 
-let run_plan backend (c : Gen.case) (p : plan) :
+(* What the stages compare: output bytes and [counter_fields]. *)
+let observe backend (c : Gen.case) (p : Plan.t) :
   string * (string * int) list =
-  let stats, out = launch_plan backend c p in
+  let stats, out = launch backend c p in
   (out, counter_fields stats.Gpusim.Exec.counters)
 
 let exn_detail e =
@@ -256,12 +138,12 @@ let counter_diff a b =
    and the *unoptimized* IR.  A separate sub-stage then re-runs the
    compiled backend with the ambient pass set and requires byte-identical
    buffers — the optimizer may change op counts, never results. *)
-let run_stage ~stage (c : Gen.case) (p : plan) ~(reference : string option) :
+let run_stage ~stage (c : Gen.case) (p : Plan.t) ~(reference : string option) :
   (string * (string * int) list, divergence) result =
   let attempt backend =
     match
       Ir.Pipeline.with_passes Ir.Pipeline.none (fun () ->
-          run_plan backend c p)
+          observe backend c p)
     with
     | r -> Ok r
     | exception e -> Error e
@@ -288,7 +170,7 @@ let run_stage ~stage (c : Gen.case) (p : plan) ~(reference : string option) :
       match
         if !Ir.Pipeline.selected = Ir.Pipeline.none then Ok b_bytes
         else
-          match run_plan Gpusim.Exec.Compiled c p with
+          match observe Gpusim.Exec.Compiled c p with
           | o_bytes, _ -> Ok o_bytes
           | exception e ->
             Error { d_stage = stage ^ "/ir-passes"; d_kind = K_crash;
@@ -324,7 +206,7 @@ let with_domains n f =
    shared state) and shrinks like any other pyramid divergence. *)
 let parallel_domains = [ 2; 4 ]
 
-let run_parallel_stage (c : Gen.case) (p : plan)
+let run_parallel_stage (c : Gen.case) (p : Plan.t)
     ~(reference : string * (string * int) list) : (unit, divergence) result =
   (* the reference comes from run_stage's pinned-none backend run, so
      the domain-count sweep is pinned to the same pass set; the IR
@@ -335,7 +217,7 @@ let run_parallel_stage (c : Gen.case) (p : plan)
   let seq =
     if !Gpusim.Exec.domains = 1 then Ok reference
     else
-      match with_domains 1 (fun () -> run_plan Gpusim.Exec.Compiled c p) with
+      match with_domains 1 (fun () -> observe Gpusim.Exec.Compiled c p) with
       | r -> Ok r
       | exception e ->
         Error { d_stage = "parallel-ref"; d_kind = K_crash;
@@ -349,7 +231,7 @@ let run_parallel_stage (c : Gen.case) (p : plan)
       | n :: rest ->
         let stage = Printf.sprintf "parallel-%d" n in
         (match
-           with_domains n (fun () -> run_plan Gpusim.Exec.Compiled c p)
+           with_domains n (fun () -> observe Gpusim.Exec.Compiled c p)
          with
          | exception e ->
            Error { d_stage = stage; d_kind = K_crash;
@@ -389,11 +271,11 @@ let with_engine e f =
    the same configuration. *)
 let lockstep_domains = [ 1; 4 ]
 
-let run_lockstep_stage (c : Gen.case) (p : plan) : (unit, divergence) result =
+let run_lockstep_stage (c : Gen.case) (p : Plan.t) : (unit, divergence) result =
   let scalar =
     match
       with_engine Gpusim.Exec.Scalar (fun () ->
-          with_domains 1 (fun () -> run_plan Gpusim.Exec.Compiled c p))
+          with_domains 1 (fun () -> observe Gpusim.Exec.Compiled c p))
     with
     | r -> Ok r
     | exception e ->
@@ -411,7 +293,7 @@ let run_lockstep_stage (c : Gen.case) (p : plan) : (unit, divergence) result =
         in
         (match
            with_engine Gpusim.Exec.Lockstep (fun () ->
-               with_domains n (fun () -> run_plan Gpusim.Exec.Compiled c p))
+               with_domains n (fun () -> observe Gpusim.Exec.Compiled c p))
          with
          | exception e ->
            Error { d_stage = stage; d_kind = K_crash;
@@ -436,73 +318,92 @@ let run_lockstep_stage (c : Gen.case) (p : plan) : (unit, divergence) result =
 (* The pyramid                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let parse_or dialect src stage k =
+let parse_or dialect src stage : (program, verdict) result =
   match Minic.Parser.program ~dialect src with
-  | prog -> k prog
+  | prog -> Ok prog
   | exception Minic.Parser.Error (msg, line) ->
-    Diverge { d_stage = stage; d_kind = K_crash;
-              d_detail = Printf.sprintf "re-parse failed at line %d: %s" line msg }
+    Error
+      (Diverge
+         { d_stage = stage; d_kind = K_crash;
+           d_detail =
+             Printf.sprintf "re-parse failed at line %d: %s" line msg })
   | exception Minic.Lexer.Error (msg, line) ->
-    Diverge { d_stage = stage; d_kind = K_crash;
-              d_detail = Printf.sprintf "re-lex failed at line %d: %s" line msg }
+    Error
+      (Diverge
+         { d_stage = stage; d_kind = K_crash;
+           d_detail = Printf.sprintf "re-lex failed at line %d: %s" line msg })
 
-let run (c : Gen.case) : verdict =
-  (* the case is executed from its printed source, so the printer and
-     parser are inside the loop from the start *)
-  let src = Gen.source c in
-  parse_or Minic.Parser.OpenCL src "opencl print/parse" @@ fun prog ->
-  match Xlat_analysis.Checks.analyze_program prog with
-  | d :: _ -> Skip ("analyzer: " ^ Xlat_analysis.Diag.to_string d)
-  | [] ->
-    let plan_a = plan_of_case c prog in
-    match run_stage ~stage:"opencl" c plan_a ~reference:None with
-    | Error d -> Diverge d
-    | Ok ((ref_bytes, _) as reference) ->
-      match run_parallel_stage c plan_a ~reference with
-      | Error d -> Diverge d
-      | Ok () ->
-      match run_lockstep_stage c plan_a with
-      | Error d -> Diverge d
-      | Ok () ->
-      match Xlat.Ocl_to_cuda.translate prog with
-      | exception Xlat.Ocl_to_cuda.Untranslatable msg ->
-        Skip ("untranslatable (ocl->cuda): " ^ msg)
-      | result ->
-        let cuda_src =
-          Minic.Pretty.program_str Minic.Pretty.Cuda
-            result.Xlat.Ocl_to_cuda.cuda_prog
-        in
-        parse_or Minic.Parser.Cuda cuda_src "ocl->cuda print/parse"
-        @@ fun cuda_prog ->
+(* The case is executed from its printed source, so the printer and
+   parser are inside the loop from the start. *)
+let source_prog (c : Gen.case) =
+  parse_or Minic.Parser.OpenCL (Gen.source c) "opencl print/parse"
+
+(* Stage B: [a] through the OCL->CUDA translator, printed and re-parsed. *)
+let plan_b (a : Plan.t) : (Plan.t, verdict) result =
+  match Xlat.Ocl_to_cuda.translate a.Plan.prog with
+  | exception Xlat.Ocl_to_cuda.Untranslatable msg ->
+    Error (Skip ("untranslatable (ocl->cuda): " ^ msg))
+  | result ->
+    let cuda_src =
+      Minic.Pretty.program_str Minic.Pretty.Cuda
+        result.Xlat.Ocl_to_cuda.cuda_prog
+    in
+    parse_or Minic.Parser.Cuda cuda_src "ocl->cuda print/parse"
+    |> Result.map (fun cuda_prog ->
         let info =
           List.find
             (fun i -> i.Xlat.Ocl_to_cuda.ki_name = Gen.kernel_name)
             result.Xlat.Ocl_to_cuda.kernels
         in
-        let plan_b = plan_of_cuda plan_a cuda_prog info in
-        match run_stage ~stage:"ocl->cuda" c plan_b ~reference:(Some ref_bytes)
-        with
-        | Error d -> Diverge d
-        | Ok _ ->
-          match Xlat.Cuda_to_ocl.translate cuda_prog with
-          | exception Xlat.Cuda_to_ocl.Untranslatable msg ->
-            Diverge { d_stage = "round-trip translate"; d_kind = K_crash;
-                      d_detail = "cuda->ocl rejected translator output: " ^ msg }
-          | rt ->
-            let cl_src = Xlat.Cuda_to_ocl.cl_source rt in
-            parse_or Minic.Parser.OpenCL cl_src "round-trip print/parse"
-            @@ fun rt_prog ->
-            let km =
-              List.find
-                (fun k -> k.Xlat.Cuda_to_ocl.km_name = Gen.kernel_name)
-                rt.Xlat.Cuda_to_ocl.kmetas
-            in
-            let plan_c = plan_of_roundtrip plan_b rt_prog km in
-            match run_stage ~stage:"round-trip" c plan_c
-                    ~reference:(Some ref_bytes)
-            with
-            | Error d -> Diverge d
-            | Ok _ -> Agree
+        Plan.to_cuda a cuda_prog info)
+
+(* Stage C: [b] back through the CUDA->OCL translator. *)
+let plan_c (b : Plan.t) : (Plan.t, verdict) result =
+  match Xlat.Cuda_to_ocl.translate b.Plan.prog with
+  | exception Xlat.Cuda_to_ocl.Untranslatable msg ->
+    Error
+      (Diverge
+         { d_stage = "round-trip translate"; d_kind = K_crash;
+           d_detail = "cuda->ocl rejected translator output: " ^ msg })
+  | rt ->
+    parse_or Minic.Parser.OpenCL (Xlat.Cuda_to_ocl.cl_source rt)
+      "round-trip print/parse"
+    |> Result.map (fun rt_prog ->
+        let km =
+          List.find
+            (fun k -> k.Xlat.Cuda_to_ocl.km_name = Gen.kernel_name)
+            rt.Xlat.Cuda_to_ocl.kmetas
+        in
+        Plan.to_opencl b rt_prog km)
+
+(* The stage-A and stage-B plans, exactly as [run] executes them. *)
+let plans (c : Gen.case) : (Plan.t * Plan.t, verdict) result =
+  Result.bind (source_prog c) (fun prog ->
+      let a = plan_a c prog in
+      Result.map (fun b -> (a, b)) (plan_b a))
+
+let run (c : Gen.case) : verdict =
+  let ( let* ) r k = match r with Ok x -> k x | Error v -> v in
+  let diverged r = Result.map_error (fun d -> Diverge d) r in
+  let* prog = source_prog c in
+  match Xlat_analysis.Checks.analyze_program prog with
+  | d :: _ -> Skip ("analyzer: " ^ Xlat_analysis.Diag.to_string d)
+  | [] ->
+    let a = plan_a c prog in
+    let* ((ref_bytes, _) as reference) =
+      diverged (run_stage ~stage:"opencl" c a ~reference:None)
+    in
+    let* () = diverged (run_parallel_stage c a ~reference) in
+    let* () = diverged (run_lockstep_stage c a) in
+    let* b = plan_b a in
+    let* _ =
+      diverged (run_stage ~stage:"ocl->cuda" c b ~reference:(Some ref_bytes))
+    in
+    let* rt = plan_c b in
+    let* _ =
+      diverged (run_stage ~stage:"round-trip" c rt ~reference:(Some ref_bytes))
+    in
+    Agree
 
 (* Two verdicts count as "the same bug" for shrinking purposes when the
    stage and kind agree; for crashes the message prefix must match too,

@@ -427,12 +427,6 @@ let check (logs : block_log list) ~atomics_clean : string option =
 
 (* --- static scan: is any atomic's return value used? ----------------- *)
 
-let atomic_names =
-  [ "atomic_add"; "atomic_sub"; "atomic_inc"; "atomic_dec";
-    "atomic_min"; "atomic_max"; "atomic_xchg"; "atomic_cmpxchg";
-    "atomicAdd"; "atomicSub"; "atomicMin"; "atomicMax";
-    "atomicExch"; "atomicCAS"; "atomicInc"; "atomicDec" ]
-
 exception Used
 
 (* [atomic_result_used prog kernel] walks the kernel and every function
@@ -442,7 +436,7 @@ exception Used
    and forces the sequential-replay path for overlapping atomics.
    Conservative: any consumed position counts, whole-launch granularity. *)
 let atomic_result_used (prog : program) (kernel : func) : bool =
-  let is_atomic n = List.mem n atomic_names in
+  let is_atomic = Xlat_analysis.Footprint.is_atomic_name in
   let seen = Hashtbl.create 8 in
   let todo = ref [ kernel ] in
   let note n =

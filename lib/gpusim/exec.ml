@@ -112,12 +112,6 @@ let domains =
         | _ -> Domain.recommended_domain_count ())
      | None -> Domain.recommended_domain_count ())
 
-(* Opt-in per-block Kernel spans (OCLCU_TRACE_BLOCKS=1): buffered per
-   domain and flushed in block order, so the trace is identical at every
-   domain count.  Off by default -- `oclcu prof` output stays
-   bit-identical to the historical golden files. *)
-let trace_blocks = ref (Sys.getenv_opt "OCLCU_TRACE_BLOCKS" = Some "1")
-
 (* The process-wide worker pool, spawned on first parallel launch. *)
 let pool = lazy (Pool.create ())
 
@@ -405,7 +399,6 @@ type worker = {
   w_layout : Vm.Layout.env;
   w_run_block : int -> unit;
   w_logs : Conflict.block_log list ref;
-  w_spans : (int * string * (string * string) list) list ref;
   w_blocks : int ref;          (* blocks this worker executed *)
 }
 
@@ -511,8 +504,6 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
         | _ -> None)
       prog
   in
-
-  let block_spans = !trace_blocks && Trace.Sink.is_enabled () in
 
   (* One worker owns everything mutable a block touches that is not a
      shared arena: local/private arenas, counters, access streams, the
@@ -762,7 +753,6 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
     in
 
     let logs : Conflict.block_log list ref = ref [] in
-    let spans : (int * string * (string * string) list) list ref = ref [] in
     let blocks_run = ref 0 in
 
     let run_block b =
@@ -956,31 +946,11 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
       if par then begin
         (match !cur_log with Some bl -> logs := bl :: !logs | None -> ());
         cur_log := None
-      end;
-      if block_spans then
-        spans :=
-          (b, kernel.fn_name,
-           [ ("block", Printf.sprintf "%d,%d,%d" bx by bz) ])
-          :: !spans
+      end
     in
     { w_counters = counters; w_attr = attr;
       w_layout = base_ctx.Vm.Interp.layout; w_run_block = run_block;
-      w_logs = logs; w_spans = spans; w_blocks = blocks_run }
-  in
-
-  (* Per-block Kernel spans are buffered and flushed in block order, so
-     the emitted stream is identical at every domain count. *)
-  let flush_block_spans spans =
-    if spans <> [] then begin
-      let buf = Trace.Sink.buffer_create () in
-      let t = dev.Device.sim_time_ns in
-      List.iter
-        (fun (_, name, args) ->
-           Trace.Sink.buffer_add buf ~cat:Trace.Event.Kernel ~name ~args
-             ~t0:t ~t1:t ())
-        (List.sort compare spans);
-      Trace.Sink.buffer_flush buf
-    end
+      w_logs = logs; w_blocks = blocks_run }
   in
 
   let run_sequential ~plan () =
@@ -1006,7 +976,6 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
            engine_note := Engine_bailed reason;
            attempt None)
     in
-    flush_block_spans !(w.w_spans);
     (w.w_counters, w.w_attr, w.w_layout, [| !(w.w_blocks) |])
   in
 
@@ -1076,10 +1045,6 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
           Some t
         end
       in
-      let spans =
-        Array.fold_left (fun acc w -> !(w.w_spans) @ acc) [] workers
-      in
-      flush_block_spans spans;
       (total, attr, workers.(0).w_layout,
        Array.map (fun w -> !(w.w_blocks)) workers, Parallel n_workers)
   in

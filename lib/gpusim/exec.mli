@@ -29,11 +29,6 @@ type parallel_outcome =
   | Parallel of int      (** ran concurrently on N workers, accepted *)
   | Replayed of string   (** parallel attempt rolled back: why *)
 
-(** Emit one {!Trace.Event.Kernel} span per executed block (buffered and
-    flushed in block order, so the trace is identical at every domain
-    count).  Off by default; initialised from [OCLCU_TRACE_BLOCKS=1]. *)
-val trace_blocks : bool ref
-
 (** One kernel argument as the launcher receives it. *)
 type karg =
   | Arg_val of Vm.Interp.tval  (** scalar, pointer or handle *)

@@ -759,79 +759,6 @@ __kernel void scale(__global float* a, float s, int n) {
       let all = Array.concat (Array.to_list (Array.map (fun b -> o.read_floats b n) chunks)) in
       Dsl.checksum_floats "oclCopyComputeOverlap" all)
 
-let postprocess =
-  let src = {|
-__kernel void tonemap(__global float* in, __global float* out, float gain, int n) {
-  int i = get_global_id(0);
-  if (i < n) {
-    float v = in[i] * gain;
-    out[i] = v / (1.0f + v);
-  }
-}
-|}
-  in
-  simple "oclPostProcessGL" src "tonemap" ~n:4096 ~l:64 ~out_len:4096
-    ~args:(fun o ->
-        let a = o.Dsl.fbuf (Dsl.randf 4096 334) in
-        let out = o.Dsl.fbuf_empty 4096 in
-        ([ Dsl.B a; Dsl.B out; Dsl.F 2.0; Dsl.I 4096 ], out))
-
-let volumerender =
-  let src = {|
-__kernel void raymarch(__global float* volume, __global float* out,
-                       int nx, int ny, int nz) {
-  int x = get_global_id(0);
-  int y = get_global_id(1);
-  if (x < nx && y < ny) {
-    float acc = 0.0f;
-    float alpha = 1.0f;
-    for (int z = 0; z < nz; z++) {
-      float v = volume[z * nx * ny + y * nx + x];
-      acc += alpha * v;
-      alpha *= 0.9f;
-    }
-    out[y * nx + x] = acc;
-  }
-}
-|}
-  in
-  app "oclVolumeRender" (fun ctx ->
-      let o = Dsl.ops ctx in
-      let nx = 32 and ny = 32 and nz = 16 in
-      o.build src;
-      let vol = o.fbuf (Dsl.randf (nx * ny * nz) 335) in
-      let out = o.fbuf_empty (nx * ny) in
-      let k = o.kern "raymarch" in
-      o.set_args k [ B vol; B out; I nx; I ny; I nz ];
-      o.run2 k ~gx:nx ~gy:ny ~lx:16 ~ly:16;
-      Dsl.checksum_floats "oclVolumeRender" (o.read_floats out (nx * ny)))
-
-let recursivegaussian =
-  let src = {|
-__kernel void rgauss_row(__global float* in, __global float* out, int w, int h, float a) {
-  int y = get_global_id(0);
-  if (y < h) {
-    float yp = in[y * w];
-    for (int x = 0; x < w; x++) {
-      float xc = in[y * w + x];
-      yp = xc + a * (yp - xc);
-      out[y * w + x] = yp;
-    }
-  }
-}
-|}
-  in
-  app "oclRecursiveGaussian" (fun ctx ->
-      let o = Dsl.ops ctx in
-      let w = 64 and h = 64 in
-      o.build src;
-      let img = o.fbuf (Dsl.randf (w * h) 336) in
-      let out = o.fbuf_empty (w * h) in
-      let k = o.kern "rgauss_row" in
-      o.set_args k [ B img; B out; I w; I h; F 0.7 ];
-      o.run1 k ~g:h ~l:64;
-      Dsl.checksum_floats "oclRecursiveGaussian" (o.read_floats out (w * h)))
-
 (* exactly the 27 samples of the paper's Figure 7(c) *)
 let apps =
   [ vectoradd; dotproduct; matvecmul; matrixmul; transpose; reduction; scan;
@@ -839,6 +766,3 @@ let apps =
     blackscholes; montecarlo; convolutionseparable; dct8x8; dxtcompression;
     fdtd3d; hiddenmarkov; medianfilter; sobelfilter; boxfilter; simpleimage;
     nbody; bandwidthtest; devicequery; copycomputeoverlap ]
-
-(* extra samples kept for tests and examples beyond the 27 *)
-let extra_apps = [ postprocess; volumerender; recursivegaussian ]

@@ -817,32 +817,6 @@ int main(void) {
 }
 |}
 
-let clock_alt = app "concurrentCopy" {|
-__global__ void scaleKernel(float* data, float s, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) data[i] *= s;
-}
-
-int main(void) {
-  int n = 2048;
-  float* h = (float*)malloc(n * sizeof(float));
-  for (int i = 0; i < n; i++) h[i] = 0.01f * (float)(i % 173);
-  float* bufs[4];
-  for (int c = 0; c < 4; c++) {
-    cudaMalloc((void**)&bufs[c], n * sizeof(float));
-    cudaMemcpy(bufs[c], h, n * sizeof(float), cudaMemcpyHostToDevice);
-    scaleKernel<<<n / 64, 64>>>(bufs[c], 1.5f + (float)c, n);
-  }
-  float sum = 0.0f;
-  for (int c = 0; c < 4; c++) {
-    cudaMemcpy(h, bufs[c], n * sizeof(float), cudaMemcpyDeviceToHost);
-    for (int i = 0; i < n; i++) sum += h[i];
-  }
-  printf("concurrentCopy sum %.4g\n", sum);
-  return 0;
-}
-|}
-
 (* the 25 translatable CUDA samples of Figure 8(b) *)
 let apps =
   [ vectoradd; matrixmul; template; cppintegration; blackscholes;

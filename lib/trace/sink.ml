@@ -189,46 +189,6 @@ let add_metrics m =
         st.metrics <- m :: st.metrics;
         st.metrics_count <- st.metrics_count + 1)
 
-(* --- per-domain span buffers ---------------------------------------- *)
-
-(* A parallel executor cannot call span_begin/span_end directly: span
-   ids and the monotone rebasing of [stamp] must be assigned in a
-   deterministic order, not in whatever order domains happen to reach
-   the sink.  Instead each domain records completed spans (with raw
-   simulated timestamps) into a private buffer, and the owner flushes
-   the buffers in a canonical order under the lock — so the recorded
-   stream is bit-identical to a sequential run emitting the same spans. *)
-
-type buffer = {
-  mutable buf_items :
-    (Event.cat * string * (string * string) list * float * float) list;
-  (* (cat, name, args, raw t0, raw t1), newest first *)
-}
-
-let buffer_create () = { buf_items = [] }
-
-let buffer_add b ?(cat = Event.Api) ~name ?(args = []) ~t0 ~t1 () =
-  if !enabled then b.buf_items <- (cat, name, args, t0, t1) :: b.buf_items
-
-let buffer_flush b =
-  if !enabled then
-    with_lock (fun () ->
-        if st.record_spans then
-          List.iter
-            (fun (cat, name, args, rt0, rt1) ->
-               st.next_id <- st.next_id + 1;
-               let t0 = stamp rt0 in
-               let t1 = stamp rt1 in
-               let w = wall_ns () in
-               push_span
-                 { Event.sp_id = st.next_id; sp_parent = 0;
-                   sp_depth = List.length st.stack;
-                   sp_cat = cat; sp_name = name;
-                   sp_t0 = t0; sp_t1 = Float.max t0 t1;
-                   sp_wall0 = w; sp_wall1 = w; sp_args = args })
-            (List.rev b.buf_items));
-  b.buf_items <- []
-
 (* Completed spans in begin order (sp_id ascending). *)
 let events () =
   with_lock (fun () ->

@@ -68,21 +68,8 @@ let report_lines r =
     r.rp_layers
 
 (* ------------------------------------------------------------------ *)
-(* Driving plans                                                       *)
+(* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
-
-type arg_spec =
-  | A_buf of ty * int  (* element type, bytes; filled deterministically *)
-  | A_local of int     (* dynamic __local, bytes *)
-  | A_int of int
-  | A_size of int
-
-type plan = {
-  pl_prog : program;
-  pl_kernel : string;
-  pl_args : arg_spec list;
-  pl_dyn_shared : int;
-}
 
 type vcfg = {
   vc_gws : int;
@@ -314,7 +301,7 @@ type run_result = {
   rr_events : event array;
   rr_overflow : bool;
   rr_barriers : int;
-  rr_finals : (int * string) list;  (* buffer ordinal -> final bytes *)
+  rr_finals : string list;          (* final bytes, one per buffer *)
   rr_error : string option;         (* run raised after this prefix *)
 }
 
@@ -322,95 +309,30 @@ let exn_detail e =
   let s = Printexc.to_string e in
   if String.length s > 160 then String.sub s 0 160 else s
 
-let run_side ~(cfg : vcfg) ~(layer : layer) (p : plan) : run_result =
+let run_side ~(cfg : vcfg) ~(layer : layer) (p : Plan.t) : run_result =
   let saved_domains = !Gpusim.Exec.domains in
   Gpusim.Exec.domains := 1;
   Fun.protect ~finally:(fun () -> Gpusim.Exec.domains := saved_domains)
   @@ fun () ->
-  let dev =
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
-  in
-  let host = Vm.Memory.create "validate-host" in
-  (* file-scope __constant/__device__ globals, as the runtimes do *)
-  let globals = Hashtbl.create 8 in
-  let arena_of : addr_space -> Vm.Memory.arena = function
-    | AS_global -> dev.Gpusim.Device.global
-    | AS_constant -> dev.Gpusim.Device.constant
-    | AS_local | AS_private | AS_none -> host
-  in
-  let gctx = Vm.Interp.make ~prog:p.pl_prog ~arena_of ~globals () in
-  Vm.Interp.init_globals gctx
-    ~filter:(fun d ->
-        not (d.d_storage.s_extern && type_space d.d_ty = AS_local))
-    p.pl_prog;
-  let st = fill_state cfg.vc_seed in
-  let bufs = ref [] in
-  let args =
-    List.map
-      (function
-        | A_buf (elt, size) ->
-          let addr =
-            Vm.Memory.alloc dev.Gpusim.Device.global ~align:256 (max 1 size)
-          in
-          let b = Bytes.create size in
-          fill_buffer st elt b;
-          Vm.Memory.store_bytes dev.Gpusim.Device.global addr b;
-          bufs := (addr, size) :: !bufs;
-          Gpusim.Exec.Arg_val
-            (Vm.Interp.tv
-               (Vm.Value.VInt (Vm.Value.make_ptr AS_global addr))
-               (TPtr elt))
-        | A_local bytes -> Gpusim.Exec.Arg_local bytes
-        | A_int n -> Gpusim.Exec.Arg_val (Vm.Interp.tint n)
-        | A_size n ->
-          Gpusim.Exec.Arg_val
-            (Vm.Interp.tv (Vm.Value.VInt (Int64.of_int n)) (TScalar SizeT)))
-      p.pl_args
-  in
-  let bufs = List.rev !bufs in
-  let kernel =
-    match Minic.Ast.find_function p.pl_prog p.pl_kernel with
-    | Some k -> k
-    | None -> failwith ("validate: kernel not found: " ^ p.pl_kernel)
-  in
   let c = collector cfg.vc_max_events in
   let observer, extra_externals =
     match layer with
     | L3 -> (None, [])
-    | _ -> (Some (observer_for ~layer ~kernel_name:p.pl_kernel c),
+    | _ -> (Some (observer_for ~layer ~kernel_name:p.Plan.kernel c),
             truncated_externals ())
   in
-  let launch () =
-    Gpusim.Exec.launch ~dev ~prog:p.pl_prog ~globals ~host_arena:host
-      ~extra_externals ?observer ~kernel
-      ~cfg:
-        { global_size = [| cfg.vc_gws; 1; 1 |];
-          local_size = [| cfg.vc_lws; 1; 1 |];
-          dyn_shared = p.pl_dyn_shared }
-      ~args ()
-  in
-  let stats, error =
-    match launch () with
-    | s -> (Some s, None)
-    | exception e -> (None, Some (exn_detail e))
+  let barriers, finals, error =
+    match
+      Plan.run ?observer ~extra_externals ~gws:cfg.vc_gws ~lws:cfg.vc_lws p
+    with
+    | s, finals ->
+      (s.Gpusim.Exec.counters.Gpusim.Counters.barriers, finals, None)
+    | exception e -> (-1, [], Some (exn_detail e))
   in
   flush_bag c;
-  let finals =
-    if error = None then
-      List.mapi
-        (fun i (addr, size) ->
-           (i,
-            Bytes.to_string
-              (Vm.Memory.load_bytes dev.Gpusim.Device.global addr size)))
-        bufs
-    else []
-  in
   { rr_events = Array.of_list (List.rev c.evs);
     rr_overflow = c.overflow;
-    rr_barriers =
-      (match stats with
-       | Some s -> s.Gpusim.Exec.counters.Gpusim.Counters.barriers
-       | None -> -1);
+    rr_barriers = barriers;
     rr_finals = finals;
     rr_error = error }
 
@@ -473,10 +395,10 @@ let compare_runs ~(layer : layer) (src : run_result) (dst : run_result) :
              (Printf.sprintf "barrier rounds: %d vs %d" src.rr_barriers
                 dst.rr_barriers)
          else
-           let rec bufs = function
+           let rec bufs i = function
              | [], [] -> Equivalent
-             | (i, x) :: xs, (_, y) :: ys ->
-               if String.equal x y then bufs (xs, ys)
+             | x :: xs, y :: ys ->
+               if String.equal x y then bufs (i + 1) (xs, ys)
                else begin
                  let k = ref 0 in
                  while !k < min (String.length x) (String.length y)
@@ -489,18 +411,19 @@ let compare_runs ~(layer : layer) (src : run_result) (dst : run_result) :
                end
              | _ -> Diverges "global buffer count differs"
            in
-           bufs (src.rr_finals, dst.rr_finals)
+           bufs 0 (src.rr_finals, dst.rr_finals)
        | None -> Equivalent)
 
 (* ------------------------------------------------------------------ *)
 (* The refinement ladder                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_plans ?(cfg = default_cfg) ~(src : plan) ~(dst : plan) () : report =
+let check_plans ?(cfg = default_cfg) ~(src : Plan.t) ~(dst : Plan.t) () :
+  report =
   let fp =
     let of_side p =
-      match Minic.Ast.find_function p.pl_prog p.pl_kernel with
-      | Some k -> Xlat_analysis.Footprint.of_kernel p.pl_prog k
+      match Minic.Ast.find_function p.Plan.prog p.Plan.kernel with
+      | Some k -> Xlat_analysis.Footprint.of_kernel p.Plan.prog k
       | None ->
         { Xlat_analysis.Footprint.fp_local = true; fp_global = true;
           fp_sched = true }
@@ -531,48 +454,17 @@ let check_plans ?(cfg = default_cfg) ~(src : plan) ~(dst : plan) () : report =
           | Skipped why -> (List.rev ((layer, Skipped why) :: acc), None)))
   in
   let layers, diverged = ladder [] all_layers in
-  { rp_kernel = src.pl_kernel; rp_layers = layers; rp_diverged = diverged }
+  { rp_kernel = src.Plan.kernel; rp_layers = layers; rp_diverged = diverged }
 
 (* ------------------------------------------------------------------ *)
 (* Plan synthesis from kernel signatures                               *)
 (* ------------------------------------------------------------------ *)
 
-let sizeof prog ty = Vm.Layout.sizeof (Vm.Layout.make_env prog) ty
-
-let args_of_kernel (prog : program) (k : func) ~(cfg : vcfg) :
-  (arg_spec list, string) result =
-  let rec specs acc = function
-    | [] -> Ok (List.rev acc)
-    | (pa : param) :: rest ->
-      (match unqual pa.pa_ty with
-       | TPtr t | TArr (t, _) ->
-         let space =
-           match pa.pa_space, type_space t with
-           | AS_none, sp -> sp
-           | sp, _ -> sp
-         in
-         let elt = unqual t in
-         (match space with
-          | AS_local ->
-            specs (A_local (cfg.vc_lws * sizeof prog elt) :: acc) rest
-          | AS_constant ->
-            Error "dynamic __constant parameter"
-          | _ ->
-            (match elt with
-             | TImage _ | TTexture _ | TSampler ->
-               Error "image/texture parameter"
-             | _ ->
-               specs (A_buf (elt, cfg.vc_elems * sizeof prog elt) :: acc) rest))
-       | TImage _ | TTexture _ | TSampler -> Error "image/texture parameter"
-       | TScalar SizeT -> specs (A_size cfg.vc_elems :: acc) rest
-       | TScalar _ -> specs (A_int cfg.vc_elems :: acc) rest
-       | TVec _ -> Error "vector-typed scalar parameter"
-       | TNamed n when Vm.Layout.is_struct (Vm.Layout.make_env prog) (TNamed n)
-         ->
-         Error "struct-typed parameter"
-       | _ -> specs (A_int cfg.vc_elems :: acc) rest)
-  in
-  specs [] k.fn_params
+(* The validator's own launch of [k]: [vc_elems]-element buffers filled
+   from [vc_seed], and [vc_elems] for every scalar. *)
+let plan_of_kernel ?(cfg = default_cfg) (prog : program) (k : func) =
+  Plan.of_kernel prog k ~lws:cfg.vc_lws ~elems:cfg.vc_elems
+    ~scalar:cfg.vc_elems ~fill:(fill_buffer (fill_state cfg.vc_seed))
 
 (* Does the program rely on dynamically sized shared memory? *)
 let uses_extern_shared (prog : program) (k : func) =
@@ -626,7 +518,6 @@ let check_opencl_source ?(cfg = default_cfg) (src : string) :
        Error ("untranslatable: " ^ why)
      | exception e -> Error (exn_detail e)
      | res ->
-       let cuda_prog = res.Xlat.Ocl_to_cuda.cuda_prog in
        Ok
          (List.map
             (fun (k : func) ->
@@ -638,35 +529,13 @@ let check_opencl_source ?(cfg = default_cfg) (src : string) :
                with
                | None -> (name, Unsupported "kernel lost in translation")
                | Some ki ->
-                 (match args_of_kernel ocl_prog k ~cfg with
+                 (match plan_of_kernel ~cfg ocl_prog k with
                   | Error why -> (name, Unsupported why)
-                  | Ok src_args ->
-                    (* map argument slots through the translator's roles
-                       (Fig. 5): a dynamic __local slot becomes a size_t
-                       and its bytes move into the dynamic-shared pool *)
-                    let dyn = ref 0 in
-                    let dst_args =
-                      List.map2
-                        (fun role arg ->
-                           match role, arg with
-                           | (Xlat.Ocl_to_cuda.P_local_size
-                             | Xlat.Ocl_to_cuda.P_const_size),
-                             A_local bytes ->
-                             dyn := !dyn + bytes;
-                             A_size bytes
-                           | _, a -> a)
-                        ki.Xlat.Ocl_to_cuda.ki_roles src_args
+                  | Ok src ->
+                    let dst =
+                      Plan.to_cuda src res.Xlat.Ocl_to_cuda.cuda_prog ki
                     in
-                    let src_plan =
-                      { pl_prog = ocl_prog; pl_kernel = name;
-                        pl_args = src_args; pl_dyn_shared = 0 }
-                    in
-                    let dst_plan =
-                      { pl_prog = cuda_prog; pl_kernel = name;
-                        pl_args = dst_args; pl_dyn_shared = !dyn }
-                    in
-                    (name, Checked (check_plans ~cfg ~src:src_plan
-                                      ~dst:dst_plan ()))))
+                    (name, Checked (check_plans ~cfg ~src ~dst ()))))
             (kernels ocl_prog)))
 
 (* CUDA source against its OpenCL translation (paper Fig. 3 direction). *)
@@ -680,7 +549,6 @@ let check_cuda_source ?(cfg = default_cfg) (src : string) :
        Error ("untranslatable: " ^ why)
      | exception e -> Error (exn_detail e)
      | res ->
-       let cl_prog = res.Xlat.Cuda_to_ocl.cl_prog in
        Ok
          (List.map
             (fun (k : func) ->
@@ -697,30 +565,16 @@ let check_cuda_source ?(cfg = default_cfg) (src : string) :
                  else if km.Xlat.Cuda_to_ocl.km_textures <> [] then
                    (name, Unsupported "texture parameters")
                  else
-                   (match args_of_kernel cu_prog k ~cfg with
+                   (match plan_of_kernel ~cfg cu_prog k with
                     | Error why -> (name, Unsupported why)
-                    | Ok src_args ->
-                      let dyn =
+                    | Ok src ->
+                      let src =
                         if uses_extern_shared cu_prog k then
-                          cfg.vc_lws * 16
-                        else 0
+                          { src with Plan.dyn_shared = cfg.vc_lws * 16 }
+                        else src
                       in
-                      (* the round-trip convention: the dynamic pool is
-                         appended as a trailing __local parameter *)
-                      let dst_args =
-                        src_args
-                        @ (match km.Xlat.Cuda_to_ocl.km_dynshared with
-                            | Some _ -> [ A_local dyn ]
-                            | None -> [])
+                      let dst =
+                        Plan.to_opencl src res.Xlat.Cuda_to_ocl.cl_prog km
                       in
-                      let src_plan =
-                        { pl_prog = cu_prog; pl_kernel = name;
-                          pl_args = src_args; pl_dyn_shared = dyn }
-                      in
-                      let dst_plan =
-                        { pl_prog = cl_prog; pl_kernel = name;
-                          pl_args = dst_args; pl_dyn_shared = 0 }
-                      in
-                      (name, Checked (check_plans ~cfg ~src:src_plan
-                                        ~dst:dst_plan ()))))
+                      (name, Checked (check_plans ~cfg ~src ~dst ()))))
             (kernels cu_prog)))

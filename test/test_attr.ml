@@ -65,11 +65,11 @@ let prop_site_sums =
        with_attribution @@ fun () ->
        let case = Fuzz.Driver.case_of ~seed 0 in
        let prog = Minic.Site.annotate case.Fuzz.Gen.c_prog in
-       let plan = Fuzz.Pyramid.plan_of_case case prog in
+       let plan = Fuzz.Pyramid.plan_a case prog in
        List.iter
          (fun (backend, domains, label) ->
             Fuzz.Pyramid.with_domains domains @@ fun () ->
-            match Fuzz.Pyramid.launch_plan backend case plan with
+            match Fuzz.Pyramid.launch backend case plan with
             | stats, _ -> check_exact_sum label stats
             | exception _ ->
               (* some fuzz kernels legitimately trap (e.g. division by a

@@ -140,6 +140,19 @@ let shrink_tests =
 
 (* --- repro persistence / replay --------------------------------------- *)
 
+module Plan = Xlat_validate.Plan
+
+(* The pyramid's stage-A plan of [case], built from its printed source. *)
+let stage_a case =
+  Fuzz.Pyramid.plan_a case
+    (Minic.Parser.program ~dialect:Minic.Parser.OpenCL (Fuzz.Gen.source case))
+
+let initial_bytes (p : Plan.t) =
+  String.concat ""
+    (List.filter_map
+       (function Plan.Buf (_, b) -> Some b | _ -> None)
+       p.Plan.args)
+
 let repro_tests =
   [ Alcotest.test_case "repro write/load round-trips the case" `Quick
       (fun () ->
@@ -179,7 +192,63 @@ let repro_tests =
          (* generated kernels may trip an Unsupported corner, but a
             diagnosed one must never read as a divergence *)
          check "not a layer verdict" false
-           (List.mem verdict [ "L0"; "L1"; "L2"; "L3" ]))
+           (List.mem verdict [ "L0"; "L1"; "L2"; "L3" ]));
+    Alcotest.test_case "stage-A initial bytes are pinned (seed 42)" `Quick
+      (fun () ->
+         (* stored repros keep only [init_seed]; these digests pin the
+            bytes a replay regenerates from it *)
+         List.iter
+           (fun (index, digest) ->
+              let a = stage_a (Fuzz.Driver.case_of ~seed:42 index) in
+              check_str (Printf.sprintf "case %d" index) digest
+                (Digest.to_hex (Digest.string (initial_bytes a))))
+           [ (0, "bf3eef2f52f388d64b5f292e9862ebc0");
+             (2, "bd6a453d03e9607d64226e2cf0db61c5");
+             (15, "c7d6fa6c5304c34c3a42125fd9cf854d");
+             (24, "dc59ec3aa86228ab1fe48b1140a99a19") ]);
+    Alcotest.test_case "diagnosis validates the pyramid's stage-A/B plans"
+      `Quick (fun () ->
+          (* seed-42 cases whose NDRange is narrower than their buffers:
+             a validator launch of its own would pass n = elems *)
+          List.iter
+            (fun index ->
+               let case = Fuzz.Driver.case_of ~seed:42 index in
+               let name = Printf.sprintf "case %d" index in
+               check (name ^ ": gws < elems") true
+                 (case.Fuzz.Gen.c_gws < case.Fuzz.Gen.c_elems);
+               let a, b =
+                 match Fuzz.Diagnose.plans case with
+                 | Ok p -> p
+                 | Error why -> Alcotest.failf "%s: %s" name why
+               in
+               let pyramid_a = stage_a case in
+               check (name ^ ": stage-A arguments") true
+                 (a.Plan.args = pyramid_a.Plan.args);
+               check (name ^ ": n = gws") true
+                 (List.for_all
+                    (function Plan.Int n -> n = case.Fuzz.Gen.c_gws | _ -> true)
+                    a.Plan.args);
+               check_str (name ^ ": stage B carries stage A's bytes")
+                 (initial_bytes a) (initial_bytes b);
+               let pyramid_out =
+                 match
+                   Fuzz.Pyramid.run_stage ~stage:"opencl" case pyramid_a
+                     ~reference:None
+                 with
+                 | Ok (bytes, _) -> bytes
+                 | Error d ->
+                   Alcotest.failf "%s: %s" name d.Fuzz.Pyramid.d_detail
+               in
+               let l3 =
+                 Xlat_validate.Layered.run_side ~cfg:(Fuzz.Diagnose.cfg case)
+                   ~layer:Xlat_validate.Layered.L3 a
+               in
+               check_str (name ^ ": validator L3 buffers = pyramid stage A")
+                 pyramid_out
+                 (String.concat "" l3.Xlat_validate.Layered.rr_finals);
+               check_str (name ^ ": verdict") "equivalent"
+                 (fst (Fuzz.Diagnose.layer_verdict case)))
+            [ 2; 15; 24 ])
   ]
 
 let suites =

@@ -336,7 +336,7 @@ let run_with ~engine ~backend ~domains case plan =
   with_engine engine @@ fun () ->
   with_domains domains @@ fun () ->
   with_attr @@ fun () ->
-  match Fuzz.Pyramid.launch_plan backend case plan with
+  match Fuzz.Pyramid.launch backend case plan with
   | stats, bytes ->
     Ok
       ( bytes,
@@ -352,7 +352,7 @@ let prop_differential =
     QCheck.(int_range 0 100_000)
     (fun seed ->
        let case = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-       let plan = Fuzz.Pyramid.plan_of_case case case.Fuzz.Gen.c_prog in
+       let plan = Fuzz.Pyramid.plan_a case case.Fuzz.Gen.c_prog in
        let reference =
          run_with ~engine:Gpusim.Exec.Scalar ~backend:Gpusim.Exec.Compiled
            ~domains:1 case plan

@@ -70,7 +70,7 @@ let expect_replayed (stats : Gpusim.Exec.launch_stats) =
    exception (replay re-raises deterministically). *)
 let run_case_at backend case plan n =
   with_domains n (fun () ->
-      match Fuzz.Pyramid.run_plan backend case plan with
+      match Fuzz.Pyramid.observe backend case plan with
       | r -> Ok r
       | exception e -> Error (Printexc.to_string e))
 
@@ -80,7 +80,7 @@ let prop_domain_counts =
     QCheck.(int_range 0 100_000)
     (fun seed ->
        let case = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-       let plan = Fuzz.Pyramid.plan_of_case case case.Fuzz.Gen.c_prog in
+       let plan = Fuzz.Pyramid.plan_a case case.Fuzz.Gen.c_prog in
        let reference = run_case_at Gpusim.Exec.Compiled case plan 1 in
        List.for_all
          (fun n ->
@@ -93,7 +93,7 @@ let prop_domain_counts_interp =
     QCheck.(int_range 0 100_000)
     (fun seed ->
        let case = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-       let plan = Fuzz.Pyramid.plan_of_case case case.Fuzz.Gen.c_prog in
+       let plan = Fuzz.Pyramid.plan_a case case.Fuzz.Gen.c_prog in
        run_case_at Gpusim.Exec.Interp case plan 4
        = run_case_at Gpusim.Exec.Interp case plan 1)
 
@@ -406,39 +406,7 @@ __kernel void fill(__global int* p) {
 (* --- traces and goldens under parallel execution ------------------------ *)
 
 let trace_tests =
-  [ Alcotest.test_case "block spans are identical at 1 and 4 domains" `Quick
-      (fun () ->
-         let src = {|
-__kernel void work(__global int* p) {
-  p[get_global_id(0)] = (int)get_group_id(0);
-}
-|}
-         in
-         let spans_at n =
-           let saved = !Gpusim.Exec.trace_blocks in
-           Gpusim.Exec.trace_blocks := true;
-           Fun.protect
-             ~finally:(fun () -> Gpusim.Exec.trace_blocks := saved)
-             (fun () ->
-                Trace.Sink.enable ();
-                ignore
-                  (launch_at ~domains:n ~src ~kernel:"work" ~gws:[| 32; 1; 1 |]
-                     ~lws:[| 4; 1; 1 |]
-                     ~args:(fun dev -> [ iptr (gbuf dev (32 * 4)) ])
-                     ());
-                let evs = Trace.Sink.events () in
-                Trace.Sink.disable ();
-                List.map
-                  (fun sp ->
-                     ( sp.Trace.Event.sp_id, sp.Trace.Event.sp_name,
-                       sp.Trace.Event.sp_cat, sp.Trace.Event.sp_t0,
-                       sp.Trace.Event.sp_t1, sp.Trace.Event.sp_args ))
-                  evs)
-         in
-         let seq = spans_at 1 in
-         check_int "one span per block" 8 (List.length seq);
-         check "bit-identical stream" true (seq = spans_at 4));
-    Alcotest.test_case "prof golden files unchanged at 4 domains" `Quick
+  [ Alcotest.test_case "prof golden files unchanged at 4 domains" `Quick
       (fun () ->
          with_domains 4 @@ fun () ->
          let runs =

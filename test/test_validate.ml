@@ -41,17 +41,13 @@ let check_pair ?(cfg = L.default_cfg) src_text dst_text =
     | k :: _ -> k
     | [] -> Alcotest.fail "no kernel"
   in
-  let args =
-    match L.args_of_kernel src_prog kernel ~cfg with
-    | Ok a -> a
-    | Error why -> Alcotest.fail ("args_of_kernel: " ^ why)
+  let src =
+    match L.plan_of_kernel ~cfg src_prog kernel with
+    | Ok p -> p
+    | Error why -> Alcotest.fail ("plan_of_kernel: " ^ why)
   in
-  L.check_plans ~cfg
-    ~src:{ L.pl_prog = src_prog; pl_kernel = kernel.Minic.Ast.fn_name;
-           pl_args = args; pl_dyn_shared = 0 }
-    ~dst:{ L.pl_prog = dst_prog; pl_kernel = kernel.Minic.Ast.fn_name;
-           pl_args = args; pl_dyn_shared = 0 }
-    ()
+  L.check_plans ~cfg ~src
+    ~dst:{ src with Xlat_validate.Plan.prog = dst_prog } ()
 
 let diverged_layer (r : L.report) =
   match r.L.rp_diverged with
