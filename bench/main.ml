@@ -716,29 +716,25 @@ let check_floor name ok detail =
     detail;
   if not ok then exit 1
 
-(* Run [f] with the library setting [r] at [v], restored afterwards. *)
-let with_setting r v f =
-  let saved = !r in
-  r := v;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
 (* A kernel-heavy synthetic workload: one OpenCL kernel and its launch
-   geometry.  [run] launches it on a fresh device and returns its int
-   output buffer as a string, for byte-identity checks; [last] holds that
-   launch's stats, for the engine and pool outcome assertions. *)
+   geometry.  [run config] launches it on a fresh device under [config]
+   and returns its int output buffer as a string, for byte-identity
+   checks; [last] holds that launch's stats, for the engine and pool
+   outcome assertions. *)
 let kernel_workload ~name ~src ~kernel ~out_ints ~gws ~lws ?(extra_args = [])
     () =
   let out = String.make (out_ints * 4) '\000' in
   let plan =
-    { Xlat_validate.Plan.prog =
-        Minic.Parser.program ~dialect:Minic.Parser.OpenCL src;
+    { Xlat_validate.Plan.modul =
+        Gpusim.Exec.load
+          (Minic.Parser.program ~dialect:Minic.Parser.OpenCL src);
       kernel;
       args = Buf (Minic.Ast.TScalar Minic.Ast.Int, out) :: extra_args;
       dyn_shared = 0 }
   in
   let last = ref None in
-  let run () =
-    let stats, bufs = Xlat_validate.Plan.run ~gws ~lws plan in
+  let run config =
+    let stats, bufs = Xlat_validate.Plan.run ~config ~gws ~lws plan in
     last := Some stats;
     List.hd bufs
   in
@@ -801,20 +797,22 @@ let kernel_workloads () = [ compute_loop ~lws:64; stream_add (); local_reduce ()
    under the measured speedup. *)
 let backends () =
   header "Backends: AST interpreter vs IR-compiled (wall clock)";
-  let time_under b f =
-    with_setting Gpusim.Exec.backend b (fun () -> best_of 5 f)
+  (* each workload runs on a fresh device of the given configuration *)
+  let time_under backend f =
+    let config = { (Gpusim.Config.default ()) with backend } in
+    best_of 5 (fun () -> f (device_of ~config))
   in
   let ocl_head apps = List.hd apps in
+  let wrapped apps dev =
+    run_app_on_cuda (ocl_head apps) ~dev:(dev Titan_cuda) ()
+  in
+  let native src dev = run_cuda_native ~dev:(dev Titan_cuda) src in
   let workloads =
-    [ ("fig7a.rodinia-wrapped",
-       fun () -> run_app_on_cuda (ocl_head Suite.Registry.rodinia_opencl) ());
-      ("fig7b.npb-wrapped",
-       fun () -> run_app_on_cuda (ocl_head Suite.Registry.npb_opencl) ());
-      ("fig7c.toolkit-wrapped",
-       fun () -> run_app_on_cuda (ocl_head Suite.Registry.toolkit_opencl) ());
+    [ ("fig7a.rodinia-wrapped", wrapped Suite.Registry.rodinia_opencl);
+      ("fig7b.npb-wrapped", wrapped Suite.Registry.npb_opencl);
+      ("fig7c.toolkit-wrapped", wrapped Suite.Registry.toolkit_opencl);
       ("fig8a.rodinia-native-cuda",
-       fun () ->
-         run_cuda_native (List.hd Suite.Registry.rodinia_cuda).Suite.Registry.cu_src);
+       native (List.hd Suite.Registry.rodinia_cuda).Suite.Registry.cu_src);
       ("fig8b.toolkit-translated",
        let c =
          List.find
@@ -822,8 +820,9 @@ let backends () =
            Suite.Registry.all_cuda
        in
        match translate_cuda c.cu_src with
-       | Translated res -> fun () -> run_translated_cuda res
-       | Failed _ -> fun () -> run_cuda_native c.cu_src) ]
+       | Translated res ->
+         fun dev -> run_translated_cuda ~dev:(dev Titan_opencl) res
+       | Failed _ -> native c.cu_src) ]
   in
   Printf.printf "%-28s %12s %12s %9s\n" "pipeline" "interp (s)"
     "compiled (s)" "speedup";
@@ -897,33 +896,31 @@ let fuzz_bench () =
 let parallel_bench () =
   header "Parallel: domain-parallel executor scaling (wall clock)";
   let domain_counts = [ 1; 2; 4; 8 ] in
-  let with_domains n f = with_setting Gpusim.Exec.domains n f in
+  let at domains = { (Gpusim.Config.default ()) with domains } in
   Printf.printf "%-24s %10s %10s %10s %10s %9s\n" "workload" "1 dom (s)"
     "2 dom (s)" "4 dom (s)" "8 dom (s)" "x at 4";
   let speedups =
     List.map
       (fun (name, run, last) ->
-         let reference = with_domains 1 run in
+         let reference = run (at 1) in
          let times =
            List.map
              (fun n ->
-                with_domains n (fun () ->
-                    let out = run () in
-                    if out <> reference then begin
-                      Printf.printf
-                        "parallel bench FAILED: %s diverges at %d domains\n"
-                        name n;
-                      exit 1
-                    end;
-                    (match !last with
-                     | Some { Gpusim.Exec.pool = { outcome = Replayed r; _ }; _ }
-                       when n > 1 ->
-                       Printf.printf
-                         "parallel bench FAILED: %s replayed at %d domains (%s)\n"
-                         name n r;
-                       exit 1
-                     | _ -> ());
-                    (n, best_of 3 run)))
+                let out = run (at n) in
+                if out <> reference then begin
+                  Printf.printf
+                    "parallel bench FAILED: %s diverges at %d domains\n" name n;
+                  exit 1
+                end;
+                (match !last with
+                 | Some { Gpusim.Exec.pool = { outcome = Replayed r; _ }; _ }
+                   when n > 1 ->
+                   Printf.printf
+                     "parallel bench FAILED: %s replayed at %d domains (%s)\n"
+                     name n r;
+                   exit 1
+                 | _ -> ());
+                (n, best_of 3 (fun () -> run (at n))))
              domain_counts
          in
          let t n = List.assoc n times in
@@ -939,7 +936,8 @@ let parallel_bench () =
      dominate and kernel scaling is diluted — reported, never gated *)
   let app = List.hd Suite.Registry.rodinia_opencl in
   let app_time n =
-    with_domains n (fun () -> best_of 3 (fun () -> run_app_on_cuda app ()))
+    best_of 3 (fun () ->
+        run_app_on_cuda app ~dev:(device_of ~config:(at n) Titan_cuda) ())
   in
   let app1 = app_time 1 and app4 = app_time 4 in
   Printf.printf "%-24s %10.4f %10s %10.4f %10s %8.2fx  (not gated)\n"
@@ -970,12 +968,13 @@ let parallel_bench () =
    with rejection reasons, no launches. *)
 let lockstep_bench () =
   header "Lockstep: warp-lockstep engine vs scalar compiled (wall clock)";
-  let with_engine e f = with_setting Gpusim.Exec.engine e f in
+  let scalar = { (Gpusim.Config.default ()) with engine = Scalar } in
+  let lockstep = { scalar with engine = Lockstep } in
   (* measure one workload under both engines; identity and the
      accepted-lockstep outcome are hard failures, not footnotes *)
   let measure (name, run, last) =
-    let reference = with_engine Gpusim.Exec.Scalar run in
-    if with_engine Gpusim.Exec.Lockstep run <> reference then begin
+    let reference = run scalar in
+    if run lockstep <> reference then begin
       Printf.printf "lockstep bench FAILED: %s diverges from scalar\n" name;
       exit 1
     end;
@@ -987,8 +986,8 @@ let lockstep_bench () =
      | _ ->
        Printf.printf "lockstep bench FAILED: %s ran the scalar engine\n" name;
        exit 1);
-    let ts = with_engine Gpusim.Exec.Scalar (fun () -> best_of 5 run) in
-    let tl = with_engine Gpusim.Exec.Lockstep (fun () -> best_of 5 run) in
+    let ts = best_of 5 (fun () -> run scalar) in
+    let tl = best_of 5 (fun () -> run lockstep) in
     (name, ts, tl, ts /. tl)
   in
   Printf.printf "%-24s %12s %12s %9s\n" "workload" "scalar (s)"
@@ -1026,7 +1025,7 @@ let lockstep_bench () =
        | prog ->
          let est =
            Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty
-             ~cfg:!Ir.Pipeline.selected prog
+             ~cfg:(Gpusim.Config.default ()).passes prog
          in
          List.iter
            (fun (f : Minic.Ast.func) ->

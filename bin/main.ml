@@ -399,8 +399,11 @@ let traced_run label f =
   | v -> (finish (), Ok v)
   | exception e -> (finish (), Error e)
 
+(* Every run of a CLI invocation launches under the process defaults,
+   which the header echoes as a fuzz repro records them. *)
 let print_profile ?(attribute = false) (tr : traced_run) =
-  print_string (Trace.Summary.to_string ~label:tr.tr_label tr.tr_spans);
+  let config = Gpusim.Config.to_string (Gpusim.Config.default ()) in
+  print_string (Trace.Summary.to_string ~label:tr.tr_label ~config tr.tr_spans);
   if tr.tr_dropped_spans > 0 || tr.tr_dropped_metrics > 0 then
     Printf.printf
       "!! trace truncated: the ring buffer evicted %d span(s) and %d metrics \

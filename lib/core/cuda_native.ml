@@ -298,7 +298,9 @@ let launch_handler (cu : Cuda.Cudart.t) (m : Cuda.Cudart.modul) launches =
   fun ctx (l : launch) ->
     incr launches;
     let kernel =
-      match find_function m.Cuda.Cudart.m_prog l.l_kernel with
+      match
+        find_function (Gpusim.Exec.program m.Cuda.Cudart.m_code) l.l_kernel
+      with
       | Some f when f.fn_tmpl = [] -> f
       | Some f -> Minic.Specialize.func f l.l_tmpl
       | None -> errf "launch of unknown kernel %s" l.l_kernel

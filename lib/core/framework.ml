@@ -12,11 +12,12 @@ let target_name = function
   | Titan_opencl -> "OpenCL/Titan"
   | Amd_opencl -> "OpenCL/HD7970"
 
-let device_of = function
-  | Titan_cuda -> Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.cuda_on_nvidia
-  | Titan_opencl ->
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
-  | Amd_opencl -> Gpusim.Device.create Gpusim.Device.hd7970 Gpusim.Device.opencl_on_amd
+let device_of ?config target =
+  let create = Gpusim.Device.create ?config in
+  match target with
+  | Titan_cuda -> create Gpusim.Device.titan Gpusim.Device.cuda_on_nvidia
+  | Titan_opencl -> create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
+  | Amd_opencl -> create Gpusim.Device.hd7970 Gpusim.Device.opencl_on_amd
 
 type run = {
   r_output : string;

@@ -10,8 +10,9 @@ type target =
 
 val target_name : target -> string
 
-(** A fresh simulated device for a target (arenas, clock at zero). *)
-val device_of : target -> Gpusim.Device.t
+(** A fresh simulated device for a target (arenas, clock at zero),
+    launching under [config] ({!Gpusim.Config.default}[ ()] if absent). *)
+val device_of : ?config:Gpusim.Config.t -> target -> Gpusim.Device.t
 
 (** Result of one application run: the program's printed output and its
     simulated duration.  Durations already exclude what the paper

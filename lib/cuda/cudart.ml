@@ -47,7 +47,7 @@ type texture_ref = {
 (* ------------------------------------------------------------------ *)
 
 type modul = {
-  m_prog : Minic.Ast.program;
+  m_code : Gpusim.Exec.modul;
   m_globals : (string, Vm.Interp.binding) Hashtbl.t;
 }
 
@@ -144,10 +144,10 @@ let load_module cu (prog : Minic.Ast.program) : modul =
          | _ -> ())
       | _ -> ())
     prog;
-  { m_prog = prog; m_globals = globals }
+  { m_code = Gpusim.Exec.load prog; m_globals = globals }
 
 let module_get_function (m : modul) name =
-  match find_function m.m_prog name with
+  match find_function (Gpusim.Exec.program m.m_code) name with
   | Some f when f.fn_kind = FK_kernel -> f
   | Some _ -> err "cuModuleGetFunction: %s is not a __global__ function" name
   | None -> err "cuModuleGetFunction: no function %s" name
@@ -437,7 +437,7 @@ let launch_kernel cu ~(m : modul) ~(kernel : func)
       dyn_shared = shmem }
   in
   let stats =
-    Gpusim.Exec.launch ~dev:cu.dev ~prog:m.m_prog ~globals:m.m_globals
+    Gpusim.Exec.launch ~dev:cu.dev ~modul:m.m_code ~globals:m.m_globals
       ~host_arena:cu.host
       ~extra_externals:(texture_externals cu @ extra_externals) ~kernel ~cfg
       ~args ()

@@ -42,10 +42,11 @@ type texture_ref = {
 
 (** {2 State} *)
 
-(** A loaded module: the device program plus its materialised global
-    symbols (the analogue of a cuModuleLoad'ed PTX image). *)
+(** A loaded module: the device program with its compiled kernels, plus
+    its materialised global symbols (the analogue of a cuModuleLoad'ed
+    PTX image). *)
 type modul = {
-  m_prog : Minic.Ast.program;
+  m_code : Gpusim.Exec.modul;
   m_globals : (string, Vm.Interp.binding) Hashtbl.t;
 }
 

@@ -28,11 +28,11 @@ let plans (case : Gen.case) =
 
 (* (verdict, site): verdict is "equivalent", "L0".."L3", or
    "unsupported"; site is the divergence location or the skip reason. *)
-let layer_verdict (case : Gen.case) : string * string =
+let layer_verdict ?config (case : Gen.case) : string * string =
   match plans case with
   | Error why -> ("unsupported", why)
   | Ok (src, dst) ->
-    let r = Layered.check_plans ~cfg:(cfg case) ~src ~dst () in
+    let r = Layered.check_plans ?config ~cfg:(cfg case) ~src ~dst () in
     (match r.Layered.rp_diverged with
      | None -> ("equivalent", "")
      | Some (l, site) -> (Layered.layer_name l, site))

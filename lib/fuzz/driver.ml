@@ -24,9 +24,10 @@ let source_lines c =
   List.length (String.split_on_char '\n' (String.trim (Gen.source c)))
 
 (* Shrink [case] while [Pyramid.run] keeps reporting the same divergence. *)
-let shrink ~(d : Pyramid.divergence) (case : Gen.case) : Gen.case * int =
+let shrink ~config ~(d : Pyramid.divergence) (case : Gen.case) :
+  Gen.case * int =
   let interesting cand =
-    match Pyramid.run cand with
+    match Pyramid.run ~config cand with
     | Pyramid.Diverge d' -> Pyramid.same_divergence d d'
     | _ -> false
   in
@@ -34,9 +35,11 @@ let shrink ~(d : Pyramid.divergence) (case : Gen.case) : Gen.case * int =
 
 (* Run a fuzzing campaign.  [count] bounds the number of cases,
    [time_budget] (seconds, optional) additionally bounds wall time.
-   [log] receives human-readable progress lines. *)
+   [log] receives human-readable progress lines.  Every pyramid runs
+   under the process defaults, which a repro records. *)
 let run ?(out_dir = "_fuzz") ?time_budget ?(log = fun _ -> ()) ~seed ~count ()
   : stats =
+  let config = Gpusim.Config.default () in
   let stats = make_stats () in
   let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
   let t0 = now () in
@@ -52,7 +55,7 @@ let run ?(out_dir = "_fuzz") ?time_budget ?(log = fun _ -> ()) ~seed ~count ()
     let case = case_of ~seed index in
     stats.total <- stats.total + 1;
     Gen.observe stats.coverage case;
-    match Pyramid.run case with
+    match Pyramid.run ~config case with
     | Pyramid.Agree -> stats.agreed <- stats.agreed + 1
     | Pyramid.Skip reason ->
       stats.skipped <- stats.skipped + 1;
@@ -64,19 +67,20 @@ let run ?(out_dir = "_fuzz") ?time_budget ?(log = fun _ -> ()) ~seed ~count ()
            d.Pyramid.d_stage
            (Pyramid.kind_name d.Pyramid.d_kind)
            d.Pyramid.d_detail);
-      let small, attempts = shrink ~d case in
+      let small, attempts = shrink ~config ~d case in
       stats.shrink_attempts <- stats.shrink_attempts + attempts;
       log
         (Printf.sprintf "case %d: shrunk %d -> %d lines in %d attempts" index
            (source_lines case) (source_lines small) attempts);
-      let layer = Diagnose.layer_verdict small in
+      let layer = Diagnose.layer_verdict ~config small in
       log
         (Printf.sprintf "case %d: layer diagnosis: %s%s" index (fst layer)
            (if snd layer = "" then "" else " (" ^ snd layer ^ ")"));
       if List.length stats.repro_dirs < 8 then begin
         let name = Printf.sprintf "seed%d-case%d" seed index in
         let dir =
-          Repro.write ~out_dir ~name ~case:small ~d ~layer ~seed ~index
+          Repro.write ~out_dir ~name ~config ~case:small ~d ~layer ~seed
+            ~index
         in
         stats.repro_dirs <- dir :: stats.repro_dirs;
         log (Printf.sprintf "case %d: minimal repro written to %s" index dir)
@@ -103,13 +107,11 @@ let replay ?(log = fun _ -> ()) dir : bool =
   log
     (Printf.sprintf "replay: stored layer verdict: %s%s" layer_verdict
        (if layer_site = "" then "" else " (" ^ layer_site ^ ")"));
-  (* re-run under the IR pass set that was active when the divergence was
-     recorded, so pass-dependent divergences reproduce *)
-  let passes = Repro.passes dir in
-  log (Printf.sprintf "replay: IR passes: %s" (Ir.Pipeline.signature passes));
-  log (Printf.sprintf "replay: engine: %s" (Repro.engine dir));
-  Ir.Pipeline.with_passes passes @@ fun () ->
-  match Pyramid.run case with
+  (* re-run under the configuration the divergence was found under, so
+     pass-, engine- and domain-dependent divergences reproduce *)
+  let config = Repro.config dir in
+  log ("replay: configuration: " ^ Gpusim.Config.to_string config);
+  match Pyramid.run ~config case with
   | Pyramid.Agree -> log "replay: all pyramid executions agree"; false
   | Pyramid.Skip reason -> log ("replay: skipped (" ^ reason ^ ")"); false
   | Pyramid.Diverge d ->

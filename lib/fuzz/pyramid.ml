@@ -104,20 +104,17 @@ let counter_refinement ~ir ~interp =
        if ok then None else Some (Printf.sprintf "%s %d/%d" n x y))
     (List.combine ir interp)
 
-(* Run [p] at the case's geometry under [backend]: the launch
-   statistics and every buffer's final bytes, concatenated. *)
-let launch backend (c : Gen.case) (p : Plan.t) :
+(* Run [p] at the case's geometry on a device under [config]: the
+   launch statistics and every buffer's final bytes, concatenated. *)
+let launch config (c : Gen.case) (p : Plan.t) :
   Gpusim.Exec.launch_stats * string =
-  let saved = !Gpusim.Exec.backend in
-  Gpusim.Exec.backend := backend;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.backend := saved) @@ fun () ->
-  let stats, bufs = Plan.run ~gws:c.c_gws ~lws:c.c_lws p in
+  let stats, bufs = Plan.run ~config ~gws:c.c_gws ~lws:c.c_lws p in
   (stats, String.concat "" bufs)
 
 (* What the stages compare: output bytes and [counter_fields]. *)
-let observe backend (c : Gen.case) (p : Plan.t) :
+let observe config (c : Gen.case) (p : Plan.t) :
   string * (string * int) list =
-  let stats, out = launch backend c p in
+  let stats, out = launch config c p in
   (out, counter_fields stats.Gpusim.Exec.counters)
 
 let exn_detail e =
@@ -130,25 +127,29 @@ let counter_diff a b =
        if x <> y then Some (Printf.sprintf "%s %d/%d" n x y) else None)
     (List.combine a b)
 
+(* Every configuration below is the pyramid's base [config] (the
+   process defaults unless a repro replays its own) with only the fields
+   under test changed, so a base engine or domain count reaches every
+   launch. *)
+let compiled (config : Gpusim.Config.t) = { config with backend = Compiled }
+
 (* Run one stage under both backends; compare within the stage, then
    against the reference bytes from an earlier stage if given.
 
-   The backend-vs-backend comparison pins OCLCU_IR_PASSES=none: the
+   The backend-vs-backend comparison pins the empty pass set: the
    counter contract ([counter_refinement]) is between the interpreter
    and the *unoptimized* IR.  A separate sub-stage then re-runs the
-   compiled backend with the ambient pass set and requires byte-identical
+   compiled backend with the base pass set and requires byte-identical
    buffers — the optimizer may change op counts, never results. *)
-let run_stage ~stage (c : Gen.case) (p : Plan.t) ~(reference : string option) :
+let run_stage ~stage ~config (c : Gen.case) (p : Plan.t)
+    ~(reference : string option) :
   (string * (string * int) list, divergence) result =
   let attempt backend =
-    match
-      Ir.Pipeline.with_passes Ir.Pipeline.none (fun () ->
-          observe backend c p)
-    with
+    match observe { config with backend; passes = Ir.Pipeline.none } c p with
     | r -> Ok r
     | exception e -> Error e
   in
-  match attempt Gpusim.Exec.Compiled, attempt Gpusim.Exec.Interp with
+  match attempt Gpusim.Config.Compiled, attempt Gpusim.Config.Interp with
   | Error e, Error _ ->
     Error { d_stage = stage; d_kind = K_crash;
             d_detail = "both backends: " ^ exn_detail e }
@@ -168,9 +169,9 @@ let run_stage ~stage (c : Gen.case) (p : Plan.t) ~(reference : string option) :
               d_detail = "compiled vs interp: " ^ String.concat ", " broken }
     else begin
       match
-        if !Ir.Pipeline.selected = Ir.Pipeline.none then Ok b_bytes
+        if config.passes = Ir.Pipeline.none then Ok b_bytes
         else
-          match observe Gpusim.Exec.Compiled c p with
+          match observe (compiled config) c p with
           | o_bytes, _ -> Ok o_bytes
           | exception e ->
             Error { d_stage = stage ^ "/ir-passes"; d_kind = K_crash;
@@ -190,129 +191,67 @@ let run_stage ~stage (c : Gen.case) (p : Plan.t) ~(reference : string option) :
     end
 
 (* ------------------------------------------------------------------ *)
-(* The parallel stage                                                  *)
+(* Engine sweeps                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let with_domains n f =
-  let saved = !Gpusim.Exec.domains in
-  Gpusim.Exec.domains := n;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.domains := saved) f
+(* Re-run [p] under each (stage, config) of [runs]: each run must
+   reproduce the [ref_name] reference run's buffers byte-for-byte and
+   its Counters.t field-for-field.  [reference] produces that run; a
+   crash in it is a divergence at [ref_stage]. *)
+let sweep (c : Gen.case) (p : Plan.t) ~ref_stage ~ref_name ~reference runs :
+  (unit, divergence) result =
+  match reference () with
+  | exception e ->
+    Error { d_stage = ref_stage; d_kind = K_crash;
+            d_detail = ref_name ^ " reference: " ^ exn_detail e }
+  | ref_bytes, ref_ctr ->
+    let rec go = function
+      | [] -> Ok ()
+      | (stage, config) :: rest ->
+        (match observe config c p with
+         | exception e ->
+           Error { d_stage = stage; d_kind = K_crash;
+                   d_detail = exn_detail e }
+         | bytes, _ when bytes <> ref_bytes ->
+           Error { d_stage = stage; d_kind = K_bytes;
+                   d_detail = "buffers differ from the " ^ ref_name ^ " run" }
+         | _, ctr when ctr <> ref_ctr ->
+           Error { d_stage = stage; d_kind = K_counters;
+                   d_detail =
+                     Printf.sprintf "%s vs %s: %s" stage ref_name
+                       (String.concat ", " (counter_diff ctr ref_ctr)) }
+         | _ -> go rest)
+    in
+    go runs
 
 (* The domain-parallel executor must be observationally indistinguishable
    from the sequential one: the same plan run at 2 and 4 domains has to
-   reproduce the sequential compiled run's buffers byte-for-byte and its
-   Counters.t field-for-field.  A divergence here is a real bug in the
-   optimistic engine (missed conflict, non-additive counter, unsafe
-   shared state) and shrinks like any other pyramid divergence. *)
-let parallel_domains = [ 2; 4 ]
-
-let run_parallel_stage (c : Gen.case) (p : Plan.t)
-    ~(reference : string * (string * int) list) : (unit, divergence) result =
-  (* the reference comes from run_stage's pinned-none backend run, so
-     the domain-count sweep is pinned to the same pass set; the IR
-     backend's own domain invariance is covered by test_ir's
-     differential property *)
-  Ir.Pipeline.with_passes Ir.Pipeline.none @@ fun () ->
-  (* pin a true sequential run if the ambient domain count was not 1 *)
+   reproduce the sequential compiled run.  A divergence here is a real
+   bug in the optimistic engine (missed conflict, non-additive counter,
+   unsafe shared state) and shrinks like any other pyramid divergence.
+   Pinned to the empty pass set, like the reference [run_stage] returns
+   (reused when the base already runs on one domain). *)
+let parallel_stage ~config (c : Gen.case) (p : Plan.t) ~reference =
   let seq =
-    if !Gpusim.Exec.domains = 1 then Ok reference
-    else
-      match with_domains 1 (fun () -> observe Gpusim.Exec.Compiled c p) with
-      | r -> Ok r
-      | exception e ->
-        Error { d_stage = "parallel-ref"; d_kind = K_crash;
-                d_detail = "sequential reference: " ^ exn_detail e }
+    { (compiled config) with passes = Ir.Pipeline.none; domains = 1 }
   in
-  match seq with
-  | Error d -> Error d
-  | Ok (ref_bytes, ref_ctr) ->
-    let rec go = function
-      | [] -> Ok ()
-      | n :: rest ->
-        let stage = Printf.sprintf "parallel-%d" n in
-        (match
-           with_domains n (fun () -> observe Gpusim.Exec.Compiled c p)
-         with
-         | exception e ->
-           Error { d_stage = stage; d_kind = K_crash;
-                   d_detail = exn_detail e }
-         | bytes, ctr ->
-           if bytes <> ref_bytes then
-             Error { d_stage = stage; d_kind = K_bytes;
-                     d_detail =
-                       Printf.sprintf
-                         "buffers differ from sequential at %d domains" n }
-           else if ctr <> ref_ctr then
-             Error { d_stage = stage; d_kind = K_counters;
-                     d_detail =
-                       Printf.sprintf "parallel-%d vs sequential: %s" n
-                         (String.concat ", " (counter_diff ctr ref_ctr)) }
-           else go rest)
-    in
-    go parallel_domains
-
-(* ------------------------------------------------------------------ *)
-(* The lockstep stage                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let with_engine e f =
-  let saved = !Gpusim.Exec.engine in
-  Gpusim.Exec.engine := e;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.engine := saved) f
+  sweep c p ~ref_stage:"parallel-ref" ~ref_name:"sequential"
+    ~reference:(fun () ->
+        if config.domains = 1 then reference else observe seq c p)
+    [ ("parallel-2", { seq with domains = 2 });
+      ("parallel-4", { seq with domains = 4 }) ]
 
 (* The warp-lockstep engine must be observationally indistinguishable
-   from the scalar one: the same plan re-run with [Gpusim.Exec.engine]
-   set to [Lockstep] — sequentially and on 4 domains (stages
-   "lockstep" and "lockstep-4") — has to reproduce the scalar compiled
-   run's buffers byte-for-byte and its Counters.t field-for-field,
-   whether the kernel ran in lockstep, fell back at eligibility or
-   bailed out mid-launch.  Runs under the ambient pass set: lockstep
-   executes the optimized IR, so the scalar reference is taken under
-   the same configuration. *)
-let lockstep_domains = [ 1; 4 ]
-
-let run_lockstep_stage (c : Gen.case) (p : Plan.t) : (unit, divergence) result =
-  let scalar =
-    match
-      with_engine Gpusim.Exec.Scalar (fun () ->
-          with_domains 1 (fun () -> observe Gpusim.Exec.Compiled c p))
-    with
-    | r -> Ok r
-    | exception e ->
-      Error { d_stage = "lockstep-ref"; d_kind = K_crash;
-              d_detail = "scalar reference: " ^ exn_detail e }
-  in
-  match scalar with
-  | Error d -> Error d
-  | Ok (ref_bytes, ref_ctr) ->
-    let rec go = function
-      | [] -> Ok ()
-      | n :: rest ->
-        let stage =
-          if n = 1 then "lockstep" else Printf.sprintf "lockstep-%d" n
-        in
-        (match
-           with_engine Gpusim.Exec.Lockstep (fun () ->
-               with_domains n (fun () -> observe Gpusim.Exec.Compiled c p))
-         with
-         | exception e ->
-           Error { d_stage = stage; d_kind = K_crash;
-                   d_detail = exn_detail e }
-         | bytes, ctr ->
-           if bytes <> ref_bytes then
-             Error { d_stage = stage; d_kind = K_bytes;
-                     d_detail =
-                       Printf.sprintf
-                         "buffers differ from the scalar engine at %d domains"
-                         n }
-           else if ctr <> ref_ctr then
-             Error { d_stage = stage; d_kind = K_counters;
-                     d_detail =
-                       Printf.sprintf "lockstep vs scalar at %d domains: %s" n
-                         (String.concat ", " (counter_diff ctr ref_ctr)) }
-           else go rest)
-    in
-    go lockstep_domains
+   from the scalar one, sequentially and on 4 domains, whether the
+   kernel ran in lockstep, fell back at eligibility or bailed out
+   mid-launch.  Runs under the base pass set: lockstep executes the
+   optimized IR, so the scalar reference does too. *)
+let lockstep_stage ~config (c : Gen.case) (p : Plan.t) =
+  let scalar = { (compiled config) with engine = Scalar; domains = 1 } in
+  sweep c p ~ref_stage:"lockstep-ref" ~ref_name:"scalar"
+    ~reference:(fun () -> observe scalar c p)
+    [ ("lockstep", { scalar with engine = Lockstep });
+      ("lockstep-4", { scalar with engine = Lockstep; domains = 4 }) ]
 
 (* ------------------------------------------------------------------ *)
 (* The pyramid                                                         *)
@@ -340,7 +279,7 @@ let source_prog (c : Gen.case) =
 
 (* Stage B: [a] through the OCL->CUDA translator, printed and re-parsed. *)
 let plan_b (a : Plan.t) : (Plan.t, verdict) result =
-  match Xlat.Ocl_to_cuda.translate a.Plan.prog with
+  match Xlat.Ocl_to_cuda.translate (Plan.prog a) with
   | exception Xlat.Ocl_to_cuda.Untranslatable msg ->
     Error (Skip ("untranslatable (ocl->cuda): " ^ msg))
   | result ->
@@ -359,7 +298,7 @@ let plan_b (a : Plan.t) : (Plan.t, verdict) result =
 
 (* Stage C: [b] back through the CUDA->OCL translator. *)
 let plan_c (b : Plan.t) : (Plan.t, verdict) result =
-  match Xlat.Cuda_to_ocl.translate b.Plan.prog with
+  match Xlat.Cuda_to_ocl.translate (Plan.prog b) with
   | exception Xlat.Cuda_to_ocl.Untranslatable msg ->
     Error
       (Diverge
@@ -382,27 +321,25 @@ let plans (c : Gen.case) : (Plan.t * Plan.t, verdict) result =
       let a = plan_a c prog in
       Result.map (fun b -> (a, b)) (plan_b a))
 
-let run (c : Gen.case) : verdict =
+(* Run the pyramid on [c], its stages derived from the base [config]. *)
+let run ?(config = Gpusim.Config.default ()) (c : Gen.case) : verdict =
   let ( let* ) r k = match r with Ok x -> k x | Error v -> v in
   let diverged r = Result.map_error (fun d -> Diverge d) r in
+  let stage name p ~reference =
+    diverged (run_stage ~stage:name ~config c p ~reference)
+  in
   let* prog = source_prog c in
   match Xlat_analysis.Checks.analyze_program prog with
   | d :: _ -> Skip ("analyzer: " ^ Xlat_analysis.Diag.to_string d)
   | [] ->
     let a = plan_a c prog in
-    let* ((ref_bytes, _) as reference) =
-      diverged (run_stage ~stage:"opencl" c a ~reference:None)
-    in
-    let* () = diverged (run_parallel_stage c a ~reference) in
-    let* () = diverged (run_lockstep_stage c a) in
+    let* ((ref_bytes, _) as reference) = stage "opencl" a ~reference:None in
+    let* () = diverged (parallel_stage ~config c a ~reference) in
+    let* () = diverged (lockstep_stage ~config c a) in
     let* b = plan_b a in
-    let* _ =
-      diverged (run_stage ~stage:"ocl->cuda" c b ~reference:(Some ref_bytes))
-    in
+    let* _ = stage "ocl->cuda" b ~reference:(Some ref_bytes) in
     let* rt = plan_c b in
-    let* _ =
-      diverged (run_stage ~stage:"round-trip" c rt ~reference:(Some ref_bytes))
-    in
+    let* _ = stage "round-trip" rt ~reference:(Some ref_bytes) in
     Agree
 
 (* Two verdicts count as "the same bug" for shrinking purposes when the

@@ -34,16 +34,9 @@ let config_str (c : Gen.case) extra =
           ("init_seed", string_of_int c.Gen.c_init_seed) ]
         @ extra))
 
-(* Which execution engine exposed the divergence: lockstep-stage bugs
-   only reproduce with the warp engine enabled, so the repro records it
-   and [--replay] reports it. *)
-let divergence_engine (d : Pyramid.divergence) =
-  if String.length d.Pyramid.d_stage >= 8
-     && String.sub d.Pyramid.d_stage 0 8 = "lockstep"
-  then "lockstep"
-  else "scalar"
-
-let write ~out_dir ~name ~(case : Gen.case) ~(d : Pyramid.divergence)
+(* [config] is the pyramid's base configuration; stages derive theirs
+   from it, so replaying under it reruns every stage as it ran. *)
+let write ~out_dir ~name ~config ~(case : Gen.case) ~(d : Pyramid.divergence)
     ~(layer : string * string) ~seed ~index : string =
   ensure_dir out_dir;
   let dir = Filename.concat out_dir name in
@@ -53,19 +46,13 @@ let write ~out_dir ~name ~(case : Gen.case) ~(d : Pyramid.divergence)
   write_file (Filename.concat dir "kernel.cl") src;
   write_file (Filename.concat dir "config")
     (config_str case
-       [ ("seed", string_of_int seed);
-         ("index", string_of_int index);
-         (* the enabled IR pass set: a pass-dependent divergence only
-            reproduces under the same middle-end configuration *)
-         ("passes", Ir.Pipeline.signature !Ir.Pipeline.selected);
-         (* the engine whose stage diverged; the pyramid always re-runs
-            both, so replay reproduces either way *)
-         ("engine", divergence_engine d);
-         ("stage", d.Pyramid.d_stage);
-         ("kind", Pyramid.kind_name d.Pyramid.d_kind);
-         ("detail", d.Pyramid.d_detail);
-         ("layer", layer_verdict);
-         ("layer_site", layer_site) ]);
+       ([ ("seed", string_of_int seed); ("index", string_of_int index) ]
+        @ Gpusim.Config.to_kv config
+        @ [ ("stage", d.Pyramid.d_stage);
+            ("kind", Pyramid.kind_name d.Pyramid.d_kind);
+            ("detail", d.Pyramid.d_detail);
+            ("layer", layer_verdict);
+            ("layer_site", layer_site) ]));
   write_file (Filename.concat dir "README.md")
     (Printf.sprintf
        "# Fuzz divergence: %s (%s)\n\n%s\n\nLayer verdict: %s%s\n\n\
@@ -95,20 +82,17 @@ let layer dir : string * string =
   ( Option.value (List.assoc_opt "layer" kv) ~default:"-",
     Option.value (List.assoc_opt "layer_site" kv) ~default:"" )
 
-(* The engine whose stage diverged; repros written before the lockstep
-   engine existed read back as "scalar". *)
-let engine dir : string =
-  Option.value (List.assoc_opt "engine" (config_kv dir)) ~default:"scalar"
-
-(* The IR pass set active when the divergence was found; repros written
-   before the middle-end existed read back as the default ("all"). *)
-let passes dir : Ir.Pipeline.config =
-  let s =
-    Option.value (List.assoc_opt "passes" (config_kv dir)) ~default:"all"
-  in
-  match Ir.Pipeline.parse s with
-  | Ok c -> c
-  | Error _ -> Ir.Pipeline.all
+(* The pyramid's base configuration.  Repros written before it was
+   stored have no [domains] key: they replay under the process defaults
+   and their pass set (all when absent, from before the middle-end), and
+   their [engine] key named the diverging stage's engine, not a
+   setting. *)
+let config dir : Gpusim.Config.t =
+  let kv = config_kv dir in
+  if List.mem_assoc "domains" kv then Gpusim.Config.of_kv kv
+  else
+    Gpusim.Config.of_kv
+      [ ("passes", Option.value (List.assoc_opt "passes" kv) ~default:"all") ]
 
 (* Re-load a written repro as a runnable case. *)
 let load dir : Gen.case =

@@ -111,12 +111,14 @@ let opencl_on_amd = {
   build_ns_per_byte = 3000.0;
 }
 
-(* A live device: profile + memory arenas + loaded symbols.  The host
-   APIs allocate buffers in [global] and keep device-global symbols in
-   [symbols] so cudaMemcpyToSymbol can reach them. *)
+(* A live device: profile + engine configuration + memory arenas +
+   loaded symbols.  The host APIs allocate buffers in [global] and keep
+   device-global symbols in [symbols] so cudaMemcpyToSymbol can reach
+   them. *)
 type t = {
   hw : hw;
   fw : framework;
+  config : Config.t;                  (* how launches execute *)
   global : Vm.Memory.arena;
   constant : Vm.Memory.arena;
   symbols : (string, Vm.Interp.binding) Hashtbl.t;
@@ -127,8 +129,8 @@ type t = {
   mutable model_occupancy : bool;
 }
 
-let create hw fw =
-  { hw; fw;
+let create ?(config = Config.default ()) hw fw =
+  { hw; fw; config;
     global = Vm.Memory.create ~initial:(1 lsl 20) "global";
     constant = Vm.Memory.create ~initial:65536 "constant";
     symbols = Hashtbl.create 17;

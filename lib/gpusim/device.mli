@@ -45,11 +45,14 @@ val cuda_on_nvidia : framework
 val opencl_on_nvidia : framework
 val opencl_on_amd : framework
 
-(** A live device: profiles, memory arenas, loaded symbols, accumulated
-    simulated time, and the ablation switches of experiments A1/A2. *)
+(** A live device: profiles, engine configuration, memory arenas, loaded
+    symbols, accumulated simulated time, and the ablation switches of
+    experiments A1/A2. *)
 type t = {
   hw : hw;
   fw : framework;
+  config : Config.t;           (** backend, engine, domains and passes of
+                                   every launch on this device *)
   global : Vm.Memory.arena;
   constant : Vm.Memory.arena;
   symbols : (string, Vm.Interp.binding) Hashtbl.t;
@@ -60,7 +63,8 @@ type t = {
   mutable model_occupancy : bool;
 }
 
-val create : hw -> framework -> t
+(** [config] defaults to {!Config.default}[ ()]. *)
+val create : ?config:Config.t -> hw -> framework -> t
 
 val add_time : t -> float -> unit
 

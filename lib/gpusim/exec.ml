@@ -7,8 +7,9 @@
    barrier, all are resumed -- faithful bulk-synchronous semantics
    including values communicated through __local/__shared__ memory.
 
-   Work-groups run sequentially by default.  With [domains] > 1 (env
-   OCLCU_DOMAINS, `oclcu run --domains N`) a persistent domain pool
+   Work-groups run sequentially when the device's configuration asks
+   for 1 domain.  With more (OCLCU_DOMAINS, `oclcu run --domains N`,
+   the machine's core count by default) a persistent domain pool
    executes blocks concurrently, optimistically: every access a block
    makes to a shared address space is logged (Conflict), shared arenas
    are snapshotted and frozen, and simulated global atomics take a real
@@ -57,24 +58,14 @@ type pool_stats = {
   worker_blocks : int array;
 }
 
-(* Execution engine within a block: per-item coroutines (scalar), or
-   whole warps in lockstep over the IR (Gpusim.Lockstep) with a scalar
-   fallback for ineligible kernels. *)
-type engine = Scalar | Lockstep
+(* The process defaults behind Config.default, re-exported where the
+   CLI and bench/e2e read them. *)
+type backend = Config.backend = Interp | Compiled
+type engine = Config.engine = Scalar | Lockstep
 
-let engine_of_string = function
-  | "scalar" | "item" -> Some Scalar
-  | "lockstep" | "warp" -> Some Lockstep
-  | _ -> None
-
-let engine =
-  ref
-    (match Sys.getenv_opt "OCLCU_ENGINE" with
-     | Some s ->
-       (match engine_of_string (String.trim s) with
-        | Some e -> e
-        | None -> Scalar)
-     | None -> Scalar)
+let backend = Config.backend
+let engine = Config.engine
+let domains = Config.domains
 
 (* What the engine selection actually did for one launch; observability
    for the differential tests (assert the lockstep path really ran) and
@@ -96,21 +87,6 @@ type launch_stats = {
   pool : pool_stats;
   engine : engine_outcome;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel configuration                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Worker domains per launch; blocks are distributed over them.  1 is
-   the plain sequential engine.  Defaults to the machine's core count. *)
-let domains =
-  ref
-    (match Sys.getenv_opt "OCLCU_DOMAINS" with
-     | Some s ->
-       (match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> Domain.recommended_domain_count ())
-     | None -> Domain.recommended_domain_count ())
 
 (* The process-wide worker pool, spawned on first parallel launch. *)
 let pool = lazy (Pool.create ())
@@ -311,22 +287,8 @@ let uint3 a =
     (TVec (UInt, 3))
 
 (* ------------------------------------------------------------------ *)
-(* Backend selection: IR-compiled closures (default) vs tree-walking   *)
-(* interpreter (OCLCU_BACKEND=interp, for differential testing)        *)
+(* Loaded modules and their compiled forms                             *)
 (* ------------------------------------------------------------------ *)
-
-type backend = Interp | Compiled
-
-let backend_of_string = function
-  | "interp" | "interpreter" -> Some Interp
-  | "compiled" | "compile" | "closure" -> Some Compiled
-  | _ -> None
-
-let backend =
-  ref
-    (match Sys.getenv_opt "OCLCU_BACKEND" with
-     | Some s -> (match backend_of_string s with Some b -> b | None -> Compiled)
-     | None -> Compiled)
 
 (* Types of the launcher-provided rvalue specials, for compile-time
    member resolution; must list the same names as [special_ident]. *)
@@ -337,59 +299,52 @@ let special_ty = function
     Some (TScalar Int)
   | _ -> None
 
-(* IR-compiled modules, keyed by physical identity of the module AST:
-   the build pipelines return a shared AST for a loaded module (and the
-   build cache shares it across contexts), so each module compiles once
-   per process.  The key also carries the enabled pass set, so a changed
-   OCLCU_IR_PASSES (or a test toggling Ir.Pipeline.selected) takes
-   effect without restarting the process.  Bounded; structural hashing
-   of whole ASTs would defeat the point.
-
-   Each entry also holds the module's lockstep warp plans, keyed by
-   kernel name and warp width.  Errors are cached too: ineligibility is
-   decided once, not re-analysed per launch.  One mutex guards both:
-   modules are shared across domains and tests launch from spawned
-   domains. *)
-type ir_entry = {
-  ie_prog : Minic.Ast.program;
-  ie_passes : string;
-  ie_est : Ir.Emit.t;
-  ie_plans : (string * int, (Lockstep.plan, string) result) Hashtbl.t;
+(* A loaded module: the device program, and its compiled forms, one per
+   IR pass set it was launched under.  A form compiles on the module's
+   first launch under its pass set and holds the lockstep warp plans,
+   keyed by kernel name and warp width; ineligibility is decided once,
+   not re-analysed per launch.  The lock guards both: a module may be
+   launched from several domains at once. *)
+type form = {
+  f_passes : Ir.Pipeline.config;
+  f_est : Ir.Emit.t;
+  f_plans : (string * int, (Lockstep.plan, string) result) Hashtbl.t;
 }
 
-let ir_cache : ir_entry list ref = ref []
-let ir_cache_limit = 16
-let ir_cache_lock = Mutex.create ()
+type modul = {
+  m_prog : Minic.Ast.program;
+  m_lock : Mutex.t;
+  mutable m_forms : form list;
+}
 
-(* The entry for [prog] under the selected pass set, built on a miss. *)
-let ir_entry prog =
-  Mutex.protect ir_cache_lock (fun () ->
-      let sg = Ir.Pipeline.signature !Ir.Pipeline.selected in
-      match
-        List.find_opt
-          (fun e -> e.ie_prog == prog && e.ie_passes = sg)
-          !ir_cache
-      with
-      | Some e -> e
+let load prog = { m_prog = prog; m_lock = Mutex.create (); m_forms = [] }
+
+let program m = m.m_prog
+
+let compiled_forms m = Mutex.protect m.m_lock (fun () -> List.length m.m_forms)
+
+(* [m]'s form under [passes], compiled on first use. *)
+let form m passes =
+  Mutex.protect m.m_lock (fun () ->
+      match List.find_opt (fun f -> f.f_passes = passes) m.m_forms with
+      | Some f -> f
       | None ->
-        let e =
-          { ie_prog = prog;
-            ie_passes = sg;
-            ie_est = Ir.Emit.make ~special_ty ~cfg:!Ir.Pipeline.selected prog;
-            ie_plans = Hashtbl.create 4 }
+        let f =
+          { f_passes = passes;
+            f_est = Ir.Emit.make ~special_ty ~cfg:passes m.m_prog;
+            f_plans = Hashtbl.create 4 }
         in
-        let rest = List.filteri (fun i _ -> i < ir_cache_limit - 1) !ir_cache in
-        ir_cache := e :: rest;
-        e)
+        m.m_forms <- f :: m.m_forms;
+        f)
 
-let lockstep_plan_for (e : ir_entry) ~name ~warp =
+let lockstep_plan_for m (f : form) ~name ~warp =
   let key = (name, warp) in
-  Mutex.protect ir_cache_lock (fun () ->
-      match Hashtbl.find_opt e.ie_plans key with
+  Mutex.protect m.m_lock (fun () ->
+      match Hashtbl.find_opt f.f_plans key with
       | Some r -> r
       | None ->
-        let r = Lockstep.plan_for e.ie_est ~name ~warp in
-        Hashtbl.replace e.ie_plans key r;
+        let r = Lockstep.plan_for f.f_est ~name ~warp in
+        Hashtbl.replace f.f_plans key r;
         r)
 
 (* Everything mutable one worker owns; see [make_worker] below. *)
@@ -402,15 +357,16 @@ type worker = {
   w_blocks : int ref;          (* blocks this worker executed *)
 }
 
-(* Launch a kernel on a device.
+(* Launch a kernel of the loaded module [modul] on a device, under the
+   device's configuration.
 
-   [prog] is the loaded device module (kernels + helpers + globals);
-   device globals must already be materialised in [globals].
+   Device globals must already be materialised in [globals].
    [host_arena] backs AS_none so kernels can read host constants if a
    runtime chooses to pass them (not used by well-formed code). *)
-let launch ~(dev : Device.t) ~prog ~globals ~host_arena
+let launch ~(dev : Device.t) ~modul ~globals ~host_arena
     ?(extra_externals = []) ?observer ~(kernel : func) ~(cfg : config)
     ~(args : karg list) () : launch_stats =
+  let conf = dev.config and prog = modul.m_prog in
   let warp = dev.hw.warp_size in
   let lx = dim3_of cfg.local_size 0
   and ly = dim3_of cfg.local_size 1
@@ -442,20 +398,21 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
   let clk_local_tv = Vm.Interp.tint 1 in
   let clk_global_tv = Vm.Interp.tint 2 in
 
-  (* the kernel compiles once per loaded module, through the IR under the
-     selected pass set (OCLCU_IR_PASSES=none is the empty pipeline), and
-     its closure is reused across all work-items, work-groups and
-     launches.  Vm.Interp runs the kernel instead on the interpreter
-     backend, under an observer (the IR backend does not model
-     per-statement observation), and when the lowering rejected it. *)
+  (* the kernel compiles once per loaded module and pass set (the empty
+     pipeline included), and its closure is reused across all
+     work-items, work-groups and launches.  Vm.Interp runs the kernel
+     instead on the interpreter backend, under an observer (the IR
+     backend does not model per-statement observation), and when the
+     lowering rejected it. *)
   let ir =
-    if !backend = Compiled && observer = None then Some (ir_entry prog)
+    if conf.backend = Compiled && observer = None then
+      Some (form modul conf.passes)
     else None
   in
   (* resolve the kernel's compiled form once; the per-item path is then
      a bare closure application *)
   let compiled_kernel =
-    Option.bind ir (fun e -> Ir.Emit.prepare e.ie_est kernel.fn_name)
+    Option.bind ir (fun f -> Ir.Emit.prepare f.f_est kernel.fn_name)
   in
 
   (* Warp-lockstep engine: resolve the kernel's warp plan if requested.
@@ -464,11 +421,11 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
      external table on the fast path, and the NDRange shape queries
      seed the uniformity analysis. *)
   let lockstep_plan =
-    match !engine, ir with
+    match conf.engine, ir with
     | Scalar, _ -> None
     | Lockstep, None ->
       Some (Error "lockstep needs the IR backend (compiled, no observer)")
-    | Lockstep, Some e ->
+    | Lockstep, Some f ->
       if
         List.exists
           (fun (n, _) ->
@@ -479,7 +436,7 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
           extra_externals
       then
         Some (Error "launch overrides a built-in the lockstep engine folds in")
-      else Some (lockstep_plan_for e ~name:kernel.fn_name ~warp)
+      else Some (lockstep_plan_for modul f ~name:kernel.fn_name ~warp)
   in
   let plan = match lockstep_plan with Some (Ok p) -> Some p | _ -> None in
   let engine_note =
@@ -1049,7 +1006,7 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
        Array.map (fun w -> !(w.w_blocks)) workers, Parallel n_workers)
   in
 
-  let n_workers = min !domains n_blocks in
+  let n_workers = min conf.domains n_blocks in
   let counters, attr, layout, worker_blocks, outcome =
     if n_workers <= 1 then begin
       let counters, attr, layout, wb = run_sequential ~plan () in

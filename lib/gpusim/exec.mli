@@ -8,19 +8,17 @@
     bulk-synchronous semantics including values communicated through
     [__local]/[__shared__] memory.
 
-    Work-groups run sequentially when {!domains} is 1, and otherwise on
-    a persistent pool of OCaml domains under an optimistic
-    detect-and-replay protocol that keeps every observable output
-    (memory, counters, traces, exceptions) byte-identical to the
-    sequential engine. *)
+    Work-groups run sequentially when the device's configuration asks
+    for 1 domain, and otherwise on a persistent pool of OCaml domains
+    under an optimistic detect-and-replay protocol that keeps every
+    observable output (memory, counters, traces, exceptions)
+    byte-identical to the sequential engine.
+
+    A launch reads its backend, engine, domain count and IR pass set
+    from the device ({!Device.t.config}) and its compiled kernels from
+    the loaded module it is given; it reads no process state. *)
 
 exception Launch_error of string
-
-(** Worker domains per launch (blocks are distributed over them); 1 is
-    the plain sequential engine.  Initialised from [OCLCU_DOMAINS],
-    defaulting to the machine's core count; [oclcu run --domains] also
-    sets it. *)
-val domains : int ref
 
 (** What a {!launch} actually did — observability for the determinism
     tests. *)
@@ -42,9 +40,9 @@ type config = {
 }
 
 (** Kernel execution backend.  [Compiled] (the default) lowers each
-    loaded module once through the optimizing IR ({!Ir.Lower}, the
-    {!Ir.Pipeline} passes selected by [OCLCU_IR_PASSES], {!Ir.Emit}) and
-    reuses the closures across all work-items and launches; [Interp]
+    loaded module once per pass set through the optimizing IR
+    ({!Ir.Lower}, the configuration's {!Ir.Pipeline} passes, {!Ir.Emit})
+    and reuses the closures across all work-items and launches; [Interp]
     re-walks the AST per work-item with {!Vm.Interp}.  The interpreter
     also runs, under [Compiled], a kernel or helper the lowering
     rejected and every launch with an observer.  Both backends produce
@@ -52,10 +50,7 @@ type config = {
     equal except [private_accesses], which on [Compiled] is at most the
     interpreter's: values the IR keeps in registers charge no private
     traffic.  Passes may also remove operations. *)
-type backend = Interp | Compiled
-
-(** Parse a backend name ("interp" / "compiled"); [None] if unknown. *)
-val backend_of_string : string -> backend option
+type backend = Config.backend = Interp | Compiled
 
 (** Types of the launcher-provided rvalue specials ([threadIdx],
     [warpSize], ...), for compile-time member resolution.  Exposed so
@@ -63,24 +58,20 @@ val backend_of_string : string -> backend option
     them the same way a launch does. *)
 val special_ty : string -> Minic.Ast.ty option
 
-(** The active backend.  Initialised from [OCLCU_BACKEND] ("interp"
-    selects the interpreter); [oclcu run --backend] also sets it. *)
-val backend : backend ref
-
 (** Execution engine within a block: [Scalar] multiplexes per-item
     coroutines; [Lockstep] executes whole warps in lockstep over the IR
     ({!Gpusim.Lockstep}), falling back per kernel when the lane-uniformity
     analysis rejects it and bailing out to a scalar rerun on a cross-lane
     hazard.  Either way every observable output (buffers, {!Counters.t},
     per-site attribution) is byte-identical to [Scalar]. *)
-type engine = Scalar | Lockstep
+type engine = Config.engine = Scalar | Lockstep
 
-(** Parse an engine name ("scalar" / "lockstep"); [None] if unknown. *)
-val engine_of_string : string -> engine option
-
-(** The requested engine.  Initialised from [OCLCU_ENGINE] ("lockstep"
-    selects the warp engine); [oclcu run --engine] also sets it. *)
+(** The process defaults {!Config.default} reads ([OCLCU_BACKEND],
+    [OCLCU_ENGINE], [OCLCU_DOMAINS]; the CLI flags set them once at
+    start-up).  A launch never reads them. *)
+val backend : backend ref
 val engine : engine ref
+val domains : int ref
 
 (** What the engine selection actually did for one launch. *)
 type engine_outcome =
@@ -116,7 +107,22 @@ type launch_stats = {
   engine : engine_outcome;
 }
 
-(** Launch [kernel] from the loaded [prog] on [dev].
+(** A loaded module: a device program and the compiled forms of its
+    kernels.  It compiles on its first launch under a pass set and keeps
+    that form, with its lockstep plans, for every later launch on any
+    device; a second pass set compiles a second form. *)
+type modul
+
+val load : Minic.Ast.program -> modul
+
+val program : modul -> Minic.Ast.program
+
+(** How many forms the module has compiled: one per pass set it ran
+    under on the compiled backend. *)
+val compiled_forms : modul -> int
+
+(** Launch [kernel] of the loaded [modul] on [dev], under [dev]'s
+    configuration.
 
     [globals] must already hold the module's device-global bindings;
     [host_arena] backs host-space pointers a runtime may pass through;
@@ -127,7 +133,7 @@ type launch_stats = {
     The global size must be divisible by the local size.
     @raise Launch_error on bad geometry or argument mismatch. *)
 val launch :
-  dev:Device.t -> prog:Minic.Ast.program ->
+  dev:Device.t -> modul:modul ->
   globals:(string, Vm.Interp.binding) Hashtbl.t ->
   host_arena:Vm.Memory.arena ->
   ?extra_externals:(string * (Vm.Interp.ctx -> Vm.Interp.tval list -> Vm.Interp.tval)) list ->

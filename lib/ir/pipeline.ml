@@ -7,12 +7,13 @@
    "fold,dce" means exactly those two.  A leading subtraction implies
    "all" ("-barrier" == "all,-barrier").
 
-   `selected` is what `Gpusim.Exec.launch` consults; `with_passes`
-   scopes an override (the fuzzer pyramid pins `none` around its
-   counter-identity stages).  The empty configuration is the contract
-   point: with every pass off the IR still lowers and emits every
-   function it accepts, and its counters equal the interpreter's except
-   for the private traffic of values kept in registers. *)
+   `selected` is the process default `Gpusim.Config.default` reads; a
+   device's configuration carries the pass set its launches compile
+   under (the fuzzer pyramid pins `none` for its counter-identity
+   stages).  The empty configuration is the contract point: with every
+   pass off the IR still lowers and emits every function it accepts,
+   and its counters equal the interpreter's except for the private
+   traffic of values kept in registers. *)
 
 type config = {
   fold : bool;      (* constant/copy propagation + counter-exact folding *)
@@ -84,8 +85,7 @@ let parse (s : string) : (config, string) result =
   in
   if toks = [] then Ok none else go init toks
 
-(* Canonical, round-trippable rendering; doubles as the compiled-kernel
-   cache key component. *)
+(* Canonical, round-trippable rendering. *)
 let signature c =
   if c = all then "all"
   else if c = none then "none"
@@ -105,8 +105,3 @@ let selected : config ref =
           prerr_endline
             ("oclcu: OCLCU_IR_PASSES: " ^ msg ^ "; running with no passes");
           none))
-
-let with_passes c f =
-  let saved = !selected in
-  selected := c;
-  Fun.protect ~finally:(fun () -> selected := saved) f

@@ -51,7 +51,7 @@ type program = {
      --attribute, where origin-site markers must survive); [build_program]
      uses it instead of re-parsing [p_src] *)
   p_pre : Minic.Ast.program option;
-  mutable p_ast : Minic.Ast.program option;
+  mutable p_module : Gpusim.Exec.modul option;  (* set by clBuildProgram *)
   mutable p_globals : (string, Vm.Interp.binding) Hashtbl.t;
   mutable p_log : string;
 }
@@ -317,7 +317,7 @@ let enqueue_read_image cl img ~host_ptr () =
 let create_program_gen cl ?pre src =
   api cl;
   let p =
-    { p_id = 0; p_src = src; p_pre = pre; p_ast = None;
+    { p_id = 0; p_src = src; p_pre = pre; p_module = None;
       p_globals = Hashtbl.create 8; p_log = "" }
   in
   let p = { p with p_id = fresh cl (O_program p) } in
@@ -353,9 +353,8 @@ let materialize_globals cl ast globals =
     (fun name b -> Hashtbl.replace cl.dev.Gpusim.Device.symbols name b)
     globals
 
-(* Parse results keyed by source digest.  Returning the same AST for the
-   same source also lets Gpusim.Exec reuse its compiled form across
-   contexts (its cache is keyed by AST identity). *)
+(* Parse results keyed by source digest.  Each build still loads its own
+   module, which compiles on its first launch. *)
 let parse_cache : Minic.Ast.program Trace.Build_cache.t =
   Trace.Build_cache.create "clBuildProgram parse"
 
@@ -379,7 +378,7 @@ let build_program cl (p : program) =
               (Minic.Parser.program ~dialect:Minic.Parser.OpenCL p.p_src))
    with
    | ast ->
-     p.p_ast <- Some ast;
+     p.p_module <- Some (Gpusim.Exec.load ast);
      (* a cache hit skips the parse, not the per-context device state or
         the simulated build time: figure shapes are unchanged *)
      materialize_globals cl ast p.p_globals;
@@ -397,8 +396,8 @@ let create_kernel cl (p : program) name =
   traced cl "clCreateKernel" ~args:[ ("kernel", name) ] @@ fun () ->
   api cl;
   let ast =
-    match p.p_ast with
-    | Some a -> a
+    match p.p_module with
+    | Some m -> Gpusim.Exec.program m
     | None -> err cl_invalid_value "clCreateKernel before clBuildProgram"
   in
   match find_function ast name with
@@ -480,10 +479,10 @@ let enqueue_nd_range cl (k : kernel) ~gws ?lws () =
     | None -> [| (if gws.(0) mod 64 = 0 then 64 else 1); 1; 1 |]
   in
   let args = Array.to_list (Array.mapi (karg_of_setarg cl k) k.k_args) in
-  let ast = Option.get k.k_prog.p_ast in
   let stats =
-    Gpusim.Exec.launch ~dev:cl.dev ~prog:ast ~globals:k.k_prog.p_globals
-      ~host_arena:cl.host ~extra_externals:(image_externals cl) ~kernel:k.k_fn
+    Gpusim.Exec.launch ~dev:cl.dev ~modul:(Option.get k.k_prog.p_module)
+      ~globals:k.k_prog.p_globals ~host_arena:cl.host
+      ~extra_externals:(image_externals cl) ~kernel:k.k_fn
       ~cfg:{ global_size = gws; local_size = lws; dyn_shared = 0 }
       ~args ()
   in

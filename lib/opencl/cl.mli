@@ -43,7 +43,8 @@ type program = {
   p_pre : Minic.Ast.program option;
       (** pre-built AST from [create_program_with_ast]; built in place of
           re-parsing [p_src] so site annotations survive *)
-  mutable p_ast : Minic.Ast.program option;  (** set by clBuildProgram *)
+  mutable p_module : Gpusim.Exec.modul option;
+      (** set by clBuildProgram; owns the compiled kernels *)
   mutable p_globals : (string, Vm.Interp.binding) Hashtbl.t;
   mutable p_log : string;                    (** build log on failure *)
 }

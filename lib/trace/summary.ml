@@ -2,6 +2,7 @@
    sections —
 
      ==<label>== Profiling result:
+     Launch configuration: ...    (when given)
                  Type  Time(%)      Time  Calls       Avg       Min       Max  Name
       GPU activities:   ...
             API calls:   ...
@@ -62,7 +63,7 @@ let section buf ~header rows =
             (pp_time r.r_min_ns) (pp_time r.r_max_ns) r.r_name))
     rows
 
-let to_string ?(label = "oclcu") (spans : Event.span list) : string =
+let to_string ?(label = "oclcu") ?config (spans : Event.span list) : string =
   let gpu, api =
     List.partition (fun sp -> Event.is_gpu_activity sp.Event.sp_cat) spans
   in
@@ -77,6 +78,9 @@ let to_string ?(label = "oclcu") (spans : Event.span list) : string =
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "==%s== Profiling result:\n" label);
+  Option.iter
+    (fun c -> Buffer.add_string buf ("Launch configuration: " ^ c ^ "\n"))
+    config;
   Buffer.add_string buf
     (Printf.sprintf "%20s  %7s  %9s  %5s  %9s  %9s  %9s  %s\n" "Type"
        "Time(%)" "Time" "Calls" "Avg" "Min" "Max" "Name");

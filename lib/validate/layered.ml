@@ -309,11 +309,10 @@ let exn_detail e =
   let s = Printexc.to_string e in
   if String.length s > 160 then String.sub s 0 160 else s
 
-let run_side ~(cfg : vcfg) ~(layer : layer) (p : Plan.t) : run_result =
-  let saved_domains = !Gpusim.Exec.domains in
-  Gpusim.Exec.domains := 1;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.domains := saved_domains)
-  @@ fun () ->
+(* Each side runs on one domain: the event streams compare in the
+   sequential engine's order. *)
+let run_side ?(config = Gpusim.Config.default ()) ~(cfg : vcfg)
+    ~(layer : layer) (p : Plan.t) : run_result =
   let c = collector cfg.vc_max_events in
   let observer, extra_externals =
     match layer with
@@ -323,7 +322,8 @@ let run_side ~(cfg : vcfg) ~(layer : layer) (p : Plan.t) : run_result =
   in
   let barriers, finals, error =
     match
-      Plan.run ?observer ~extra_externals ~gws:cfg.vc_gws ~lws:cfg.vc_lws p
+      Plan.run ~config:{ config with domains = 1 } ?observer ~extra_externals
+        ~gws:cfg.vc_gws ~lws:cfg.vc_lws p
     with
     | s, finals ->
       (s.Gpusim.Exec.counters.Gpusim.Counters.barriers, finals, None)
@@ -418,12 +418,12 @@ let compare_runs ~(layer : layer) (src : run_result) (dst : run_result) :
 (* The refinement ladder                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_plans ?(cfg = default_cfg) ~(src : Plan.t) ~(dst : Plan.t) () :
-  report =
+let check_plans ?config ?(cfg = default_cfg) ~(src : Plan.t) ~(dst : Plan.t)
+    () : report =
   let fp =
     let of_side p =
-      match Minic.Ast.find_function p.Plan.prog p.Plan.kernel with
-      | Some k -> Xlat_analysis.Footprint.of_kernel p.Plan.prog k
+      match Minic.Ast.find_function (Plan.prog p) p.Plan.kernel with
+      | Some k -> Xlat_analysis.Footprint.of_kernel (Plan.prog p) k
       | None ->
         { Xlat_analysis.Footprint.fp_local = true; fp_global = true;
           fp_sched = true }
@@ -444,8 +444,8 @@ let check_plans ?(cfg = default_cfg) ~(src : Plan.t) ~(dst : Plan.t) () :
       (match slice layer with
        | Some why -> ladder ((layer, Vacuous why) :: acc) rest
        | None ->
-         let s = run_side ~cfg ~layer src in
-         let d = run_side ~cfg ~layer dst in
+         let s = run_side ?config ~cfg ~layer src in
+         let d = run_side ?config ~cfg ~layer dst in
          (match compare_runs ~layer s d with
           | Equivalent -> ladder ((layer, Equivalent) :: acc) rest
           | Vacuous _ as st -> ladder ((layer, st) :: acc) rest

@@ -1,5 +1,7 @@
-(* Launch plans: one kernel launch as plain data, carried across the
-   translators and run on a fresh simulated device.
+(* Launch plans: one kernel launch as data, carried across the
+   translators and run on a fresh simulated device.  A plan holds its
+   program as a loaded module, so all of its launches share one compile
+   per pass set.
 
    The fuzz pyramid and the layered validator both synthesize launches
    from kernel signatures; this module is the one place that builds a
@@ -18,11 +20,13 @@ type arg =
   | Size of int         (* size_t scalar *)
 
 type t = {
-  prog : program;
+  modul : Gpusim.Exec.modul;
   kernel : string;
   args : arg list;
   dyn_shared : int;     (* CUDA <<< , , n >>> bytes *)
 }
+
+let prog p = Gpusim.Exec.program p.modul
 
 let sizeof prog ty = Vm.Layout.sizeof (Vm.Layout.make_env prog) ty
 
@@ -34,7 +38,8 @@ let of_kernel (prog : program) (k : func) ~lws ~elems ~scalar
     ~(fill : ty -> Bytes.t -> unit) : (t, string) result =
   let rec args acc = function
     | [] ->
-      Ok { prog; kernel = k.fn_name; args = List.rev acc; dyn_shared = 0 }
+      Ok { modul = Gpusim.Exec.load prog; kernel = k.fn_name;
+           args = List.rev acc; dyn_shared = 0 }
     | (pa : param) :: rest ->
       (match unqual pa.pa_ty with
        | TPtr t | TArr (t, _) ->
@@ -82,7 +87,7 @@ let to_cuda (p : t) (prog : program) (info : Xlat.Ocl_to_cuda.kernel_info) :
          | _, a -> a)
       info.Xlat.Ocl_to_cuda.ki_roles p.args
   in
-  { p with prog; args; dyn_shared = !dyn }
+  { p with modul = Gpusim.Exec.load prog; args; dyn_shared = !dyn }
 
 (* CUDA->OpenCL: the kernel keeps its parameters and appends the
    dynamic-shared pool as a trailing __local parameter.  The translator
@@ -94,16 +99,20 @@ let to_opencl (p : t) (prog : program) (km : Xlat.Cuda_to_ocl.kmeta) : t =
     | Some _ -> [ Local p.dyn_shared ]
     | None -> []
   in
-  { p with prog; args = p.args @ pool; dyn_shared = 0 }
+  { p with modul = Gpusim.Exec.load prog; args = p.args @ pool;
+           dyn_shared = 0 }
 
-(* Launch [p] over a 1-D NDRange on a fresh device, with file-scope
-   __constant/__device__ globals set up as the runtimes do.  Returns the
-   launch statistics and each buffer's final bytes, in argument order. *)
-let run ?observer ?(extra_externals = []) ~gws ~lws (p : t) :
+(* Launch [p] over a 1-D NDRange on a fresh device configured by
+   [config], with file-scope __constant/__device__ globals set up as the
+   runtimes do.  Returns the launch statistics and each buffer's final
+   bytes, in argument order. *)
+let run ?config ?observer ?(extra_externals = []) ~gws ~lws (p : t) :
   Gpusim.Exec.launch_stats * string list =
   let dev =
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
+    Gpusim.Device.create ?config Gpusim.Device.titan
+      Gpusim.Device.opencl_on_nvidia
   in
+  let prog = prog p in
   let global = dev.Gpusim.Device.global in
   let host = Vm.Memory.create "validate-host" in
   let globals = Hashtbl.create 8 in
@@ -113,10 +122,10 @@ let run ?observer ?(extra_externals = []) ~gws ~lws (p : t) :
     | AS_local | AS_private | AS_none -> host
   in
   Vm.Interp.init_globals
-    (Vm.Interp.make ~prog:p.prog ~arena_of ~globals ())
+    (Vm.Interp.make ~prog ~arena_of ~globals ())
     ~filter:(fun d ->
         not (d.d_storage.s_extern && type_space d.d_ty = AS_local))
-    p.prog;
+    prog;
   let bufs = ref [] in
   let args =
     List.map
@@ -137,12 +146,12 @@ let run ?observer ?(extra_externals = []) ~gws ~lws (p : t) :
       p.args
   in
   let kernel =
-    match find_function p.prog p.kernel with
+    match find_function prog p.kernel with
     | Some k -> k
     | None -> failwith ("plan: kernel not found: " ^ p.kernel)
   in
   let stats =
-    Gpusim.Exec.launch ~dev ~prog:p.prog ~globals ~host_arena:host
+    Gpusim.Exec.launch ~dev ~modul:p.modul ~globals ~host_arena:host
       ~extra_externals ?observer ~kernel
       ~cfg:
         { global_size = [| gws; 1; 1 |];

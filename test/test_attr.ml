@@ -68,8 +68,8 @@ let prop_site_sums =
        let plan = Fuzz.Pyramid.plan_a case prog in
        List.iter
          (fun (backend, domains, label) ->
-            Fuzz.Pyramid.with_domains domains @@ fun () ->
-            match Fuzz.Pyramid.launch backend case plan with
+            let config = { (Gpusim.Config.default ()) with backend; domains } in
+            match Fuzz.Pyramid.launch config case plan with
             | stats, _ -> check_exact_sum label stats
             | exception _ ->
               (* some fuzz kernels legitimately trap (e.g. division by a

@@ -46,57 +46,35 @@ __kernel void k(__global int* out, __global float* fout, int n) {
 |}
     op1 c1 c2 c3 op2 c1
 
-let run_once backend ~src ~gws ~lws =
-  let saved = !Gpusim.Exec.backend in
-  Gpusim.Exec.backend := backend;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.backend := saved) @@ fun () ->
-  let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
-  let dev =
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
-  in
-  let host = Vm.Memory.create "host" in
-  let k = Option.get (find_function prog "k") in
-  let out = Vm.Memory.alloc dev.Gpusim.Device.global ~align:256 (gws * 4) in
-  let fout = Vm.Memory.alloc dev.Gpusim.Device.global ~align:256 (gws * 4) in
-  let ptr addr elt =
-    Gpusim.Exec.Arg_val
-      (Vm.Interp.tv
-         (Vm.Value.VInt (Vm.Value.make_ptr AS_global addr))
-         (TPtr (TScalar elt)))
-  in
-  let stats =
-    Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4) ~host_arena:host
-      ~kernel:k
-      ~cfg:
-        { global_size = [| gws; 1; 1 |];
-          local_size = [| lws; 1; 1 |];
-          dyn_shared = 0 }
-      ~args:
-        [ ptr out Int; ptr fout Float;
-          Gpusim.Exec.Arg_val (Vm.Interp.tint gws) ]
-      ()
-  in
-  let bytes =
-    Bytes.to_string (Vm.Memory.load_bytes dev.Gpusim.Device.global out (gws * 4))
-    ^ Bytes.to_string
-        (Vm.Memory.load_bytes dev.Gpusim.Device.global fout (gws * 4))
-  in
-  (bytes, stats.Gpusim.Exec.counters)
+(* A 1-D launch of [modul]'s kernel [k] over zeroed int and float
+   output buffers and n = gws. *)
+let plan_of modul ~gws =
+  let zeros = String.make (gws * 4) '\000' in
+  { Xlat_validate.Plan.modul;
+    kernel = "k";
+    args = [ Buf (TScalar Int, zeros); Buf (TScalar Float, zeros); Int gws ];
+    dyn_shared = 0 }
+
+(* [plan] on a fresh device under [config]: both buffers' bytes and the
+   counters. *)
+let run_once config plan ~gws ~lws =
+  let stats, bufs = Xlat_validate.Plan.run ~config ~gws ~lws plan in
+  (String.concat "" bufs, stats.Gpusim.Exec.counters)
+
+let load src =
+  Gpusim.Exec.load (Minic.Parser.program ~dialect:Minic.Parser.OpenCL src)
 
 let check_backends_agree ~src ~gws ~lws =
   (* counters are held to Fuzz.Pyramid.counter_refinement against the
      IR with no passes; the optimizing passes legitimately change op
      counts, so the optimized run is held to byte-identical buffers
      only *)
-  let b_out, b_ctr =
-    Ir.Pipeline.with_passes Ir.Pipeline.none (fun () ->
-        run_once Gpusim.Exec.Compiled ~src ~gws ~lws)
-  in
-  let i_out, i_ctr = run_once Gpusim.Exec.Interp ~src ~gws ~lws in
-  let o_out, _ =
-    Ir.Pipeline.with_passes Ir.Pipeline.all (fun () ->
-        run_once Gpusim.Exec.Compiled ~src ~gws ~lws)
-  in
+  let plan = plan_of (load src) ~gws in
+  let default = Gpusim.Config.default () in
+  let compiled passes = { default with backend = Compiled; passes } in
+  let b_out, b_ctr = run_once (compiled Ir.Pipeline.none) plan ~gws ~lws in
+  let i_out, i_ctr = run_once { default with backend = Interp } plan ~gws ~lws in
+  let o_out, _ = run_once (compiled Ir.Pipeline.all) plan ~gws ~lws in
   b_out = i_out && o_out = i_out
   && Fuzz.Pyramid.(
        counter_refinement ~ir:(counter_fields b_ctr)
@@ -132,10 +110,9 @@ let prop_backends_agree =
 let app_agrees_across_backends () =
   let app = List.hd Suite.Registry.rodinia_opencl in
   let under backend =
-    let saved = !Gpusim.Exec.backend in
-    Gpusim.Exec.backend := backend;
-    Fun.protect ~finally:(fun () -> Gpusim.Exec.backend := saved) @@ fun () ->
-    (Bridge.Framework.run_app_on_cuda app ()).Bridge.Framework.r_output
+    let config = { (Gpusim.Config.default ()) with backend } in
+    let dev = Bridge.Framework.(device_of ~config Titan_cuda) in
+    (Bridge.Framework.run_app_on_cuda app ~dev ()).Bridge.Framework.r_output
   in
   Alcotest.(check string)
     (app.Bridge.Framework.oa_name ^ " output")
@@ -145,6 +122,33 @@ let app_agrees_across_backends () =
 (* ------------------------------------------------------------------ *)
 (* Build-cache contract                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* A loaded module owns its compiled kernels: launched on two devices
+   under one pass set it compiles once, a second pass set compiles a
+   second form, the interpreter compiles nothing, and a second module of
+   the same AST compiles its own. *)
+let module_compiles_once () =
+  let src = kernel_src ~c1:3 ~c2:2 ~c3:4 ~op1:"+" ~op2:"-" in
+  let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
+  let default = Gpusim.Config.default () in
+  let launch ?(backend = Gpusim.Config.Compiled) m passes =
+    ignore
+      (run_once { default with backend; passes } (plan_of m ~gws:32) ~gws:32
+         ~lws:8)
+  in
+  let forms = Gpusim.Exec.compiled_forms and check = Alcotest.(check int) in
+  let m = Gpusim.Exec.load prog in
+  launch m Ir.Pipeline.all;
+  launch m Ir.Pipeline.all;
+  check "two devices, one pass set: one compile" 1 (forms m);
+  launch m Ir.Pipeline.none;
+  check "a second pass set compiles a second form" 2 (forms m);
+  launch ~backend:Interp m { Ir.Pipeline.none with fold = true };
+  check "the interpreter compiles nothing" 2 (forms m);
+  let m' = Gpusim.Exec.load prog in
+  launch m' Ir.Pipeline.all;
+  check "a second module of the same AST compiles its own" 1 (forms m');
+  check "and leaves the first's alone" 2 (forms m)
 
 let cache_hit_miss () =
   let c = Trace.Build_cache.create "test: unit cache" in
@@ -209,4 +213,6 @@ let suites =
         Alcotest.test_case "failed builds are not cached" `Quick
           cache_failure_not_cached;
         Alcotest.test_case "translate cache hits across app re-runs" `Quick
-          translate_cache_hits_across_runs ] ) ]
+          translate_cache_hits_across_runs;
+        Alcotest.test_case "a loaded module compiles once per pass set"
+          `Quick module_compiles_once ] ) ]

@@ -61,12 +61,11 @@ let lws = 8
 
 let launch ?(extra_externals = []) ~backend ~passes ~domains prog ~out_bytes
     ~inputs =
-  with_ref Gpusim.Exec.backend backend @@ fun () ->
-  with_ref Gpusim.Exec.domains domains @@ fun () ->
   with_ref Minic.Site.enabled true @@ fun () ->
-  Ir.Pipeline.with_passes passes @@ fun () ->
+  let config = { (Gpusim.Config.default ()) with backend; passes; domains } in
   let dev =
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
+    Gpusim.Device.create ~config Gpusim.Device.titan
+      Gpusim.Device.opencl_on_nvidia
   in
   let g = dev.Gpusim.Device.global in
   let alloc n = Vm.Memory.alloc g ~align:256 (max n 4) in
@@ -90,7 +89,8 @@ let launch ?(extra_externals = []) ~backend ~passes ~domains prog ~out_bytes
     Bytes.to_string (Vm.Memory.load_bytes g out (g.Vm.Memory.brk - out))
   in
   match
-    Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
+    Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+      ~globals:(Hashtbl.create 4)
       ~host_arena:(Vm.Memory.create "host") ~extra_externals ~kernel:k
       ~cfg:
         { global_size = [| gws; 1; 1 |];

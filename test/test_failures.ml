@@ -12,8 +12,8 @@ let run_kernel ~src ~kernel ~args =
   let host = Vm.Memory.create "host" in
   let k = Option.get (find_function prog kernel) in
   ignore
-    (Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
-       ~host_arena:host ~kernel:k
+    (Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+       ~globals:(Hashtbl.create 4) ~host_arena:host ~kernel:k
        ~cfg:{ global_size = [| 32; 1; 1 |]; local_size = [| 32; 1; 1 |];
               dyn_shared = 0 }
        ~args:(args dev) ())

@@ -28,8 +28,8 @@ let with_bug (r : bool ref) f =
 let plan_of ~src ~kernel =
   let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
   let est =
-    Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty ~cfg:!Ir.Pipeline.selected
-      prog
+    Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty
+      ~cfg:(Gpusim.Config.default ()).passes prog
   in
   match Gpusim.Lockstep.plan_for est ~name:kernel ~warp:32 with
   | Ok p -> p
@@ -113,22 +113,17 @@ __kernel void clob(__global int* out, __global int* c) {
          check "stores fused into one region" true
            ((plan_of ~src ~kernel:"clob").Gpusim.Lockstep.p_fused = 1);
          let run engine =
-           T.with_engine engine @@ fun () ->
-           T.with_domains 1 @@ fun () ->
            T.with_attr @@ fun () ->
            let prog =
              Minic.Parser.program ~dialect:Minic.Parser.OpenCL src
            in
-           let dev =
-             Gpusim.Device.create Gpusim.Device.titan
-               Gpusim.Device.opencl_on_nvidia
-           in
+           let dev = T.device ~engine ~domains:1 in
            let host = Vm.Memory.create "host" in
            let k = Option.get (Minic.Ast.find_function prog "clob") in
            let out = T.gbuf dev (8 * 4) and c = T.gbuf dev 4 in
            let stats =
-             Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
-               ~host_arena:host ~kernel:k
+             Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+               ~globals:(Hashtbl.create 4) ~host_arena:host ~kernel:k
                ~cfg:
                  { global_size = [| 8; 1; 1 |]; local_size = [| 8; 1; 1 |];
                    dyn_shared = 0 }

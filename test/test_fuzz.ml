@@ -164,8 +164,8 @@ let repro_tests =
          in
          let dir =
            Fuzz.Repro.write ~out_dir:(tmp_dir "oclcu-fuzz-repro")
-             ~name:"unit" ~case ~d ~layer:("L2", "work-item 1, event 7")
-             ~seed:11 ~index:0
+             ~name:"unit" ~config:(Gpusim.Config.default ()) ~case ~d
+             ~layer:("L2", "work-item 1, event 7") ~seed:11 ~index:0
          in
          (* repros written while lockstep region fusion was a toggle
             carry a [fusion=] line; they must still load and replay *)
@@ -185,6 +185,42 @@ let repro_tests =
            case'.Fuzz.Gen.c_init_seed;
          (* a healthy translator means the replay no longer diverges *)
          check "replay agrees" false (Fuzz.Driver.replay dir));
+    Alcotest.test_case "repro replays under its recorded configuration"
+      `Quick (fun () ->
+          let case = Fuzz.Gen.generate (Fuzz.Rng.create 11) in
+          let d =
+            { Fuzz.Pyramid.d_stage = "lockstep-4";
+              d_kind = Fuzz.Pyramid.K_counters;
+              d_detail = "lockstep-4 vs scalar: barriers 2/1" }
+          in
+          let default = Gpusim.Config.default () in
+          let config =
+            { default with
+              engine = Lockstep;
+              domains = default.domains + 2;
+              passes = Ir.Pipeline.none }
+          in
+          let dir =
+            Fuzz.Repro.write ~out_dir:(tmp_dir "oclcu-fuzz-repro")
+              ~name:"config" ~config ~case ~d ~layer:("equivalent", "")
+              ~seed:11 ~index:1
+          in
+          check "config round-trips" true (Fuzz.Repro.config dir = config);
+          let log = ref [] in
+          check "replay agrees" false
+            (Fuzz.Driver.replay ~log:(fun l -> log := l :: !log) dir);
+          check "replay runs under it" true
+            (List.mem
+               ("replay: configuration: " ^ Gpusim.Config.to_string config)
+               !log);
+          (* a repro from before the configuration was stored keeps only
+             its pass set; its [engine] key named the diverging stage *)
+          Fuzz.Repro.write_file (Filename.concat dir "config")
+            "gws=64\nlws=8\nelems=64\ninit_seed=3\npasses=none\n\
+             engine=lockstep\nstage=lockstep\n";
+          check "old repro: defaults and its passes" true
+            (Fuzz.Repro.config dir
+             = { default with passes = Ir.Pipeline.none }));
     Alcotest.test_case "diagnosis of a healthy case reads equivalent" `Quick
       (fun () ->
          let case = Fuzz.Gen.generate (Fuzz.Rng.create 5) in
@@ -232,7 +268,8 @@ let repro_tests =
                  (initial_bytes a) (initial_bytes b);
                let pyramid_out =
                  match
-                   Fuzz.Pyramid.run_stage ~stage:"opencl" case pyramid_a
+                   Fuzz.Pyramid.run_stage ~stage:"opencl"
+                     ~config:(Gpusim.Config.default ()) case pyramid_a
                      ~reference:None
                  with
                  | Ok (bytes, _) -> bytes

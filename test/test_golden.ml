@@ -100,36 +100,34 @@ let traced_run label f =
   Trace.Sink.clear ();
   r
 
-let profile_cuda_src label src : traced_run list =
-  (* untraced warm-up: populates the parse/translate/compile caches *)
-  ignore (Bridge.Framework.run_cuda_native src);
+(* Native and translated profiles of [src], on devices under [config]. *)
+let profile_cuda_src ?config label src : traced_run list =
+  let native () =
+    Bridge.Framework.(run_cuda_native ~dev:(device_of ?config Titan_cuda) src)
+  in
+  let translated result =
+    Bridge.Framework.(
+      run_translated_cuda ~dev:(device_of ?config Titan_opencl) result)
+  in
+  (* untraced warm-up: populates the parse and translate caches *)
+  ignore (native ());
   let warm_translated =
     match Bridge.Framework.translate_cuda src with
     | Bridge.Framework.Failed _ -> None
     | Bridge.Framework.Translated result ->
-      ignore
-        (Bridge.Framework.run_translated_cuda
-           ~dev:(Bridge.Framework.device_of Bridge.Framework.Titan_opencl)
-           result);
+      ignore (translated result);
       Some result
   in
   Trace.Sink.enable ();
   Trace.Sink.clear ();
-  let native =
-    traced_run (label ^ " @ CUDA/Titan") (fun () ->
-        Bridge.Framework.run_cuda_native src)
-  in
+  let native = traced_run (label ^ " @ CUDA/Titan") native in
   let runs =
     match warm_translated with
     | None -> [ native ]
     | Some result ->
-      let translated =
+      [ native;
         traced_run (label ^ " @ OpenCL/Titan (translated)") (fun () ->
-            Bridge.Framework.run_translated_cuda
-              ~dev:(Bridge.Framework.device_of Bridge.Framework.Titan_opencl)
-              result)
-      in
-      [ native; translated ]
+            translated result) ]
   in
   Trace.Sink.disable ();
   runs

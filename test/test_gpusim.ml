@@ -11,8 +11,8 @@ let launch_ocl ?(fw = Gpusim.Device.opencl_on_nvidia) ~src ~kernel ~gws ~lws
   let host = Vm.Memory.create "host" in
   let k = Option.get (find_function prog kernel) in
   let stats =
-    Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4) ~host_arena:host
-      ~kernel:k
+    Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+      ~globals:(Hashtbl.create 4) ~host_arena:host ~kernel:k
       ~cfg:{ global_size = gws; local_size = lws; dyn_shared = 0 }
       ~args:(args dev) ()
   in
@@ -121,8 +121,8 @@ __global__ void sums(int* out) {
         let b = gbuf dev (8 * 4) in
         let k = Option.get (find_function prog "sums") in
         ignore
-          (Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
-             ~host_arena:host ~kernel:k
+          (Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+             ~globals:(Hashtbl.create 4) ~host_arena:host ~kernel:k
              ~cfg:{ global_size = [| 8; 1; 1 |]; local_size = [| 4; 1; 1 |];
                     dyn_shared = 4 * 4 }
              ~args:[ iptr b ] ());

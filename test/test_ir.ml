@@ -374,46 +374,32 @@ __kernel void k(__global int* out, __global int* in, int n) {
 |}
     op c1 c2
 
-let launch_once ~prog ~gws ~lws =
-  let dev =
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
-  in
-  let host = Vm.Memory.create "host" in
-  let k = Option.get (find_function prog "k") in
-  let out = Vm.Memory.alloc dev.Gpusim.Device.global ~align:256 (gws * 4) in
-  let inb = Vm.Memory.alloc dev.Gpusim.Device.global ~align:256 (gws * 4) in
+(* A 1-D launch of [prog]'s kernel [k] over [gws] items: a zeroed int
+   output buffer, an int input buffer holding 7j - 13 and n = gws.  The
+   plan's module compiles once per pass set for all its launches. *)
+let plan_of prog ~gws =
+  let inb = Bytes.create (gws * 4) in
   for j = 0 to gws - 1 do
-    Vm.Memory.store_int dev.Gpusim.Device.global (inb + (j * 4)) 4
-      (Int64.of_int ((j * 7) - 13))
+    Bytes.set_int32_le inb (j * 4) (Int32.of_int ((j * 7) - 13))
   done;
-  let ptr addr elt =
-    Gpusim.Exec.Arg_val
-      (Vm.Interp.tv
-         (Vm.Value.VInt (Vm.Value.make_ptr AS_global addr))
-         (TPtr (TScalar elt)))
-  in
-  let stats =
-    Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4) ~host_arena:host
-      ~kernel:k
-      ~cfg:
-        { global_size = [| gws; 1; 1 |];
-          local_size = [| lws; 1; 1 |];
-          dyn_shared = 0 }
-      ~args:
-        [ ptr out Int; ptr inb Int;
-          Gpusim.Exec.Arg_val (Vm.Interp.tint gws) ]
-      ()
-  in
-  let bytes =
-    Bytes.to_string (Vm.Memory.load_bytes dev.Gpusim.Device.global out (gws * 4))
-  in
-  (bytes, stats)
+  { Xlat_validate.Plan.modul = Gpusim.Exec.load prog;
+    kernel = "k";
+    args =
+      [ Buf (TScalar Int, String.make (gws * 4) '\000');
+        Buf (TScalar Int, Bytes.to_string inb); Int gws ];
+    dyn_shared = 0 }
 
-let run_way ~backend ~passes ~domains ~prog ~gws ~lws =
-  with_ref Gpusim.Exec.backend backend @@ fun () ->
-  with_ref Gpusim.Exec.domains domains @@ fun () ->
-  Ir.Pipeline.with_passes passes @@ fun () ->
-  launch_once ~prog ~gws ~lws
+(* [plan] under [config]: the output buffer's bytes and the stats. *)
+let launch_once config plan ~gws ~lws =
+  let stats, bufs = Xlat_validate.Plan.run ~config ~gws ~lws plan in
+  (List.hd bufs, stats)
+
+let run_way ?engine ~backend ~passes ~domains ~gws ~lws plan =
+  let config = { (Gpusim.Config.default ()) with backend; passes; domains } in
+  let config =
+    match engine with Some engine -> { config with engine } | None -> config
+  in
+  launch_once config plan ~gws ~lws
 
 let prop_differential =
   QCheck.Test.make ~count:25
@@ -424,15 +410,15 @@ let prop_differential =
         Gen.(tup3 (int_range (-9) 9) (int_range (-50) 50) (int_range 0 2)))
     (fun (c1, c2, o) ->
        let op = [| "+"; "-"; "^" |].(o) in
-       let prog = parse (diff_src ~c1 ~c2 ~op) in
        let gws = 64 and lws = 16 in
+       let plan = plan_of (parse (diff_src ~c1 ~c2 ~op)) ~gws in
        let reference, _ =
          run_way ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.none
-           ~domains:1 ~prog ~gws ~lws
+           ~domains:1 ~gws ~lws plan
        in
        List.for_all
          (fun (backend, passes, domains) ->
-            let bytes, _ = run_way ~backend ~passes ~domains ~prog ~gws ~lws in
+            let bytes, _ = run_way ~backend ~passes ~domains ~gws ~lws plan in
             bytes = reference)
          [ (Gpusim.Exec.Compiled, Ir.Pipeline.none, 1);
            (Gpusim.Exec.Compiled, Ir.Pipeline.none, 4);
@@ -451,10 +437,11 @@ let attribution_elim_sums () =
   with_ref Minic.Site.enabled true @@ fun () ->
   Minic.Site.reset ();
   let prog = Minic.Site.annotate (parse (diff_src ~c1:3 ~c2:7 ~op:"+")) in
+  let plan = plan_of prog ~gws:64 in
   let table passes =
     let _, stats =
-      run_way ~backend:Gpusim.Exec.Compiled ~passes ~domains:1 ~prog ~gws:64
-        ~lws:16
+      run_way ~backend:Gpusim.Exec.Compiled ~passes ~domains:1 ~gws:64
+        ~lws:16 plan
     in
     match stats.Gpusim.Exec.attr with
     | Some a -> Gpusim.Attr.to_list a
@@ -516,9 +503,10 @@ let mixed_path () =
      Alcotest.(check string) "helper rejected" "string literal" why
    | _ -> Alcotest.fail "helper shout was not rejected");
   let gws = 64 and lws = 16 in
+  let plan = plan_of prog ~gws in
   let ref_bytes, ref_stats =
     run_way ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.none ~domains:1
-      ~prog ~gws ~lws
+      ~gws ~lws plan
   in
   List.iter
     (fun (passes, domains) ->
@@ -527,7 +515,7 @@ let mixed_path () =
            (Ir.Pipeline.signature passes) domains
        in
        let bytes, stats =
-         run_way ~backend:Gpusim.Exec.Compiled ~passes ~domains ~prog ~gws ~lws
+         run_way ~backend:Gpusim.Exec.Compiled ~passes ~domains ~gws ~lws plan
        in
        check (label ^ ": buffers") true (bytes = ref_bytes);
        if passes = Ir.Pipeline.none then
@@ -540,9 +528,8 @@ let mixed_path () =
     [ (Ir.Pipeline.none, 1); (Ir.Pipeline.none, 4);
       (Ir.Pipeline.all, 1); (Ir.Pipeline.all, 4) ];
   let bytes, stats =
-    with_ref Gpusim.Exec.engine Gpusim.Exec.Lockstep (fun () ->
-        run_way ~backend:Gpusim.Exec.Compiled ~passes:Ir.Pipeline.all
-          ~domains:1 ~prog ~gws ~lws)
+    run_way ~engine:Gpusim.Exec.Lockstep ~backend:Gpusim.Exec.Compiled
+      ~passes:Ir.Pipeline.all ~domains:1 ~gws ~lws plan
   in
   check "lockstep: buffers" true (bytes = ref_bytes);
   match stats.Gpusim.Exec.engine with

@@ -1,7 +1,7 @@
 (* Differential and directed tests for the warp-lockstep engine.
 
-   The contract under test: running a launch with [Gpusim.Exec.engine]
-   set to [Lockstep] is observationally indistinguishable from the
+   The contract under test: running a launch on a device configured
+   with the [Lockstep] engine is observationally indistinguishable from the
    scalar engine — output buffers byte-for-byte, the full
    {!Gpusim.Counters.t} and the per-site {!Gpusim.Attr} tables — at any
    domain count, whether the kernel actually ran in lockstep, fell back
@@ -18,15 +18,14 @@ open Minic.Ast
 let check = Alcotest.(check bool)
 let check_ints = Alcotest.(check (array int))
 
-let with_engine e f =
-  let saved = !Gpusim.Exec.engine in
-  Gpusim.Exec.engine := e;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.engine := saved) f
+(* The process defaults under [engine] on [domains] domains. *)
+let config ~engine ~domains =
+  { (Gpusim.Config.default ()) with engine; domains }
 
-let with_domains n f =
-  let saved = !Gpusim.Exec.domains in
-  Gpusim.Exec.domains := n;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.domains := saved) f
+(* A fresh device launching under [config ~engine ~domains]. *)
+let device ~engine ~domains =
+  Gpusim.Device.create ~config:(config ~engine ~domains) Gpusim.Device.titan
+    Gpusim.Device.opencl_on_nvidia
 
 let with_attr f =
   let saved = !Minic.Site.enabled in
@@ -56,19 +55,15 @@ let engine_name = function
    the output ints, the engine outcome and the comparable observables. *)
 let launch ?(dialect = Minic.Parser.OpenCL) ~engine ?(domains = 1) ~src
     ~kernel ~gws ~lws ?(extra_args = []) ~out_ints () =
-  with_engine engine @@ fun () ->
-  with_domains domains @@ fun () ->
   with_attr @@ fun () ->
   let prog = Minic.Parser.program ~dialect src in
-  let dev =
-    Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
-  in
+  let dev = device ~engine ~domains in
   let host = Vm.Memory.create "host" in
   let k = Option.get (find_function prog kernel) in
   let out = gbuf dev (out_ints * 4) in
   let stats =
-    Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4) ~host_arena:host
-      ~kernel:k
+    Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+      ~globals:(Hashtbl.create 4) ~host_arena:host ~kernel:k
       ~cfg:{ global_size = gws; local_size = lws; dyn_shared = 0 }
       ~args:(iptr out :: extra_args) ()
   in
@@ -301,19 +296,14 @@ __kernel void clob(__global int* out, __global int* c) {
 |}
          in
          let run engine =
-           with_engine engine @@ fun () ->
-           with_domains 1 @@ fun () ->
            let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
-           let dev =
-             Gpusim.Device.create Gpusim.Device.titan
-               Gpusim.Device.opencl_on_nvidia
-           in
+           let dev = device ~engine ~domains:1 in
            let host = Vm.Memory.create "host" in
            let k = Option.get (find_function prog "clob") in
            let out = gbuf dev (8 * 4) and c = gbuf dev 4 in
            let stats =
-             Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
-               ~host_arena:host ~kernel:k
+             Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+               ~globals:(Hashtbl.create 4) ~host_arena:host ~kernel:k
                ~cfg:
                  { global_size = [| 8; 1; 1 |]; local_size = [| 8; 1; 1 |];
                    dyn_shared = 0 }
@@ -333,10 +323,10 @@ __kernel void clob(__global int* out, __global int* c) {
 (* --- qcheck: generated kernels, lockstep vs Ir.Emit vs Vm.Interp -------- *)
 
 let run_with ~engine ~backend ~domains case plan =
-  with_engine engine @@ fun () ->
-  with_domains domains @@ fun () ->
   with_attr @@ fun () ->
-  match Fuzz.Pyramid.launch backend case plan with
+  match
+    Fuzz.Pyramid.launch { (config ~engine ~domains) with backend } case plan
+  with
   | stats, bytes ->
     Ok
       ( bytes,

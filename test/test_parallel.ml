@@ -1,7 +1,7 @@
 (* Determinism harness for the domain-parallel execution engine.
 
-   The contract under test: running a launch with [Gpusim.Exec.domains]
-   set to any value is observationally indistinguishable from the
+   The contract under test: running a launch on a device configured
+   with any domain count is observationally indistinguishable from the
    sequential engine — output buffers byte-for-byte, the full
    {!Gpusim.Counters.t}, traces, goldens and exceptions.  The directed
    cases additionally pin down *which* path produced the result
@@ -14,10 +14,12 @@ open Minic.Ast
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_domains n f =
-  let saved = !Gpusim.Exec.domains in
-  Gpusim.Exec.domains := n;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.domains := saved) f
+(* The process defaults on [domains] domains. *)
+let at domains = { (Gpusim.Config.default ()) with domains }
+
+let device config =
+  Gpusim.Device.create ~config Gpusim.Device.titan
+    Gpusim.Device.opencl_on_nvidia
 
 let gbuf (dev : Gpusim.Device.t) bytes =
   Vm.Memory.alloc dev.global ~align:256 bytes
@@ -34,14 +36,13 @@ let read_ints (dev : Gpusim.Device.t) addr n =
 
 let launch_at ~domains ?(dialect = Minic.Parser.OpenCL) ~src ~kernel ~gws ~lws
     ~args () =
-  with_domains domains @@ fun () ->
   let prog = Minic.Parser.program ~dialect src in
-  let dev = Gpusim.Device.create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia in
+  let dev = device (at domains) in
   let host = Vm.Memory.create "host" in
   let k = Option.get (find_function prog kernel) in
   let stats =
-    Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4) ~host_arena:host
-      ~kernel:k
+    Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+      ~globals:(Hashtbl.create 4) ~host_arena:host ~kernel:k
       ~cfg:{ global_size = gws; local_size = lws; dyn_shared = 0 }
       ~args:(args dev) ()
   in
@@ -69,10 +70,9 @@ let expect_replayed (stats : Gpusim.Exec.launch_stats) =
    sequential buffers and counters exactly — or fail with the same
    exception (replay re-raises deterministically). *)
 let run_case_at backend case plan n =
-  with_domains n (fun () ->
-      match Fuzz.Pyramid.observe backend case plan with
-      | r -> Ok r
-      | exception e -> Error (Printexc.to_string e))
+  match Fuzz.Pyramid.observe { (at n) with backend } case plan with
+  | r -> Ok r
+  | exception e -> Error (Printexc.to_string e)
 
 let prop_domain_counts =
   QCheck.Test.make ~count:30
@@ -263,16 +263,13 @@ __kernel void clobber(__global int* c, __global int* out) {
 |}
           in
           let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
+          let modul = Gpusim.Exec.load prog in
           let k = Option.get (find_function prog "clobber") in
           let run n =
-            with_domains n @@ fun () ->
-            let dev =
-              Gpusim.Device.create Gpusim.Device.titan
-                Gpusim.Device.opencl_on_nvidia
-            in
+            let dev = device (at n) in
             let host = Vm.Memory.create "host" in
             let launch items args =
-              Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
+              Gpusim.Exec.launch ~dev ~modul ~globals:(Hashtbl.create 4)
                 ~host_arena:host ~kernel:k
                 ~cfg:
                   { global_size = [| items; 1; 1 |]; local_size = [| 4; 1; 1 |];
@@ -332,14 +329,14 @@ __kernel void boom(__global int* p) {
 (* --- domain-safety of shared infrastructure ----------------------------- *)
 
 let safety_tests =
-  [ Alcotest.test_case "concurrent launches share the compiled cache" `Quick
+  [ Alcotest.test_case
+      "concurrent launches share the loaded module's compiled kernels" `Quick
       (fun () ->
-         (* four domains launch the same loaded module simultaneously,
-            exercising the compiled-program cache and the lazy
-            compilation lock; each must see correct results.  At 2
-            domains the launches also share the process-wide worker
-            pool, whose jobs must not overlap. *)
-         List.iter (fun n -> with_domains n @@ fun () ->
+         (* four domains launch one loaded module simultaneously,
+            exercising its lazy compilation lock; each must see correct
+            results, and the module must compile once.  At 2 domains per
+            launch the launches also share the process-wide worker pool,
+            whose jobs must not overlap. *)
          let src = {|
 __kernel void fill(__global int* p) {
   p[get_global_id(0)] = (int)get_global_id(0) * 3;
@@ -348,15 +345,14 @@ __kernel void fill(__global int* p) {
          in
          let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
          let k = Option.get (find_function prog "fill") in
+         List.iter (fun n ->
+         let modul = Gpusim.Exec.load prog in
          let run () =
-           let dev =
-             Gpusim.Device.create Gpusim.Device.titan
-               Gpusim.Device.opencl_on_nvidia
-           in
+           let dev = device { (at n) with backend = Compiled } in
            let host = Vm.Memory.create "host" in
            let b = gbuf dev (32 * 4) in
            ignore
-             (Gpusim.Exec.launch ~dev ~prog ~globals:(Hashtbl.create 4)
+             (Gpusim.Exec.launch ~dev ~modul ~globals:(Hashtbl.create 4)
                 ~host_arena:host ~kernel:k
                 ~cfg:
                   { global_size = [| 32; 1; 1 |]; local_size = [| 8; 1; 1 |];
@@ -371,7 +367,9 @@ __kernel void fill(__global int* p) {
               Alcotest.(check (array int))
                 (Printf.sprintf "domain %d at %d domains" i n) expected
                 (Domain.join d))
-           spawned) [ 1; 2 ]);
+           spawned;
+         check_int (Printf.sprintf "compiled once at %d domains" n) 1
+           (Gpusim.Exec.compiled_forms modul)) [ 1; 2 ]);
     Alcotest.test_case "pool jobs from two domains do not overlap" `Quick
       (fun () ->
          (* each submitter checks that every worker of its own job ran
@@ -408,18 +406,16 @@ __kernel void fill(__global int* p) {
 let trace_tests =
   [ Alcotest.test_case "prof golden files unchanged at 4 domains" `Quick
       (fun () ->
-         with_domains 4 @@ fun () ->
          let runs =
-           Test_golden.profile_cuda_src "deviceQuery"
+           Test_golden.profile_cuda_src ~config:(at 4) "deviceQuery"
              (Test_golden.devicequery_src ())
          in
          Test_golden.check_golden "prof_devicequery.txt"
            (Test_golden.summary_text runs));
     Alcotest.test_case "chrome trace golden unchanged at 4 domains" `Quick
       (fun () ->
-         with_domains 4 @@ fun () ->
          let runs =
-           Test_golden.profile_cuda_src "deviceQuery"
+           Test_golden.profile_cuda_src ~config:(at 4) "deviceQuery"
              (Test_golden.devicequery_src ())
          in
          let pairs =

@@ -47,7 +47,7 @@ let check_pair ?(cfg = L.default_cfg) src_text dst_text =
     | Error why -> Alcotest.fail ("plan_of_kernel: " ^ why)
   in
   L.check_plans ~cfg ~src
-    ~dst:{ src with Xlat_validate.Plan.prog = dst_prog } ()
+    ~dst:{ src with Xlat_validate.Plan.modul = Gpusim.Exec.load dst_prog } ()
 
 let diverged_layer (r : L.report) =
   match r.L.rp_diverged with
