@@ -443,8 +443,7 @@ let attribute_arg =
                  conflicts, barriers, warp divergence) to source statements: \
                  annotate every statement with a stable site id, track the \
                  executing site through both backends, and print a per-site \
-                 hot-spot table plus worker-pool telemetry.  The \
-                 $(b,OCLCU_ATTRIBUTE) environment variable sets the default")
+                 hot-spot table plus worker-pool telemetry")
 
 (* Flip the attribution machinery on for this process: site annotation in
    the parsers/translators and per-site counter tables in the engine.

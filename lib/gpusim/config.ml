@@ -31,18 +31,13 @@ let positive s =
   | Some n when n >= 1 -> Some n
   | _ -> None
 
-let env name parse ~default =
-  Option.value (Option.bind (Sys.getenv_opt name) parse) ~default
+let backend = ref (Ir.Knob.read "OCLCU_BACKEND" backend_of_string ~default:Compiled)
 
-let backend = ref (env "OCLCU_BACKEND" backend_of_string ~default:Compiled)
-
-let engine =
-  ref (env "OCLCU_ENGINE" (fun s -> engine_of_string (String.trim s))
-         ~default:Scalar)
+let engine = ref (Ir.Knob.read "OCLCU_ENGINE" engine_of_string ~default:Scalar)
 
 (* Worker domains per launch; defaults to the machine's core count. *)
 let domains =
-  ref (env "OCLCU_DOMAINS" positive
+  ref (Ir.Knob.read "OCLCU_DOMAINS" positive
          ~default:(Domain.recommended_domain_count ()))
 
 type t = {

@@ -1,24 +1,31 @@
 (* NDRange / grid execution engine.
 
+   A launch is four stages composed in order.  [setup] checks the
+   geometry and fixes the launch constants, the compiled form and the
+   engine.  [execute] runs the blocks on one or more workers.  [merge]
+   sums their counters and attribution, and [cost] adds occupancy.
+
    Work-items of a group are coroutines multiplexed on one OCaml fibre
    each: an item runs until it finishes or performs the [Barrier]
    effect, at which point the scheduler parks its continuation and runs
    the next item.  When every live item of the group has reached the
    barrier, all are resumed -- faithful bulk-synchronous semantics
    including values communicated through __local/__shared__ memory.
+   Under the lockstep engine a fibre runs a whole warp instead.
 
    Work-groups run sequentially when the device's configuration asks
    for 1 domain.  With more (OCLCU_DOMAINS, `oclcu run --domains N`,
    the machine's core count by default) a persistent domain pool
    executes blocks concurrently, optimistically: every access a block
-   makes to a shared address space is logged (Conflict), shared arenas
-   are snapshotted and frozen, and simulated global atomics take a real
-   mutex.  After the join the logs are checked for cross-block
-   dependences; if any exist -- or any block faulted, allocated in a
-   frozen arena, etc. -- the attempt is rolled back and the launch
-   replays sequentially.  Either way the observable result (memory,
-   Counters.t, traces, exceptions) is the sequential one, which the
-   fuzzer's parallel stage and test_parallel verify. *)
+   makes to a shared address space is logged (Conflict), and simulated
+   global atomics take a real mutex.  One rollback protocol covers that
+   and the lockstep engine: the attempt runs from snapshots of the
+   shared arenas (frozen while parallel), and a lockstep bail, a fault
+   in the attempt or a cross-block dependence after the join restores
+   them and replays the launch sequentially on the scalar engine.
+   Either way the observable result (memory, Counters.t, traces,
+   exceptions) is the sequential scalar one, which the fuzzer's parallel
+   stage and test_parallel verify. *)
 
 open Minic.Ast
 open Vm.Value
@@ -128,17 +135,20 @@ let barrier_ext _ctx _args =
   Effect.perform (Vm.Interp.Barrier Vm.Interp.Barrier_local);
   Vm.Interp.tunit
 
-(* Built-ins available in every kernel, both dialects.  Index functions
-   read the mutable [cur] cell owned by the scheduler; atomics go
-   through [rmw], which carries the op's commutativity class so the
-   parallel engine can log it. *)
+(* Built-ins available in every kernel, both dialects.  Index and size
+   functions read the mutable [cur] cell owned by the scheduler and the
+   launch geometry; atomics go through [rmw], which carries the op's
+   commutativity class so the parallel engine can log it. *)
 type cur = {
   gid : int array;             (* written in place on every switch *)
   mutable lid : int array;
   mutable grp : int array;
+  mutable item : int;          (* the running item's local linear id *)
+  mutable tid : Vm.Interp.tval;  (* its threadIdx *)
+  mutable bid : Vm.Interp.tval;  (* its blockIdx *)
 }
 
-let kernel_externals ~(cur : cur) ~rmw () =
+let kernel_externals ~(cur : cur) ~rmw ~global_size ~local_size ~num_groups =
   let open Vm.Interp in
   let int_of_arg args =
     match args with
@@ -146,145 +156,79 @@ let kernel_externals ~(cur : cur) ~rmw () =
     | [] -> 0
   in
   let idx_fn sel = fun _ctx args -> tint (sel (int_of_arg args)) in
+  (* one implementation per atomic, bound to each of its spellings; a
+     wrong arity names the spelling the kernel used *)
+  let atomic names impl = List.map (fun name -> (name, impl name)) names in
+  let arity name = raise (Launch_error (name ^ " arity")) in
+  let binary klass f name ctx = function
+    | [ p; v ] -> rmw klass ctx p (fun old -> f ctx old v)
+    | _ -> arity name
+  in
+  let pick cmp ctx old v =
+    if Vm.Value.to_bool (binop ctx cmp old v).v then old else v
+  in
+  (* OpenCL's atomic_inc/dec take only the pointer (§3.7) *)
+  let step op name ctx = function
+    | [ p ] -> rmw Conflict.Kadd ctx p (fun old -> binop ctx op old (tint 1))
+    | _ -> arity name
+  in
+  (* CUDA's atomicInc/Dec wrap at the bound (§3.7).  The hardware
+     operates on 32-bit unsigned values: a sign-extended load of a
+     negative int cell must not compare above the bound. *)
+  let u32 v = Int64.logand (Vm.Value.to_int v) 0xFFFFFFFFL in
+  let wrapping klass f name ctx = function
+    | [ p; bound ] ->
+      let b = u32 bound.v in
+      rmw (klass b) ctx p (fun old -> f (u32 old.v) b old.ty)
+    | _ -> arity name
+  in
   [ (* OpenCL work-item functions *)
     ("get_global_id", idx_fn (fun d -> idx_of cur.gid d));
     ("get_local_id", idx_fn (fun d -> idx_of cur.lid d));
     ("get_group_id", idx_fn (fun d -> idx_of cur.grp d));
+    ("get_global_size", idx_fn (dim3_of global_size));
+    ("get_local_size", idx_fn (dim3_of local_size));
+    ("get_num_groups", idx_fn (dim3_of num_groups));
     ("get_work_dim", (fun _ _ -> tint 3));
-    (* barriers and fences *)
     ("barrier", barrier_ext);
     ("__syncthreads", barrier_ext);
-    ("mem_fence", (fun _ _ -> tunit));
-    ("read_mem_fence", (fun _ _ -> tunit));
-    ("write_mem_fence", (fun _ _ -> tunit));
-    ("__threadfence", (fun _ _ -> tunit));
-    ("__threadfence_block", (fun _ _ -> tunit));
-    ("__syncwarp", (fun _ _ -> tunit));
-    (* OpenCL atomics: atomic_inc/dec take only the pointer (§3.7) *)
-    ("atomic_add",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kadd ctx p (fun old -> Vm.Interp.binop ctx Add old v)
-        | _ -> raise (Launch_error "atomic_add arity")));
-    ("atomic_sub",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kadd ctx p (fun old -> Vm.Interp.binop ctx Sub old v)
-        | _ -> raise (Launch_error "atomic_sub arity")));
-    ("atomic_inc",
-     (fun ctx args ->
-        match args with
-        | [ p ] ->
-          rmw Conflict.Kadd ctx p (fun old ->
-              Vm.Interp.binop ctx Add old (tint 1))
-        | _ -> raise (Launch_error "atomic_inc arity")));
-    ("atomic_dec",
-     (fun ctx args ->
-        match args with
-        | [ p ] ->
-          rmw Conflict.Kadd ctx p (fun old ->
-              Vm.Interp.binop ctx Sub old (tint 1))
-        | _ -> raise (Launch_error "atomic_dec arity")));
-    ("atomic_min",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kmin ctx p (fun old ->
-              if Vm.Value.to_bool (Vm.Interp.binop ctx Lt old v).v then old else v)
-        | _ -> raise (Launch_error "atomic_min arity")));
-    ("atomic_max",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kmax ctx p (fun old ->
-              if Vm.Value.to_bool (Vm.Interp.binop ctx Gt old v).v then old else v)
-        | _ -> raise (Launch_error "atomic_max arity")));
-    ("atomic_xchg",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] -> rmw Conflict.Kother ctx p (fun _ -> v)
-        | _ -> raise (Launch_error "atomic_xchg arity")));
-    ("atomic_cmpxchg",
-     (fun ctx args ->
-        match args with
-        | [ p; cmp; v ] ->
-          rmw Conflict.Kother ctx p (fun old ->
-              if Vm.Value.to_int old.v = Vm.Value.to_int cmp.v then v else old)
-        | _ -> raise (Launch_error "atomic_cmpxchg arity")));
-    (* CUDA atomics; atomicInc wraps at the bound (§3.7) *)
-    ("atomicAdd",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kadd ctx p (fun old -> Vm.Interp.binop ctx Add old v)
-        | _ -> raise (Launch_error "atomicAdd arity")));
-    ("atomicSub",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kadd ctx p (fun old -> Vm.Interp.binop ctx Sub old v)
-        | _ -> raise (Launch_error "atomicSub arity")));
-    ("atomicMin",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kmin ctx p (fun old ->
-              if Vm.Value.to_bool (Vm.Interp.binop ctx Lt old v).v then old else v)
-        | _ -> raise (Launch_error "atomicMin arity")));
-    ("atomicMax",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] ->
-          rmw Conflict.Kmax ctx p (fun old ->
-              if Vm.Value.to_bool (Vm.Interp.binop ctx Gt old v).v then old else v)
-        | _ -> raise (Launch_error "atomicMax arity")));
-    ("atomicExch",
-     (fun ctx args ->
-        match args with
-        | [ p; v ] -> rmw Conflict.Kother ctx p (fun _ -> v)
-        | _ -> raise (Launch_error "atomicExch arity")));
-    ("atomicCAS",
-     (fun ctx args ->
-        match args with
-        | [ p; cmp; v ] ->
-          rmw Conflict.Kother ctx p (fun old ->
-              if Vm.Value.to_int old.v = Vm.Value.to_int cmp.v then v else old)
-        | _ -> raise (Launch_error "atomicCAS arity")));
-    ("atomicInc",
-     (fun ctx args ->
-        match args with
-        | [ p; bound ] ->
-          (* the hardware operates on 32-bit unsigned values: a
-             sign-extended load of a negative int cell must not compare
-             above the bound *)
-          let u32 v = Int64.logand (Vm.Value.to_int v) 0xFFFFFFFFL in
-          rmw (Conflict.Kinc (u32 bound.v)) ctx p (fun old ->
-              let o = u32 old.v and b = u32 bound.v in
-              if Int64.compare o b >= 0 then tint 0
-              else tv (VInt (Int64.add o 1L)) old.ty)
-        | _ -> raise (Launch_error "atomicInc arity")));
-    ("atomicDec",
-     (fun ctx args ->
-        match args with
-        | [ p; bound ] ->
-          let u32 v = Int64.logand (Vm.Value.to_int v) 0xFFFFFFFFL in
-          rmw (Conflict.Kdec (u32 bound.v)) ctx p (fun old ->
-              let o = u32 old.v and b = u32 bound.v in
-              if o = 0L || Int64.compare o b > 0 then
-                tv (VInt b) old.ty
-              else tv (VInt (Int64.sub o 1L)) old.ty)
-        | _ -> raise (Launch_error "atomicDec arity")));
-    (* misc *)
-    ("printf", (fun _ _ -> tint 0));
-  ]
+    ("printf", (fun _ _ -> tint 0)) ]
+  (* fences are no-ops *)
+  @ List.map
+      (fun n -> (n, fun _ _ -> tunit))
+      [ "mem_fence"; "read_mem_fence"; "write_mem_fence"; "__threadfence";
+        "__threadfence_block"; "__syncwarp" ]
+  @ atomic [ "atomic_add"; "atomicAdd" ]
+      (binary Conflict.Kadd (fun ctx old v -> binop ctx Add old v))
+  @ atomic [ "atomic_sub"; "atomicSub" ]
+      (binary Conflict.Kadd (fun ctx old v -> binop ctx Sub old v))
+  @ atomic [ "atomic_min"; "atomicMin" ] (binary Conflict.Kmin (pick Lt))
+  @ atomic [ "atomic_max"; "atomicMax" ] (binary Conflict.Kmax (pick Gt))
+  @ atomic [ "atomic_xchg"; "atomicExch" ]
+      (binary Conflict.Kother (fun _ _ v -> v))
+  @ atomic [ "atomic_cmpxchg"; "atomicCAS" ] (fun name ctx -> function
+      | [ p; cmp; v ] ->
+        rmw Conflict.Kother ctx p (fun old ->
+            if Vm.Value.to_int old.v = Vm.Value.to_int cmp.v then v else old)
+      | _ -> arity name)
+  @ atomic [ "atomic_inc" ] (step Add)
+  @ atomic [ "atomic_dec" ] (step Sub)
+  @ atomic [ "atomicInc" ]
+      (wrapping (fun b -> Conflict.Kinc b) (fun o b ty ->
+           if Int64.compare o b >= 0 then tint 0 else tv (VInt (Int64.add o 1L)) ty))
+  @ atomic [ "atomicDec" ]
+      (wrapping (fun b -> Conflict.Kdec b) (fun o b ty ->
+           if o = 0L || Int64.compare o b > 0 then tv (VInt b) ty
+           else tv (VInt (Int64.sub o 1L)) ty))
 
 let uint3 a =
   Vm.Interp.tv
     (VVec [| VInt (Int64.of_int a.(0)); VInt (Int64.of_int a.(1));
              VInt (Int64.of_int a.(2)) |])
     (TVec (UInt, 3))
+
+let clk_local_tv = Vm.Interp.tint 1
+let clk_global_tv = Vm.Interp.tint 2
 
 (* ------------------------------------------------------------------ *)
 (* Loaded modules and their compiled forms                             *)
@@ -337,692 +281,739 @@ let form m passes =
         m.m_forms <- f :: m.m_forms;
         f)
 
-let lockstep_plan_for m (f : form) ~name ~warp =
-  let key = (name, warp) in
-  Mutex.protect m.m_lock (fun () ->
-      match Hashtbl.find_opt f.f_plans key with
-      | Some r -> r
-      | None ->
-        let r = Lockstep.plan_for f.f_est ~name ~warp in
-        Hashtbl.replace f.f_plans key r;
-        r)
+(* ------------------------------------------------------------------ *)
+(* Stage 1: setup                                                      *)
+(* ------------------------------------------------------------------ *)
 
-(* Everything mutable one worker owns; see [make_worker] below. *)
-type worker = {
-  w_counters : Counters.t;
-  w_attr : Attr.t option;
-  w_layout : Vm.Layout.env;
-  w_run_block : int -> unit;
-  w_logs : Conflict.block_log list ref;
-  w_blocks : int ref;          (* blocks this worker executed *)
+(* Everything a launch decides before a block runs, shared read-only by
+   every worker. *)
+type setup = {
+  s_dev : Device.t;
+  s_prog : program;
+  s_kernel : func;
+  s_cfg : config;
+  s_args : karg list;
+  s_globals : (string, Vm.Interp.binding) Hashtbl.t;
+  s_host : Vm.Memory.arena;
+  s_observer : Vm.Interp.observer option;
+  s_extra : (string * (Vm.Interp.ctx -> Vm.Interp.tval list -> Vm.Interp.tval)) list;
+  s_local : int array;         (* clamped sizes, 3 entries *)
+  s_global : int array;
+  s_groups : int array;
+  s_blocks : int;
+  s_threads : int;             (* items per block *)
+  s_workers : int;             (* 1 = the sequential engine *)
+  (* launch-constant special values *)
+  s_lids : int array array;    (* local linear id -> local id *)
+  s_tids : Vm.Interp.tval array;
+  s_bdim : Vm.Interp.tval;
+  s_gdim : Vm.Interp.tval;
+  s_warp : Vm.Interp.tval;
+  s_compiled : (Vm.Interp.ctx -> Vm.Interp.tval array -> Vm.Interp.tval) option;
+  s_plan : Lockstep.plan option;
+  s_engine : engine_outcome;
+  (* no kernel call reads an atomic's return value: decides which
+     cross-lane and cross-block atomic overlaps are benign.  Computed
+     only for a launch that can roll back, before any worker runs. *)
+  s_atomics_clean : bool;
+  (* file-scope [extern __shared__ char pool[]] declarations (the
+     OpenCL-to-CUDA translator emits one, Fig. 5) alias the per-group
+     dynamic shared block, like in-kernel extern __shared__ variables *)
+  s_extern_shared : string list;
 }
 
-(* Launch a kernel of the loaded module [modul] on a device, under the
-   device's configuration.
+(* The engine choice.  Lockstep needs the IR backend, and a launch that
+   overrides no built-in the warp plan folds in: the index functions and
+   barriers bypass the external table on its fast path, and the NDRange
+   shape queries seed the uniformity analysis.  The kernel's plan is
+   decided once per form and warp width, not re-analysed per launch.
+   Anything else runs scalar, with the reason. *)
+let choose_engine (conf : Config.t) m form ~extra ~(kernel : func) ~warp =
+  let folded (n, _) =
+    List.mem n
+      [ "get_global_id"; "get_local_id"; "get_group_id"; "get_work_dim";
+        "get_global_size"; "get_local_size"; "get_num_groups"; "barrier";
+        "__syncthreads" ]
+  in
+  match conf.engine, form with
+  | Scalar, _ -> (None, Engine_scalar)
+  | Lockstep, None ->
+    (None, Engine_fallback "lockstep needs the IR backend (compiled, no observer)")
+  | Lockstep, Some _ when List.exists folded extra ->
+    (None, Engine_fallback "launch overrides a built-in the lockstep engine folds in")
+  | Lockstep, Some f ->
+    let key = (kernel.fn_name, warp) in
+    let plan =
+      Mutex.protect m.m_lock (fun () ->
+          match Hashtbl.find_opt f.f_plans key with
+          | Some r -> r
+          | None ->
+            let r = Lockstep.plan_for f.f_est ~name:kernel.fn_name ~warp in
+            Hashtbl.replace f.f_plans key r;
+            r)
+    in
+    (match plan with
+     | Ok p -> (Some p, Engine_lockstep)
+     | Error e -> (None, Engine_fallback e))
 
-   Device globals must already be materialised in [globals].
-   [host_arena] backs AS_none so kernels can read host constants if a
-   runtime chooses to pass them (not used by well-formed code). *)
-let launch ~(dev : Device.t) ~modul ~globals ~host_arena
-    ?(extra_externals = []) ?observer ~(kernel : func) ~(cfg : config)
-    ~(args : karg list) () : launch_stats =
-  let conf = dev.config and prog = modul.m_prog in
-  let warp = dev.hw.warp_size in
-  let lx = dim3_of cfg.local_size 0
-  and ly = dim3_of cfg.local_size 1
-  and lz = dim3_of cfg.local_size 2 in
-  let gx = dim3_of cfg.global_size 0
-  and gy = dim3_of cfg.global_size 1
-  and gz = dim3_of cfg.global_size 2 in
-  if gx mod lx <> 0 || gy mod ly <> 0 || gz mod lz <> 0 then
+(* Geometry, launch constants, the compiled form and the engine.
+   @raise Launch_error when the global size is not a multiple of the
+   local size. *)
+let setup ~(dev : Device.t) ~modul ~globals ~host_arena ~extra ~observer
+    ~(kernel : func) ~(cfg : config) ~args =
+  let conf = dev.config in
+  let local = Array.init 3 (dim3_of cfg.local_size)
+  and global = Array.init 3 (dim3_of cfg.global_size) in
+  if Array.exists2 (fun g l -> g mod l <> 0) global local then
     raise
       (Launch_error
          (Printf.sprintf "%s: global size (%d,%d,%d) not divisible by local (%d,%d,%d)"
-            kernel.fn_name gx gy gz lx ly lz));
-  let nx = gx / lx and ny = gy / ly and nz = gz / lz in
-  let n_blocks = nx * ny * nz in
-  let group_threads = lx * ly * lz in
-  let num_groups = [| nx; ny; nz |] in
-  let global_size = [| gx; gy; gz |] in
-  let local_size = [| lx; ly; lz |] in
-
-  (* launch-constant special values, shared read-only by all workers *)
-  let lid_arrs =
-    Array.init group_threads (fun lid ->
+            kernel.fn_name global.(0) global.(1) global.(2) local.(0)
+            local.(1) local.(2)));
+  let groups = Array.map2 ( / ) global local in
+  let blocks = groups.(0) * groups.(1) * groups.(2) in
+  let threads = local.(0) * local.(1) * local.(2) in
+  let lx = local.(0) and ly = local.(1) in
+  let lids =
+    Array.init threads (fun lid ->
         [| lid mod lx; lid mod (lx * ly) / lx; lid / (lx * ly) |])
   in
-  let tid_tvs = Array.map uint3 lid_arrs in
-  let bdim_tv = uint3 local_size in
-  let gdim_tv = uint3 num_groups in
-  let warp_tv = Vm.Interp.tint warp in
-  let clk_local_tv = Vm.Interp.tint 1 in
-  let clk_global_tv = Vm.Interp.tint 2 in
-
   (* the kernel compiles once per loaded module and pass set (the empty
      pipeline included), and its closure is reused across all
      work-items, work-groups and launches.  Vm.Interp runs the kernel
      instead on the interpreter backend, under an observer (the IR
      backend does not model per-statement observation), and when the
      lowering rejected it. *)
-  let ir =
+  let form =
     if conf.backend = Compiled && observer = None then
       Some (form modul conf.passes)
     else None
   in
-  (* resolve the kernel's compiled form once; the per-item path is then
-     a bare closure application *)
-  let compiled_kernel =
-    Option.bind ir (fun f -> Ir.Emit.prepare f.f_est kernel.fn_name)
+  let warp = dev.hw.warp_size in
+  let plan, engine =
+    choose_engine conf modul form ~extra ~kernel ~warp
   in
+  let workers = min conf.domains blocks in
+  { s_dev = dev;
+    s_prog = modul.m_prog;
+    s_kernel = kernel;
+    s_cfg = cfg;
+    s_args = args;
+    s_globals = globals;
+    s_host = host_arena;
+    s_observer = observer;
+    s_extra = extra;
+    s_local = local;
+    s_global = global;
+    s_groups = groups;
+    s_blocks = blocks;
+    s_threads = threads;
+    s_workers = workers;
+    s_lids = lids;
+    s_tids = Array.map uint3 lids;
+    s_bdim = uint3 local;
+    s_gdim = uint3 groups;
+    s_warp = Vm.Interp.tint warp;
+    s_compiled =
+      Option.bind form (fun f -> Ir.Emit.prepare f.f_est kernel.fn_name);
+    s_plan = plan;
+    s_engine = engine;
+    s_atomics_clean =
+      (workers > 1 || plan <> None)
+      && not (Conflict.atomic_result_used modul.m_prog kernel);
+    s_extern_shared =
+      List.filter_map
+        (function
+          | TVar d when d.d_storage.s_extern && type_space d.d_ty = AS_local ->
+            Some d.d_name
+          | _ -> None)
+        modul.m_prog }
 
-  (* Warp-lockstep engine: resolve the kernel's warp plan if requested.
-     Needs the IR backend, and no launch override of a built-in the
-     plan folds in — the index functions and barriers bypass the
-     external table on the fast path, and the NDRange shape queries
-     seed the uniformity analysis. *)
-  let lockstep_plan =
-    match conf.engine, ir with
-    | Scalar, _ -> None
-    | Lockstep, None ->
-      Some (Error "lockstep needs the IR backend (compiled, no observer)")
-    | Lockstep, Some f ->
-      if
-        List.exists
-          (fun (n, _) ->
-             List.mem n
-               [ "get_global_id"; "get_local_id"; "get_group_id";
-                 "get_work_dim"; "get_global_size"; "get_local_size";
-                 "get_num_groups"; "barrier"; "__syncthreads" ])
-          extra_externals
-      then
-        Some (Error "launch overrides a built-in the lockstep engine folds in")
-      else Some (lockstep_plan_for modul f ~name:kernel.fn_name ~warp)
+(* ------------------------------------------------------------------ *)
+(* Stage 2: execute                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A lockstep worker's state: the warp plan, its hazard flags and log
+   (checked and cleared at each warp boundary and barrier), and the
+   recorders the memory hooks feed the log from. *)
+type lanes = {
+  l_plan : Lockstep.plan;
+  l_flags : Lockstep.flags;
+  l_log : Lockstep.hlog;
+  l_access : int -> Vm.Memory.access_kind -> addr_space -> int -> int -> unit;
+  l_atomic : int -> addr_space -> int -> int -> Conflict.klass -> unit;
+}
+
+(* The lockstep hooks of one worker: every plain access lands in the
+   hazard log, every RMW with its commutativity class. *)
+let lockstep_hooks plan =
+  let flags = Lockstep.make_flags () and log = Lockstep.make_hlog () in
+  { l_plan = plan;
+    l_flags = flags;
+    l_log = log;
+    l_access =
+      (fun lane kind space addr size ->
+         Lockstep.record log flags ~lane kind space addr size);
+    l_atomic =
+      (fun lane space addr size klass ->
+         Lockstep.record_atomic log ~lane space addr size klass) }
+
+(* One worker owns everything mutable a block touches that is not a
+   shared arena: local/private arenas, counters, access streams, the
+   scheduler's index cells and its interpreter context.  The sequential
+   engine is a single worker run over all blocks in order; the parallel
+   engine is N workers pulling blocks from a shared counter. *)
+type worker = {
+  w_counters : Counters.t;
+  w_attr : Attr.t option;
+  w_cur : cur;
+  w_site : int ref;            (* innermost SSite of the running item *)
+  w_local : Vm.Memory.arena;
+  w_private : Vm.Memory.arena option array;
+  w_streams : Counters.stream array;
+  w_bstreams : Counters.bstream array option;
+  w_ctx : Vm.Interp.ctx;       (* copied per item, or per block under lockstep *)
+  w_par : bool;
+  w_log : Conflict.block_log option ref;  (* the running block's, when [w_par] *)
+  mutable w_logs : Conflict.block_log list;
+  mutable w_blocks : int;      (* blocks this worker executed *)
+  w_lanes : lanes option;      (* under lockstep *)
+}
+
+(* A worker's memory hooks, built once from [par] and its engine.  Every
+   access feeds the item's stream for the coalescing model.  When
+   parallel, an access to a shared space is also logged for the
+   cross-block check, and under lockstep every one lands in the warp
+   hazard log.  An RMW logs its own cell with its commutativity class (a
+   float RMW never commutes: rounding is order-sensitive), so its raw
+   load and store do not register again; when parallel, an RMW on a
+   shared space takes the memory controller's lock. *)
+let memory_hooks ~par ~lanes ~counters ~streams ~(cur : cur) ~site ~log =
+  let in_atomic = ref false in
+  let stream _kind space addr size =
+    match space with
+    | AS_global | AS_constant | AS_local ->
+      Counters.stream_push streams.(cur.item) space ~addr ~size ~site:!site
+    | AS_private | AS_none ->
+      counters.Counters.private_accesses <-
+        counters.Counters.private_accesses + 1
   in
-  let plan = match lockstep_plan with Some (Ok p) -> Some p | _ -> None in
-  let engine_note =
-    ref
-      (match lockstep_plan with
-       | None -> Engine_scalar
-       | Some (Error e) -> Engine_fallback e
-       | Some (Ok _) -> Engine_lockstep)
+  if not par && lanes = None then (stream, atomic_rmw)
+  else
+    let on_access kind space addr size =
+      stream kind space addr size;
+      if not !in_atomic then begin
+        (* [log] holds a block log only when parallel *)
+        (match space, !log with
+         | (AS_global | AS_constant | AS_none), Some bl ->
+           let a = Conflict.tag space addr in
+           (match kind with
+            | Vm.Memory.Load -> Conflict.record_read bl a size
+            | Vm.Memory.Store -> Conflict.record_write bl a size)
+         | _ -> ());
+        match lanes with
+        | Some l -> l.l_access cur.item kind space addr size
+        | None -> ()
+      end
+    in
+    let rmw klass ctx p f =
+      let space, addr, elt = atomic_resolve ctx p in
+      let layout = ctx.Vm.Interp.layout in
+      let klass =
+        match Vm.Layout.resolve layout elt with
+        | TScalar s when not (is_float_scalar s) -> klass
+        | _ -> Conflict.Kother
+      in
+      let size = Vm.Layout.sizeof layout elt in
+      (match lanes with
+       | Some l -> l.l_atomic cur.item space addr size klass
+       | None -> ());
+      let locked =
+        par
+        && (match space with
+            | AS_global | AS_constant | AS_none -> true
+            | AS_local | AS_private -> false)
+      in
+      (match !log with
+       | Some bl when locked ->
+         Conflict.record_atomic bl (Conflict.tag space addr) size klass
+       | _ -> ());
+      in_atomic := true;
+      if locked then Mutex.lock atomics_lock;
+      match atomic_apply ctx space addr elt f with
+      | r ->
+        if locked then Mutex.unlock atomics_lock;
+        in_atomic := false;
+        r
+      | exception e ->
+        if locked then Mutex.unlock atomics_lock;
+        in_atomic := false;
+        raise e
+    in
+    (on_access, rmw)
+
+(* An item's private arena is created on its first private access:
+   compiled kernels keep most locals in frame slots, and most items of
+   most launches never touch one. *)
+let private_arena arenas i =
+  match arenas.(i) with
+  | Some a -> a
+  | None ->
+    let a = Vm.Memory.create ~initial:2048 (Printf.sprintf "private.%d" i) in
+    arenas.(i) <- Some a;
+    a
+
+let make_worker s ~par ~plan =
+  let counters = Counters.create () in
+  (* per-site attribution ([Minic.Site.enabled], `oclcu prof
+     --attribute`): every counted event is charged to the site of the
+     statement that caused it, and per-item branch decisions are
+     recorded for the warp-divergence counter.  Off by default — the
+     extra stream pushes cost real time on the hot path. *)
+  let attr = if !Minic.Site.enabled then Some (Attr.create ()) else None in
+  (* the running item's index view; [set_item] rewrites it in place *)
+  let cur =
+    { gid = [| 0; 0; 0 |]; lid = [| 0; 0; 0 |]; grp = [| 0; 0; 0 |];
+      item = 0; tid = s.s_bdim; bid = s.s_bdim }
   in
-  (* whether any kernel call reads an atomic's return value; decides
-     which cross-lane (and cross-block) atomic overlaps are benign *)
-  let atomics_clean = lazy (not (Conflict.atomic_result_used prog kernel)) in
-
-  (* file-scope [extern __shared__ char pool[]] declarations (the
-     OpenCL-to-CUDA translator emits one, Fig. 5) alias the per-group
-     dynamic shared block, like in-kernel extern __shared__ variables *)
-  let extern_shared_names =
-    List.filter_map
-      (function
-        | TVar d when d.d_storage.s_extern && type_space d.d_ty = AS_local ->
-          Some d.d_name
-        | _ -> None)
-      prog
+  (* maintained by the VM's SSite save/restore and re-established on
+     barrier resume *)
+  let site = ref 0 in
+  let local = Vm.Memory.create ~initial:8192 "local" in
+  let privates = Array.make s.s_threads None in
+  let arena_of : addr_space -> Vm.Memory.arena = function
+    | AS_global -> s.s_dev.Device.global
+    | AS_constant -> s.s_dev.Device.constant
+    | AS_local -> local
+    | AS_private -> private_arena privates cur.item
+    | AS_none -> s.s_host
   in
+  (* access streams for warp grouping; branch-decision streams in
+     attribution mode only (extra pushes on every branch cost real time
+     otherwise) *)
+  let streams = Array.init s.s_threads (fun _ -> Counters.stream_create ()) in
+  let bstreams =
+    Option.map
+      (fun _ -> Array.init s.s_threads (fun _ -> Counters.bstream_create ()))
+      attr
+  in
+  let log = ref None in
+  let lanes = Option.map lockstep_hooks plan in
+  let on_access, rmw =
+    memory_hooks ~par ~lanes ~counters ~streams ~cur ~site ~log
+  in
+  let on_op =
+    match attr with
+    | None -> fun cls -> Counters.record_op counters cls
+    | Some a ->
+      fun cls ->
+        Counters.record_op counters cls;
+        let st = Attr.get a !site in
+        st.Attr.ops <- st.Attr.ops + 1
+  in
+  let on_branch =
+    Option.map
+      (fun bs taken -> Counters.bstream_push bs.(cur.item) ~site:!site taken)
+      bstreams
+  in
+  (* IR-pass elimination credits: only materialised in attribution mode,
+     where the report shows ops + ops_eliminated = the unoptimized ops
+     count per site *)
+  let on_elim =
+    Option.map
+      (fun a n ->
+         let st = Attr.get a !site in
+         st.Attr.ops_eliminated <- st.Attr.ops_eliminated + n)
+      attr
+  in
+  let special_ident = function
+    | "threadIdx" -> Some cur.tid
+    | "blockIdx" -> Some cur.bid
+    | "blockDim" -> Some s.s_bdim
+    | "gridDim" -> Some s.s_gdim
+    | "warpSize" -> Some s.s_warp
+    | "CLK_LOCAL_MEM_FENCE" -> Some clk_local_tv
+    | "CLK_GLOBAL_MEM_FENCE" -> Some clk_global_tv
+    | _ -> None
+  in
+  (* extras are appended last so they override defaults on name clash *)
+  let externals =
+    kernel_externals ~cur ~rmw ~global_size:s.s_global ~local_size:s.s_local
+      ~num_groups:s.s_groups
+    @ s.s_extra
+  in
+  { w_counters = counters;
+    w_attr = attr;
+    w_cur = cur;
+    w_site = site;
+    w_local = local;
+    w_private = privates;
+    w_streams = streams;
+    w_bstreams = bstreams;
+    w_ctx =
+      Vm.Interp.make ~prog:s.s_prog ~arena_of ~externals ~special_ident
+        ~on_access ~on_op ~cur_site:site ?on_branch ~stack_space:AS_private
+        ~globals:s.s_globals ?on_elim ?observer:s.s_observer ();
+    w_par = par;
+    w_log = log;
+    w_logs = [];
+    w_blocks = 0;
+    w_lanes = lanes }
 
-  (* One worker owns everything mutable a block touches that is not a
-     shared arena: local/private arenas, counters, access streams, the
-     scheduler's index cells and its interpreter context.  The
-     sequential engine is a single worker run over all blocks in order;
-     the parallel engine is N workers pulling blocks from a shared
-     counter, plus access logging and a locked RMW. *)
-  let make_worker ~par ?plan () =
-    let counters = Counters.create () in
-    (* warp-lockstep hazard state: one log per worker, checked and
-       cleared at each warp boundary and barrier *)
-    let k_flags = Lockstep.make_flags () in
-    let k_log = Lockstep.make_hlog () in
-    let aclean =
-      match plan with Some _ -> Lazy.force atomics_clean | None -> false
-    in
-    (* per-site attribution ([Minic.Site.enabled], `oclcu prof
-       --attribute`): every counted event is charged to the site of the
-       statement that caused it, and per-item branch decisions are
-       recorded for the warp-divergence counter.  Off by default — the
-       extra stream pushes cost real time on the hot path. *)
-    let attr = if !Minic.Site.enabled then Some (Attr.create ()) else None in
-    (* the running item's index view; [set_cur] rewrites it in place *)
-    let cur = { gid = [| 0; 0; 0 |]; lid = [| 0; 0; 0 |]; grp = [| 0; 0; 0 |] } in
-    let cur_item = ref 0 in
-    (* innermost SSite of the running item; maintained by the VM's
-       SSite save/restore and re-established on barrier resume *)
-    let cur_site = ref 0 in
-    let cur_tid = ref bdim_tv in
-    let cur_bid = ref bdim_tv in
+(* One block's context, shared by both block runners. *)
+type group = {
+  g_grp : int array;           (* block index *)
+  g_base : int array;          (* global id of the block's first item *)
+  g_bid : Vm.Interp.tval;
+  g_locals : (string, int) Hashtbl.t;  (* makes __local declarations idempotent *)
+  g_dynshared : int option;    (* CUDA extern __shared__ block *)
+  g_args : Vm.Interp.tval list;
+  g_args_arr : Vm.Interp.tval array;
+  (* parked items (or warps): local id, innermost site, continuation *)
+  g_waiting : (int * int * (unit, unit) Effect.Deep.continuation) Queue.t;
+}
 
-    (* arenas *)
-    let local_arena = Vm.Memory.create ~initial:8192 "local" in
-    (* an item's private arena is created on its first private access:
-       compiled kernels keep most locals in frame slots, and most items
-       of most launches never touch one *)
-    let private_pool = Array.make group_threads None in
-    let private_arena i =
-      match private_pool.(i) with
-      | Some a -> a
-      | None ->
-        let a =
-          Vm.Memory.create ~initial:2048 (Printf.sprintf "private.%d" i)
-        in
-        private_pool.(i) <- Some a;
-        a
-    in
-    let reset_private i = Option.iter Vm.Memory.reset private_pool.(i) in
-    let arena_of : addr_space -> Vm.Memory.arena = function
-      | AS_global -> dev.Device.global
-      | AS_constant -> dev.Device.constant
-      | AS_local -> local_arena
-      | AS_private -> private_arena !cur_item
-      | AS_none -> host_arena
-    in
+let set_item s w g lid_lin =
+  let cur = w.w_cur in
+  let lid = s.s_lids.(lid_lin) in
+  cur.item <- lid_lin;
+  cur.gid.(0) <- g.g_base.(0) + lid.(0);
+  cur.gid.(1) <- g.g_base.(1) + lid.(1);
+  cur.gid.(2) <- g.g_base.(2) + lid.(2);
+  cur.lid <- lid;
+  cur.grp <- g.g_grp;
+  cur.tid <- s.s_tids.(lid_lin);
+  cur.bid <- g.g_bid
 
-    (* access streams for warp grouping *)
-    let streams = Array.init group_threads (fun _ -> Counters.stream_create ()) in
-    (* branch-decision streams; attribution mode only (extra pushes on
-       every branch cost real time otherwise) *)
-    let bstreams =
-      if !Minic.Site.enabled then
-        Some (Array.init group_threads (fun _ -> Counters.bstream_create ()))
-      else None
+(* The context both block runners start from: a copy of the worker's
+   base context with the block's __local table, and a scope holding the
+   dynamic shared block's aliases.  IR code binds locals in its own
+   frame, so it needs the scope only for those aliases. *)
+let group_ctx s w g =
+  let ctx =
+    { w.w_ctx with Vm.Interp.scopes = []; group_locals = Some g.g_locals }
+  in
+  if s.s_compiled = None || g.g_dynshared <> None then begin
+    Vm.Interp.push_scope ctx;
+    Option.iter
+      (fun addr ->
+         let b =
+           { Vm.Interp.b_space = AS_local; b_addr = addr;
+             b_ty = TArr (TScalar Char, None) }
+         in
+         Vm.Interp.bind_raw ctx "$dynshared" b;
+         List.iter (fun n -> Vm.Interp.bind_raw ctx n b) s.s_extern_shared)
+      g.g_dynshared
+  end;
+  ctx
+
+let reset_private w lid = Option.iter Vm.Memory.reset w.w_private.(lid)
+
+(* Run [f lid] as a fibre that parks at each barrier, with its innermost
+   site so the round can be attributed and the site restored. *)
+let run_root w g lid f =
+  Effect.Deep.match_with f lid
+    { retc = (fun () -> ());
+      exnc = (fun e -> raise e);
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+           match eff with
+           | Vm.Interp.Barrier _ ->
+             (* the GADT match refines a = unit *)
+             Some
+               (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  Queue.add (lid, !(w.w_site), k) g.g_waiting)
+           | _ -> None) }
+
+(* Barrier rounds: resume every parked fibre, in parking order, until
+   none parks.  Each round is charged to the site the first parked item
+   was executing. *)
+let rounds s w g =
+  while not (Queue.is_empty g.g_waiting) do
+    let c = w.w_counters in
+    c.Counters.barriers <- c.Counters.barriers + 1;
+    (match w.w_attr with
+     | Some a ->
+       let _, site, _ = Queue.peek g.g_waiting in
+       let st = Attr.get a site in
+       st.Attr.barriers <- st.Attr.barriers + 1
+     | None -> ());
+    for _ = 1 to Queue.length g.g_waiting do
+      let lid, site, k = Queue.pop g.g_waiting in
+      set_item s w g lid;
+      w.w_site := site;
+      Effect.Deep.continue k ()
+    done
+  done
+
+(* The scalar block runner: one fibre per item, in local-id order. *)
+let run_items s w g =
+  let item lid =
+    set_item s w g lid;
+    reset_private w lid;
+    let ctx = group_ctx s w g in
+    match s.s_compiled with
+    | Some f -> ignore (f ctx g.g_args_arr)
+    | None -> ignore (Vm.Interp.call_function ctx s.s_kernel g.g_args)
+  in
+  for lid = 0 to s.s_threads - 1 do
+    run_root w g lid item
+  done;
+  rounds s w g
+
+(* The warp block runner (lockstep): one context per block and one
+   fibre per warp; the same rounds resume parked warps.  On any exception it
+   unwinds the parked warps, so their arena marks and call depth
+   release, and re-raises it for the rollback. *)
+let run_warps s w g l =
+  try
+    for lid = 0 to s.s_threads - 1 do
+      reset_private w lid
+    done;
+    let ctx = group_ctx s w g in
+    let on_access = w.w_ctx.Vm.Interp.on_access in
+    let k_access lane kind space addr size =
+      w.w_cur.item <- lane;
+      on_access kind space addr size
     in
-    let cur_log : Conflict.block_log option ref = ref None in
-    let in_atomic = ref false in
-    let on_access_plain _kind space addr size =
-      match space with
-      | AS_global | AS_constant | AS_local ->
-        Counters.stream_push streams.(!cur_item) space ~addr ~size
-          ~site:!cur_site
-      | AS_private | AS_none ->
-        counters.Counters.private_accesses <-
-          counters.Counters.private_accesses + 1
+    let k_idx which lane d =
+      let lid = s.s_lids.(lane) in
+      match which with
+      | `Gid ->
+        idx_of
+          [| g.g_base.(0) + lid.(0); g.g_base.(1) + lid.(1);
+             g.g_base.(2) + lid.(2) |]
+          d
+      | `Lid -> idx_of lid d
+      | `Grp -> idx_of g.g_grp d
     in
-    let on_access =
-      if not par then on_access_plain
-      else
-        fun kind space addr size ->
-          on_access_plain kind space addr size;
-          (* the RMW wrapper logs its own cell; its raw load/store must
-             not also register as an ordinary dependence *)
-          if not !in_atomic then
-            match space with
-            | AS_global | AS_constant | AS_none ->
-              (match !cur_log with
-               | Some bl ->
-                 let a = Conflict.tag space addr in
-                 (match kind with
-                  | Vm.Memory.Load -> Conflict.record_read bl a size
-                  | Vm.Memory.Store -> Conflict.record_write bl a size)
-               | None -> ())
-            | AS_local | AS_private -> ()
-    in
-    (* under lockstep, every plain access also lands in the warp hazard
-       log; RMWs record themselves below with their commutativity class *)
-    let on_access =
-      match plan with
-      | None -> on_access
-      | Some _ ->
-        fun kind space addr size ->
-          on_access kind space addr size;
-          if not !in_atomic then
-            Lockstep.record k_log k_flags ~lane:!cur_item kind space addr size
-    in
-    let on_op =
-      match attr with
-      | None -> fun cls -> Counters.record_op counters cls
-      | Some a ->
-        fun cls ->
-          Counters.record_op counters cls;
-          let s = Attr.get a !cur_site in
-          s.Attr.ops <- s.Attr.ops + 1
-    in
-    let on_branch =
-      match bstreams with
-      | None -> None
-      | Some bs ->
-        Some (fun taken ->
-            Counters.bstream_push bs.(!cur_item) ~site:!cur_site taken)
-    in
-    (* lockstep batched charge: same totals as n on_op calls at [site]
-       (-1 = wherever cur_site points), without n closure crossings.
-       The n = 0 guard matters for attribution: a zero charge must not
+    (* batched charge: same totals as n on_op calls at [site] (-1 =
+       wherever the site cell points), without n closure crossings.  The
+       n = 0 guard matters for attribution: a zero charge must not
        materialise an Attr row the scalar engine never creates. *)
     let k_charge site cls n =
       if n > 0 then begin
-        Counters.record_ops counters cls n;
-        match attr with
+        Counters.record_ops w.w_counters cls n;
+        match w.w_attr with
         | None -> ()
         | Some a ->
-          let s = Attr.get a (if site >= 0 then site else !cur_site) in
-          s.Attr.ops <- s.Attr.ops + n
+          let st = Attr.get a (if site >= 0 then site else !(w.w_site)) in
+          st.Attr.ops <- st.Attr.ops + n
       end
     in
-    (* lockstep per-lane branch hook: the warp engine knows the lane,
-       so it bypasses the set-lane indirection on_branch needs *)
+    (* the warp engine knows the lane, so it bypasses the set-lane
+       indirection on_branch needs *)
     let k_branch =
-      match bstreams with
-      | None -> None
-      | Some bs ->
-        Some
-          (fun lane taken ->
-             Counters.bstream_push bs.(lane) ~site:!cur_site taken)
+      Option.map
+        (fun bs lane taken ->
+           Counters.bstream_push bs.(lane) ~site:!(w.w_site) taken)
+        w.w_bstreams
     in
-    (* IR-pass elimination credits: only materialised in attribution
-       mode, where the report shows ops + ops_eliminated = the
-       unoptimized ops count per site *)
-    let on_elim =
-      match attr with
-      | None -> None
-      | Some a ->
-        Some (fun n ->
-            let s = Attr.get a !cur_site in
-            s.Attr.ops_eliminated <- s.Attr.ops_eliminated + n)
+    let hooks =
+      { Lockstep.k_ctx = ctx; k_set_lane = set_item s w g; k_access; k_idx;
+        k_charge; k_branch; k_flags = l.l_flags; k_log = l.l_log;
+        k_atomics_clean = s.s_atomics_clean }
     in
+    let warp = s.s_dev.Device.hw.warp_size in
+    for wd = 0 to ((s.s_threads + warp - 1) / warp) - 1 do
+      let lane0 = wd * warp in
+      let nlanes = min warp (s.s_threads - lane0) in
+      run_root w g lane0 (fun lane0 ->
+          Lockstep.run_warp l.l_plan hooks ~lane0 ~nlanes ~args:g.g_args_arr)
+    done;
+    rounds s w g
+  with e ->
+    while not (Queue.is_empty g.g_waiting) do
+      let _, _, k = Queue.pop g.g_waiting in
+      try Effect.Deep.discontinue k e with _ -> ()
+    done;
+    raise e
 
-    let rmw =
-      if not par then atomic_rmw
-      else
-        fun klass ctx p f ->
-          let space, addr, elt = atomic_resolve ctx p in
-          match space with
-          | AS_global | AS_constant | AS_none ->
-            (* float RMWs never commute: rounding is order-sensitive *)
-            let klass =
-              match Vm.Layout.resolve ctx.Vm.Interp.layout elt with
-              | TScalar s when not (is_float_scalar s) -> klass
-              | _ -> Conflict.Kother
-            in
-            (match !cur_log with
-             | Some bl ->
-               let size = Vm.Layout.sizeof ctx.Vm.Interp.layout elt in
-               Conflict.record_atomic bl (Conflict.tag space addr) size klass
-             | None -> ());
-            in_atomic := true;
-            Mutex.lock atomics_lock;
-            let r =
-              try atomic_apply ctx space addr elt f
-              with e ->
-                Mutex.unlock atomics_lock;
-                in_atomic := false;
-                raise e
-            in
-            Mutex.unlock atomics_lock;
-            in_atomic := false;
-            r
-          | AS_local | AS_private ->
-            (* block-private: the owning worker is the only toucher *)
-            atomic_apply ctx space addr elt f
-    in
-    let rmw =
-      match plan with
-      | None -> rmw
-      | Some _ ->
-        fun klass ctx p f ->
-          let space, addr, elt = atomic_resolve ctx p in
-          let klass_log =
-            match Vm.Layout.resolve ctx.Vm.Interp.layout elt with
-            | TScalar s when not (is_float_scalar s) -> klass
-            | _ -> Conflict.Kother
-          in
-          let size = Vm.Layout.sizeof ctx.Vm.Interp.layout elt in
-          Lockstep.record_atomic k_log ~lane:!cur_item space addr size
-            klass_log;
-          in_atomic := true;
-          Fun.protect
-            ~finally:(fun () -> in_atomic := false)
-            (fun () -> rmw klass ctx p f)
-    in
-
-    let special_ident name =
-      match name with
-      | "threadIdx" -> Some !cur_tid
-      | "blockIdx" -> Some !cur_bid
-      | "blockDim" -> Some bdim_tv
-      | "gridDim" -> Some gdim_tv
-      | "warpSize" -> Some warp_tv
-      | "CLK_LOCAL_MEM_FENCE" -> Some clk_local_tv
-      | "CLK_GLOBAL_MEM_FENCE" -> Some clk_global_tv
-      | _ -> None
-    in
-
-    (* extras are appended last so they override defaults on name clash *)
-    let externals =
-      kernel_externals ~cur ~rmw ()
-      @ [ ("get_global_size",
-           (fun _ args ->
-              let d = match args with a :: _ -> Int64.to_int (Vm.Value.to_int a.Vm.Interp.v) | [] -> 0 in
-              Vm.Interp.tint (dim3_of global_size d)));
-          ("get_local_size",
-           (fun _ args ->
-              let d = match args with a :: _ -> Int64.to_int (Vm.Value.to_int a.Vm.Interp.v) | [] -> 0 in
-              Vm.Interp.tint (dim3_of local_size d)));
-          ("get_num_groups",
-           (fun _ args ->
-              let d = match args with a :: _ -> Int64.to_int (Vm.Value.to_int a.Vm.Interp.v) | [] -> 0 in
-              Vm.Interp.tint (dim3_of num_groups d))) ]
-      @ extra_externals
-    in
-
-    let base_ctx =
-      Vm.Interp.make ~prog ~arena_of ~externals ~special_ident ~on_access
-        ~on_op ~cur_site ?on_branch ~stack_space:AS_private ~globals
-        ?on_elim ?observer ()
-    in
-
-    let logs : Conflict.block_log list ref = ref [] in
-    let blocks_run = ref 0 in
-
-    let run_block b =
-      incr blocks_run;
-      let bx = b mod nx and by = (b / nx) mod ny and bz = b / (nx * ny) in
-      if par then cur_log := Some (Conflict.block_log b);
-      Vm.Memory.reset local_arena;
-      let group_locals = Hashtbl.create 8 in
-      (* dynamic shared memory (CUDA extern __shared__) *)
-      let dynshared_addr =
-        if cfg.dyn_shared > 0 then
-          Some (Vm.Memory.alloc local_arena ~align:16 cfg.dyn_shared)
-        else None
-      in
-      (* OpenCL dynamic __local arguments: one allocation per group *)
-      let resolved_args =
-        List.map
-          (function
-            | Arg_val v -> v
-            | Arg_local bytes ->
-              let addr = Vm.Memory.alloc local_arena ~align:16 (max 1 bytes) in
-              Vm.Interp.tv
-                (VInt (Vm.Value.make_ptr AS_local addr))
-                (TPtr (TQual (AS_local, TScalar Char))))
-          args
-      in
-      let args_arr = Array.of_list resolved_args in
-      let grp_arr = [| bx; by; bz |] in
-      let bid_tv = uint3 grp_arr in
-      let set_cur lid_lin =
-        cur_item := lid_lin;
-        let lid = lid_arrs.(lid_lin) in
-        let gid = cur.gid in
-        gid.(0) <- (bx * lx) + lid.(0);
-        gid.(1) <- (by * ly) + lid.(1);
-        gid.(2) <- (bz * lz) + lid.(2);
-        cur.lid <- lid;
-        cur.grp <- grp_arr;
-        cur_tid := tid_tvs.(lid_lin);
-        cur_bid := bid_tv
-      in
-      (* cooperative scheduling: run items (or whole warps, under
-         lockstep), parking at barriers; each parked entry carries the
-         innermost site so the round can be attributed and the site
-         restored on resume *)
-      let waiting : (int * int * (unit, unit) Effect.Deep.continuation) Queue.t =
-        Queue.create ()
-      in
-      let run_root lid f =
-        Effect.Deep.match_with f ()
-          { retc = (fun () -> ());
-            exnc = (fun e -> raise e);
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                 match eff with
-                 | Vm.Interp.Barrier _ ->
-                   (* the GADT match refines a = unit *)
-                   Some
-                     (fun (k : (a, unit) Effect.Deep.continuation) ->
-                        Queue.add (lid, !cur_site, k) waiting)
-                 | _ -> None) }
-      in
-      (* barrier rounds; each round is charged to the site the first
-         parked item was executing *)
-      let rounds () =
-        while not (Queue.is_empty waiting) do
-          counters.Counters.barriers <- counters.Counters.barriers + 1;
-          (match attr with
-           | Some a ->
-             let _, site, _ = Queue.peek waiting in
-             let s = Attr.get a site in
-             s.Attr.barriers <- s.Attr.barriers + 1
-           | None -> ());
-          let n = Queue.length waiting in
-          for _ = 1 to n do
-            let lid, site, k = Queue.pop waiting in
-            (* restore this item's index view and site *)
-            set_cur lid;
-            cur_site := site;
-            Effect.Deep.continue k ()
-          done
-        done
-      in
-      (match plan with
-       | None ->
-         let make_item lid_lin () =
-           set_cur lid_lin;
-           reset_private lid_lin;
-           let ctx =
-             { base_ctx with
-               Vm.Interp.scopes = [];
-               group_locals = Some group_locals }
-           in
-           (* IR code binds locals in its own frame, so the item scope
-              only exists to hold the $dynshared aliases *)
-           if compiled_kernel = None || dynshared_addr <> None then begin
-             Vm.Interp.push_scope ctx;
-             match dynshared_addr with
-             | Some addr ->
-               let b =
-                 { Vm.Interp.b_space = AS_local; b_addr = addr;
-                   b_ty = TArr (TScalar Char, None) }
-               in
-               Vm.Interp.bind_raw ctx "$dynshared" b;
-               List.iter
-                 (fun n -> Vm.Interp.bind_raw ctx n b)
-                 extern_shared_names
-             | None -> ()
-           end;
-           (match compiled_kernel with
-            | Some f -> ignore (f ctx args_arr)
-            | None -> ignore (Vm.Interp.call_function ctx kernel resolved_args))
-         in
-         for lid = 0 to group_threads - 1 do
-           run_root lid (make_item lid)
-         done;
-         rounds ()
-       | Some p ->
-         (* lockstep: one interpreter context per block, one fibre per
-            warp; the same rounds machinery resumes parked warps *)
-         (try
-            for lid = 0 to group_threads - 1 do
-              reset_private lid
-            done;
-            let ctx =
-              { base_ctx with
-                Vm.Interp.scopes = [];
-                group_locals = Some group_locals }
-            in
-            (match dynshared_addr with
-             | Some addr ->
-               Vm.Interp.push_scope ctx;
-               let bnd =
-                 { Vm.Interp.b_space = AS_local; b_addr = addr;
-                   b_ty = TArr (TScalar Char, None) }
-               in
-               Vm.Interp.bind_raw ctx "$dynshared" bnd;
-               List.iter
-                 (fun n -> Vm.Interp.bind_raw ctx n bnd)
-                 extern_shared_names
-             | None -> ());
-            let k_access lane kind space addr size =
-              cur_item := lane;
-              on_access kind space addr size
-            in
-            let k_idx which lane d =
-              let lid = lid_arrs.(lane) in
-              match which with
-              | `Gid ->
-                idx_of
-                  [| (bx * lx) + lid.(0); (by * ly) + lid.(1);
-                     (bz * lz) + lid.(2) |]
-                  d
-              | `Lid -> idx_of lid d
-              | `Grp -> idx_of grp_arr d
-            in
-            let hooks =
-              { Lockstep.k_ctx = ctx; k_set_lane = set_cur; k_access;
-                k_idx; k_charge; k_branch; k_flags; k_log;
-                k_atomics_clean = aclean }
-            in
-            let n_warps = (group_threads + warp - 1) / warp in
-            for wd = 0 to n_warps - 1 do
-              let lane0 = wd * warp in
-              let nlanes = min warp (group_threads - lane0) in
-              run_root lane0 (fun () ->
-                  Lockstep.run_warp p hooks ~lane0 ~nlanes ~args:args_arr)
-            done;
-            rounds ()
-          with e ->
-            (* unwind any parked warps so their arena marks and call
-               depth release before the scalar rerun *)
-            let bail =
-              match e with
-              | Lockstep.Bail _ -> e
-              | _ -> Lockstep.Bail (Printexc.to_string e)
-            in
-            while not (Queue.is_empty waiting) do
-              let _, _, k = Queue.pop waiting in
-              (try Effect.Deep.discontinue k bail with _ -> ())
-            done;
-            raise e));
-      (* cost the group's memory traffic *)
-      Counters.finish_group counters ?attr ?branches:bstreams ~warp_size:warp
-        ~smem_word:dev.Device.fw.smem_word ~banks:dev.Device.hw.smem_banks
-        ~model_conflicts:dev.Device.model_bank_conflicts streams;
-      Array.iter (fun s -> s.Counters.len <- 0) streams;
-      (match bstreams with
-       | Some bs -> Array.iter (fun s -> s.Counters.b_len <- 0) bs
-       | None -> ());
-      if par then begin
-        (match !cur_log with Some bl -> logs := bl :: !logs | None -> ());
-        cur_log := None
-      end
-    in
-    { w_counters = counters; w_attr = attr;
-      w_layout = base_ctx.Vm.Interp.layout; w_run_block = run_block;
-      w_logs = logs; w_blocks = blocks_run }
+(* Run block [b] on worker [w]: set up its group context, run it under
+   the worker's block runner, then cost the group's memory traffic. *)
+let run_block s w b =
+  w.w_blocks <- w.w_blocks + 1;
+  let nx = s.s_groups.(0) and ny = s.s_groups.(1) in
+  let grp = [| b mod nx; (b / nx) mod ny; b / (nx * ny) |] in
+  if w.w_par then w.w_log := Some (Conflict.block_log b);
+  Vm.Memory.reset w.w_local;
+  (* dynamic shared memory (CUDA extern __shared__), then one allocation
+     per OpenCL dynamic __local argument *)
+  let dynshared =
+    if s.s_cfg.dyn_shared > 0 then
+      Some (Vm.Memory.alloc w.w_local ~align:16 s.s_cfg.dyn_shared)
+    else None
   in
-
-  let run_sequential ~plan () =
-    let attempt pl =
-      let w = make_worker ~par:false ?plan:pl () in
-      for b = 0 to n_blocks - 1 do
-        w.w_run_block b
-      done;
-      w
-    in
-    let w =
-      match plan with
-      | None -> attempt None
-      | Some _ ->
-        (* the lockstep attempt may bail mid-launch; snapshot the shared
-           arenas so the scalar rerun starts from the pre-launch state *)
-        let shared = [ dev.Device.global; dev.Device.constant; host_arena ] in
-        let snaps = List.map (fun a -> (a, Vm.Memory.snapshot a)) shared in
-        (match attempt plan with
-         | w -> w
-         | exception Lockstep.Bail reason ->
-           List.iter (fun (a, s) -> Vm.Memory.restore a s) snaps;
-           engine_note := Engine_bailed reason;
-           attempt None)
-    in
-    (w.w_counters, w.w_attr, w.w_layout, [| !(w.w_blocks) |])
+  let args =
+    List.map
+      (function
+        | Arg_val v -> v
+        | Arg_local bytes ->
+          let addr = Vm.Memory.alloc w.w_local ~align:16 (max 1 bytes) in
+          Vm.Interp.tv
+            (VInt (Vm.Value.make_ptr AS_local addr))
+            (TPtr (TQual (AS_local, TScalar Char))))
+      s.s_args
   in
+  let g =
+    { g_grp = grp;
+      g_base = Array.map2 ( * ) grp s.s_local;
+      g_bid = uint3 grp;
+      g_locals = Hashtbl.create 8;
+      g_dynshared = dynshared;
+      g_args = args;
+      g_args_arr = Array.of_list args;
+      g_waiting = Queue.create () }
+  in
+  (match w.w_lanes with
+   | None -> run_items s w g
+   | Some l -> run_warps s w g l);
+  let dev = s.s_dev in
+  Counters.finish_group w.w_counters ?attr:w.w_attr ?branches:w.w_bstreams
+    ~warp_size:dev.Device.hw.warp_size ~smem_word:dev.Device.fw.smem_word
+    ~banks:dev.Device.hw.smem_banks ~model_conflicts:dev.Device.model_bank_conflicts
+    w.w_streams;
+  Array.iter (fun st -> st.Counters.len <- 0) w.w_streams;
+  Option.iter (Array.iter (fun st -> st.Counters.b_len <- 0)) w.w_bstreams;
+  if w.w_par then begin
+    Option.iter (fun bl -> w.w_logs <- bl :: w.w_logs) !(w.w_log);
+    w.w_log := None
+  end
 
-  let run_parallel n_workers =
-    let atomics_clean = Lazy.force atomics_clean in
-    let shared = [ dev.Device.global; dev.Device.constant; host_arena ] in
+type fault = exn * Printexc.raw_backtrace
+
+(* One attempt: [n] fresh workers pull blocks from a shared counter, on
+   the domain pool when [par].  A worker stops at its first exception;
+   the attempt returns its workers and the first fault in worker
+   order. *)
+let attempt s ~par ~plan n : worker array * fault option =
+  let workers = Array.init n (fun _ -> make_worker s ~par ~plan) in
+  let next = Atomic.make 0 in
+  let faults = Array.make n None in
+  let body i =
+    let rec loop () =
+      let b = Atomic.fetch_and_add next 1 in
+      if b < s.s_blocks then
+        match run_block s workers.(i) b with
+        | () -> loop ()
+        | exception e -> faults.(i) <- Some (e, Printexc.get_raw_backtrace ())
+    in
+    loop ()
+  in
+  if par then Pool.run (Lazy.force pool) ~workers:n body else body 0;
+  (workers,
+   Array.fold_left
+     (fun acc f -> match acc with None -> f | Some _ -> acc)
+     None faults)
+
+(* What the execute stage hands on: the workers whose counters make the
+   result, and the launch's pool and engine outcomes. *)
+type executed = {
+  x_workers : worker array;
+  x_blocks : int array;        (* pool telemetry: blocks per worker *)
+  x_outcome : parallel_outcome;
+  x_engine : engine_outcome;
+}
+
+(* Run the blocks, under the one rollback protocol.  The sequential
+   scalar engine is the semantics: its run is final, and a fault it
+   meets is the launch's.  Any other attempt (parallel, or lockstep)
+   runs from snapshots of the shared arenas, frozen while it runs in
+   parallel.  A lockstep bail, a fault in the attempt or a cross-block
+   conflict restores the snapshots and replays the launch sequentially
+   on the scalar engine; the pool telemetry keeps the rolled-back
+   parallel attempt's block distribution.  Returns the fault as a value. *)
+let execute s : (executed, fault) result =
+  let par = s.s_workers > 1 in
+  let sequential ~outcome ~engine ~blocks =
+    match attempt s ~par:false ~plan:None 1 with
+    | ws, None ->
+      Ok { x_workers = ws;
+           x_blocks = Option.value blocks ~default:[| ws.(0).w_blocks |];
+           x_outcome = outcome; x_engine = engine }
+    | _, Some f -> Error f
+  in
+  if not par && s.s_plan = None then
+    sequential ~outcome:Seq ~engine:s.s_engine ~blocks:None
+  else begin
+    let shared = [ s.s_dev.Device.global; s.s_dev.Device.constant; s.s_host ] in
     let snaps = List.map (fun a -> (a, Vm.Memory.snapshot a)) shared in
-    List.iter Vm.Memory.freeze shared;
-    let workers = Array.init n_workers (fun _ -> make_worker ~par:true ?plan ()) in
-    let next = Atomic.make 0 in
-    let hazards = Array.make n_workers None in
-    let body i =
-      let run_block = workers.(i).w_run_block in
-      let rec loop () =
-        if hazards.(i) = None then begin
-          let b = Atomic.fetch_and_add next 1 in
-          if b < n_blocks then begin
-            (try run_block b with
-             | Lockstep.Bail reason -> hazards.(i) <- Some reason
-             | e -> hazards.(i) <- Some (Printexc.to_string e));
-            loop ()
-          end
-        end
-      in
-      loop ()
+    if par then List.iter Vm.Memory.freeze shared;
+    let ws, fault =
+      Fun.protect
+        ~finally:(fun () -> if par then List.iter Vm.Memory.thaw shared)
+        (fun () -> attempt s ~par ~plan:s.s_plan s.s_workers)
     in
-    Fun.protect
-      ~finally:(fun () -> List.iter Vm.Memory.thaw shared)
-      (fun () -> Pool.run (Lazy.force pool) ~workers:n_workers body);
-    let hazard =
-      Array.fold_left
-        (fun acc h -> match acc with Some _ -> acc | None -> h)
-        None hazards
-    in
+    let blocks = Array.map (fun w -> w.w_blocks) ws in
     let verdict =
-      match hazard with
-      | Some reason -> Some reason
-      | None ->
-        let logs =
-          Array.fold_left (fun acc w -> !(w.w_logs) @ acc) [] workers
-        in
-        Conflict.check logs ~atomics_clean
+      match fault with
+      | Some (Lockstep.Bail reason, _) -> Some reason
+      | Some (e, _) -> Some (Printexc.to_string e)
+      | None when par ->
+        Conflict.check
+          (Array.fold_left (fun acc w -> w.w_logs @ acc) [] ws)
+          ~atomics_clean:s.s_atomics_clean
+      | None -> None
     in
     match verdict with
-    | Some reason ->
-      (* roll back and replay: the sequential engine is the semantics;
-         telemetry keeps the aborted attempt's block distribution.  The
-         replay forces the scalar engine — a parallel rollback under
-         lockstep may be a lockstep hazard, and replaying it the same
-         way would just bail again. *)
-      List.iter (fun (a, s) -> Vm.Memory.restore a s) snaps;
-      if Option.is_some plan then engine_note := Engine_bailed reason;
-      let counters, attr, layout, _ = run_sequential ~plan:None () in
-      (counters, attr, layout,
-       Array.map (fun w -> !(w.w_blocks)) workers, Replayed reason)
     | None ->
-      let total = Counters.create () in
-      Array.iter (fun w -> Counters.merge total w.w_counters) workers;
-      let attr =
-        if not !Minic.Site.enabled then None
-        else begin
-          let t = Attr.create () in
-          Array.iter
-            (fun w ->
-               match w.w_attr with Some a -> Attr.merge t a | None -> ())
-            workers;
-          Some t
-        end
-      in
-      (total, attr, workers.(0).w_layout,
-       Array.map (fun w -> !(w.w_blocks)) workers, Parallel n_workers)
-  in
+      Ok { x_workers = ws; x_blocks = blocks;
+           x_outcome = (if par then Parallel s.s_workers else Seq);
+           x_engine = s.s_engine }
+    | Some reason ->
+      List.iter (fun (a, snap) -> Vm.Memory.restore a snap) snaps;
+      sequential
+        ~outcome:(if par then Replayed reason else Seq)
+        ~engine:(if s.s_plan = None then s.s_engine else Engine_bailed reason)
+        ~blocks:(if par then Some blocks else None)
+  end
 
-  let n_workers = min conf.domains n_blocks in
-  let counters, attr, layout, worker_blocks, outcome =
-    if n_workers <= 1 then begin
-      let counters, attr, layout, wb = run_sequential ~plan () in
-      (counters, attr, layout, wb, Seq)
-    end
-    else run_parallel n_workers
-  in
+(* ------------------------------------------------------------------ *)
+(* Stages 3 and 4: merge, cost                                         *)
+(* ------------------------------------------------------------------ *)
 
-  let occupancy =
-    Occupancy.of_kernel dev layout kernel ~block_threads:group_threads
-      ~dyn_shared:cfg.dyn_shared
-  in
+(* Counters and attribution across workers: every field is an additive
+   event count, so the sums equal the sequential totals. *)
+let merge x =
+  match x.x_workers with
+  | [| w |] -> (w.w_counters, w.w_attr)
+  | ws ->
+    let total = Counters.create () in
+    Array.iter (fun w -> Counters.merge total w.w_counters) ws;
+    let attr =
+      Option.map
+        (fun _ ->
+           let t = Attr.create () in
+           Array.iter (fun w -> Option.iter (Attr.merge t) w.w_attr) ws;
+           t)
+        ws.(0).w_attr
+    in
+    (total, attr)
+
+let cost s x (counters, attr) =
   { counters;
     attr;
-    block_threads = group_threads;
-    n_blocks;
-    occupancy;
-    pool = { outcome; worker_blocks };
-    engine = !engine_note }
+    block_threads = s.s_threads;
+    n_blocks = s.s_blocks;
+    occupancy =
+      Occupancy.of_kernel s.s_dev x.x_workers.(0).w_ctx.Vm.Interp.layout
+        s.s_kernel ~block_threads:s.s_threads ~dyn_shared:s.s_cfg.dyn_shared;
+    pool = { outcome = x.x_outcome; worker_blocks = x.x_blocks };
+    engine = x.x_engine }
+
+(* Launch a kernel of the loaded module [modul] on a device, under the
+   device's configuration: setup, execute, merge and cost, in order; a
+   fault the blocks met is re-raised unchanged.
+
+   Device globals must already be materialised in [globals].
+   [host_arena] backs AS_none so kernels can read host constants if a
+   runtime chooses to pass them (not used by well-formed code). *)
+let launch ~dev ~modul ~globals ~host_arena ?(extra_externals = []) ?observer
+    ~kernel ~cfg ~args () : launch_stats =
+  let s =
+    setup ~dev ~modul ~globals ~host_arena ~extra:extra_externals ~observer
+      ~kernel ~cfg ~args
+  in
+  match execute s with
+  | Ok x -> cost s x (merge x)
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt

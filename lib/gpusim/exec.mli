@@ -9,10 +9,16 @@
     [__local]/[__shared__] memory.
 
     Work-groups run sequentially when the device's configuration asks
-    for 1 domain, and otherwise on a persistent pool of OCaml domains
-    under an optimistic detect-and-replay protocol that keeps every
-    observable output (memory, counters, traces, exceptions)
-    byte-identical to the sequential engine.
+    for 1 domain, and otherwise on a persistent pool of OCaml domains.
+    A launch is four stages in order: setup (geometry, compiled form,
+    engine choice), execute (the blocks), merge (counters and
+    attribution across workers) and cost (occupancy).  Execute has one
+    rollback protocol for the parallel and the lockstep engines: their
+    attempt runs from snapshots of the shared arenas, and a cross-block
+    dependence, a lockstep hazard or a fault restores them and replays
+    the launch sequentially on the scalar engine.  So every observable
+    output (memory, counters, traces, exceptions) is byte-identical to
+    the sequential scalar engine.
 
     A launch reads its backend, engine, domain count and IR pass set
     from the device ({!Device.t.config}) and its compiled kernels from
@@ -130,8 +136,12 @@ val compiled_forms : modul -> int
     externals — the runtimes use this for image and texture fetches;
     [observer] installs {!Vm.Interp.observer} hooks in every work-item's
     context (the layered translation validator uses this).
-    The global size must be divisible by the local size.
-    @raise Launch_error on bad geometry or argument mismatch. *)
+    The global size must be divisible by the local size.  [launch]
+    checks no arguments: a kernel parameter without an argument raises
+    [Vm.Interp.Error "missing argument N in call to K"] as the first
+    work-item enters the kernel, on either backend.  A fault in the blocks escapes as the sequential scalar
+    engine raises it, with the buffers as that engine left them.
+    @raise Launch_error on bad geometry, or a wrong atomic arity. *)
 val launch :
   dev:Device.t -> modul:modul ->
   globals:(string, Vm.Interp.binding) Hashtbl.t ->

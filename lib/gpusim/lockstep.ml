@@ -443,7 +443,7 @@ let cond_keep (c : cenv) (o : Core.operand) : (wenv -> int -> int) option =
    count x popcount(mask) through [k_charge].  The mask is constant
    across the sequence, so the product equals the sum of the per-lane
    per-instruction charges the scalar engine makes; a mid-sequence
-   fault Bails the launch and the scalar rerun starts from fresh
+   fault rolls the launch back and the scalar rerun starts from fresh
    counters, so over-charge before a fault is unobservable. *)
 
 (* Operand sources: absolute lane-file base (slot * warp) or an
@@ -1601,9 +1601,9 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
 (* Run one warp of [nlanes] items through the plan; mirrors
    Emit.prepare_fn's wrapper (depth guard, per-lane stack-arena
    mark/release, ambient site restore).  Any exception — a hazard Bail
-   or a lane fault — releases resources and surfaces as [Bail]; the
-   launcher reruns the launch on the scalar engine, which reproduces
-   real faults with exact scalar semantics. *)
+   or a lane fault — releases resources and propagates; the launcher
+   rolls the launch back and reruns it on the scalar engine, which
+   reproduces real faults with exact scalar semantics. *)
 let run_warp (p : plan) (h : hooks) ~(lane0 : int) ~(nlanes : int)
     ~(args : I.tval array) : unit =
   let ctx = h.k_ctx in
@@ -1662,19 +1662,12 @@ let run_warp (p : plan) (h : hooks) ~(lane0 : int) ~(nlanes : int)
     finish ();
     (* mirror the scalar wrapper's post-return cast (after the arena
        release and site restore, like Return_exc unwinding) *)
-    (try
-       iter_lanes w.ret (fun l ->
-           let v = w.retv.(l) in
-           if not (equal_ty v.I.ty p.p_ret) then begin
-             h.k_set_lane (lane0 + l);
-             ignore (I.cast_value ctx p.p_ret v)
-           end)
-     with
-     | Bail _ as e -> raise e
-     | e -> raise (Bail (Printexc.to_string e)))
-  | exception (Bail _ as e) ->
-    finish ();
-    raise e
+    iter_lanes w.ret (fun l ->
+        let v = w.retv.(l) in
+        if not (equal_ty v.I.ty p.p_ret) then begin
+          h.k_set_lane (lane0 + l);
+          ignore (I.cast_value ctx p.p_ret v)
+        end)
   | exception e ->
     finish ();
-    raise (Bail (Printexc.to_string e))
+    raise e

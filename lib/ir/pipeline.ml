@@ -96,12 +96,5 @@ let signature c =
 
 let selected : config ref =
   ref
-    (match Sys.getenv_opt "OCLCU_IR_PASSES" with
-     | None -> all
-     | Some s ->
-       (match parse s with
-        | Ok c -> c
-        | Error msg ->
-          prerr_endline
-            ("oclcu: OCLCU_IR_PASSES: " ^ msg ^ "; running with no passes");
-          none))
+    (Knob.read "OCLCU_IR_PASSES" (fun s -> Result.to_option (parse s))
+       ~default:all)

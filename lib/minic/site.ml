@@ -23,10 +23,10 @@ open Ast
 let overhead_site = 0
 
 (* Global switch read by the build pipelines (Cl.build_program,
-   Cuda_native.load, Framework.translate_cuda, Cl_on_cuda).  Build
-   caches must salt their keys with [cache_salt] so annotated and plain
-   ASTs never alias. *)
-let enabled = ref (Sys.getenv_opt "OCLCU_ATTRIBUTE" = Some "1")
+   Cuda_native.load, Framework.translate_cuda, Cl_on_cuda); off until
+   `--attribute` (or a test) sets it.  Build caches must salt their keys
+   with [cache_salt] so annotated and plain ASTs never alias. *)
+let enabled = ref false
 
 let cache_salt () = if !enabled then "+site" else ""
 

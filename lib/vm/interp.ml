@@ -507,6 +507,12 @@ let rec binop ctx op (a : tval) (b : tval) : tval =
       | _ -> tv (VInt (Value.wrap_int sc r)) (TScalar sc)
     end
 
+(* A vector component converted to its element type: rounded to a
+   float type's precision, or wrapped to an integer type's width. *)
+let convert_elt s c =
+  if is_float_scalar s then Value.VFloat (Value.round_float s (Value.to_float c))
+  else Value.VInt (Value.wrap_int s (Value.to_int c))
+
 let cast_value ctx ty (x : tval) : tval =
   let rt = Layout.resolve ctx.layout ty in
   match rt with
@@ -528,11 +534,7 @@ let cast_value ctx ty (x : tval) : tval =
       | VVec c -> Array.init n (fun i -> if i < Array.length c then c.(i) else Value.VInt 0L)
       | v -> Array.make n v
     in
-    let conv c =
-      if is_float_scalar s then Value.VFloat (Value.round_float s (Value.to_float c))
-      else Value.VInt (Value.wrap_int s (Value.to_int c))
-    in
-    tv (VVec (Array.map conv comps)) rt
+    tv (VVec (Array.map (convert_elt s) comps)) rt
   | TPtr _ | TRef _ | TFun _ | TNamed _ | TTexture _ | TImage _ | TSampler ->
     tv (VInt (Value.to_int x.v)) rt
   | TArr _ -> tv x.v rt
@@ -632,15 +634,9 @@ let default_builtin name : (ctx -> tval list -> tval) option =
       | Some (s, n) ->
         Some
           (fun _ args ->
-             let comps =
-               Array.make n (if is_float_scalar s then Value.VFloat 0. else Value.VInt 0L)
-             in
+             let comps = Array.make n (convert_elt s (Value.VInt 0L)) in
              List.iteri
-               (fun i a ->
-                  if i < n then
-                    comps.(i) <-
-                      (if is_float_scalar s then Value.VFloat (Value.to_float a.v)
-                       else Value.VInt (Value.to_int a.v)))
+               (fun i a -> if i < n then comps.(i) <- convert_elt s a.v)
                args;
              tv (VVec comps) (TVec (s, n)))
       | None -> None
@@ -986,12 +982,8 @@ and eval ctx (e : expr) : tval =
          else comps
        in
        if List.length comps < n then fail "vector literal too short";
-       let conv c =
-         if is_float_scalar s then Value.VFloat (Value.round_float s (Value.to_float c))
-         else Value.VInt (Value.wrap_int s (Value.to_int c))
-       in
-       tv (VVec (Array.of_list (List.filteri (fun i _ -> i < n) comps |> List.map conv)))
-         (TVec (s, n))
+       let comps = List.filteri (fun i _ -> i < n) comps in
+       tv (VVec (Array.of_list (List.map (convert_elt s) comps))) (TVec (s, n))
      | _ -> cast_value ctx t (eval ctx (List.hd args)))
   | Launch l ->
     (match ctx.launch_handler with

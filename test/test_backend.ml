@@ -202,11 +202,48 @@ let translate_cache_hits_across_runs () =
   Alcotest.(check int) "no new translations on re-run" m0 m1;
   Alcotest.(check bool) "re-run hits the cache" true (h1 > h0)
 
+(* An OpenCL vector literal converts each component to its element
+   type: fp32 rounding, int wrapping.  The OpenCL->CUDA translator
+   rewrites it into make_<vector>, which must convert the same way.  The
+   components here are inexact in fp32 or out of int range, and feed
+   arithmetic before the store. *)
+let vector_literals_convert () =
+  let src = {|
+__kernel void k(__global float* out, __global int* iout, int n) {
+  int i = get_global_id(0);
+  float s = (float)(i + 1);
+  out[i] = ((float2)(0.1f, 0.3f)).y * s + ((float2)(0.7f, (double)s / 10.0)).y;
+  iout[i] = ((int2)(2147483648L + i, i)).x < 0 ? 1 : 2;
+}
+|}
+  in
+  let gws = 64 in
+  let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
+  let native = plan_of (Gpusim.Exec.load prog) ~gws in
+  let cuda =
+    let r = Xlat.Ocl_to_cuda.translate prog in
+    Xlat_validate.Plan.to_cuda native r.Xlat.Ocl_to_cuda.cuda_prog
+      (List.hd r.Xlat.Ocl_to_cuda.kernels)
+  in
+  let default = Gpusim.Config.default () in
+  let out backend plan =
+    fst (run_once { default with backend } plan ~gws ~lws:16)
+  in
+  let want = out Compiled native in
+  List.iter
+    (fun (label, backend, plan) ->
+       Alcotest.(check string) label want (out backend plan))
+    [ ("native, interpreter", Gpusim.Config.Interp, native);
+      ("OCL->CUDA, compiled", Compiled, cuda);
+      ("OCL->CUDA, interpreter", Interp, cuda) ]
+
 let suites =
   [ ( "backend.differential",
       [ QCheck_alcotest.to_alcotest prop_backends_agree;
         Alcotest.test_case "wrapper app agrees across backends" `Quick
-          app_agrees_across_backends ] );
+          app_agrees_across_backends;
+        Alcotest.test_case "vector literals convert through make_<vector>"
+          `Quick vector_literals_convert ] );
     ( "backend.build-cache",
       [ Alcotest.test_case "hit on identical source, miss after change" `Quick
           cache_hit_miss;

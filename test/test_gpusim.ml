@@ -242,7 +242,49 @@ __kernel void spin(__global float* g, int iters) {
         in
         Alcotest.(check bool) "monotone" true (time 64 > time 4)) ]
 
-let suites = [ ("exec", exec_tests); ("timing", timing_tests) ]
+(* --- OCLCU_* knobs ------------------------------------------------------- *)
+
+(* Every knob reads its value trimmed; a malformed one is reported,
+   naming the variable, and leaves the default. *)
+let knob_tests =
+  let parse name conv ~default raw = Ir.Knob.parse name conv ~default raw in
+  let reported = Alcotest.(check (option string)) in
+  [ Alcotest.test_case "knob values are trimmed; malformed ones reported"
+      `Quick (fun () ->
+          let open Gpusim.Config in
+          let backend = parse "OCLCU_BACKEND" backend_of_string ~default:Compiled
+          and engine = parse "OCLCU_ENGINE" engine_of_string ~default:Scalar
+          and domains = parse "OCLCU_DOMAINS" positive ~default:3
+          and passes =
+            parse "OCLCU_IR_PASSES"
+              (fun s -> Result.to_option (Ir.Pipeline.parse s))
+              ~default:Ir.Pipeline.all
+          in
+          Alcotest.(check bool) "unset: the default" true
+            (backend None = (Compiled, None));
+          Alcotest.(check bool) "untrimmed backend" true
+            (backend (Some " interp") = (Interp, None));
+          Alcotest.(check bool) "untrimmed engine" true
+            (engine (Some "lockstep\n") = (Lockstep, None));
+          let v, r = engine (Some "lockstp") in
+          Alcotest.(check bool) "misspelt engine keeps scalar" true (v = Scalar);
+          reported "misspelt engine reported"
+            (Some {|oclcu: malformed OCLCU_ENGINE="lockstp"; keeping the default|})
+            r;
+          let v, r = domains (Some "0") in
+          Alcotest.(check int) "zero domains keep the default" 3 v;
+          reported "zero domains reported"
+            (Some {|oclcu: malformed OCLCU_DOMAINS="0"; keeping the default|}) r;
+          Alcotest.(check bool) "domains" true (domains (Some " 4 ") = (4, None));
+          let v, r = passes (Some "fold,bogus") in
+          Alcotest.(check bool) "bad pass set keeps all" true
+            (v = Ir.Pipeline.all);
+          Alcotest.(check bool) "bad pass set reported" true (r <> None);
+          Alcotest.(check bool) "pass set" true
+            (passes (Some " none ") = (Ir.Pipeline.none, None))) ]
+
+let suites =
+  [ ("exec", exec_tests); ("timing", timing_tests); ("knobs", knob_tests) ]
 
 (* --- qcheck: bank-conflict model vs a brute-force oracle ---------------- *)
 

@@ -326,6 +326,107 @@ __kernel void boom(__global int* p) {
           in
           Alcotest.(check string) "same exception" (attempt 1) (attempt 4)) ]
 
+(* --- launch outcome table ----------------------------------------------- *)
+
+(* Every path through a launch, pinned: {scalar, lockstep} x domains
+   {1, 4} x four kernels of 8 four-item blocks.  Each row checks the
+   final bytes of the one global buffer (the partial buffer, after a
+   fault), then either the escaping exception or [pool.outcome] with its
+   reason, the length of [worker_blocks] and the engine outcome.  The
+   bytes are the sequential scalar run's in every row: a rolled-back
+   attempt must leave nothing behind, not even before a fault. *)
+let table_kernels =
+  [ ("clean",
+     "p[get_global_id(0)] = (int)get_global_id(0) * 3 + 1;",
+     Array.init 32 (fun i -> (i * 3) + 1));
+    (* every block writes cell 0: a cross-block conflict, but within a
+       warp a lane-uniform store the lockstep engine accepts *)
+    ("overlap", "p[0] = (int)get_group_id(0);",
+     Array.init 32 (fun i -> if i = 0 then 7 else 0));
+    (* the lanes of a warp write one cell with different values *)
+    ("lane-hazard", "p[get_group_id(0)] = (int)get_local_id(0);",
+     Array.init 32 (fun i -> if i < 8 then 3 else 0));
+    (* item 13 faults after its own store: items 0-13 have written *)
+    ("fault",
+     "p[get_global_id(0)] = (int)get_global_id(0) + 1;\n\
+     \  if (get_global_id(0) == 13) p[get_global_id(0) + 100000] = 2;",
+     Array.init 32 (fun i -> if i <= 13 then i + 1 else 0)) ]
+
+let engine_name = function
+  | Gpusim.Exec.Engine_scalar -> "scalar"
+  | Gpusim.Exec.Engine_lockstep -> "lockstep"
+  | Gpusim.Exec.Engine_fallback r -> "fallback: " ^ r
+  | Gpusim.Exec.Engine_bailed r -> "bailed: " ^ r
+
+let table_row engine domains (_, body, _) =
+  let src = "__kernel void k(__global int* p) {\n  " ^ body ^ "\n}\n" in
+  let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
+  let dev = device { (at domains) with engine } in
+  let p = gbuf dev (32 * 4) in
+  let seen =
+    match
+      Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
+        ~globals:(Hashtbl.create 4) ~host_arena:(Vm.Memory.create "host")
+        ~kernel:(Option.get (find_function prog "k"))
+        ~cfg:{ global_size = [| 32; 1; 1 |]; local_size = [| 4; 1; 1 |];
+               dyn_shared = 0 }
+        ~args:[ iptr p ] ()
+    with
+    | s ->
+      Printf.sprintf "%s | %d workers | %s"
+        (outcome_name s.Gpusim.Exec.pool.Gpusim.Exec.outcome)
+        (Array.length s.Gpusim.Exec.pool.Gpusim.Exec.worker_blocks)
+        (engine_name s.Gpusim.Exec.engine)
+    | exception e -> "raised " ^ Printexc.to_string e
+  in
+  (read_ints dev p 32, seen)
+
+let lane_bail = "cross-lane memory dependence within a warp"
+let block_conflict = "write/write overlap across blocks"
+let fault = {|raised Vm.Memory.Fault("global", 400308)|}
+
+let outcome_table =
+  let open Gpusim.Config in
+  [ (Scalar, 1, "clean", "seq | 1 workers | scalar");
+    (Scalar, 4, "clean", "parallel-4 | 4 workers | scalar");
+    (Lockstep, 1, "clean", "seq | 1 workers | lockstep");
+    (Lockstep, 4, "clean", "parallel-4 | 4 workers | lockstep");
+    (Scalar, 1, "overlap", "seq | 1 workers | scalar");
+    (Scalar, 4, "overlap", "replayed: " ^ block_conflict ^ " | 4 workers | scalar");
+    (Lockstep, 1, "overlap", "seq | 1 workers | lockstep");
+    (Lockstep, 4, "overlap",
+     "replayed: " ^ block_conflict ^ " | 4 workers | bailed: " ^ block_conflict);
+    (Scalar, 1, "lane-hazard", "seq | 1 workers | scalar");
+    (Scalar, 4, "lane-hazard", "parallel-4 | 4 workers | scalar");
+    (Lockstep, 1, "lane-hazard", "seq | 1 workers | bailed: " ^ lane_bail);
+    (Lockstep, 4, "lane-hazard",
+     "replayed: " ^ lane_bail ^ " | 4 workers | bailed: " ^ lane_bail);
+    (Scalar, 1, "fault", fault);
+    (Scalar, 4, "fault", fault);
+    (Lockstep, 1, "fault", fault);
+    (Lockstep, 4, "fault", fault) ]
+
+let outcome_tests =
+  [ Alcotest.test_case "launch outcome table: engines x domains x kernels"
+      `Quick (fun () ->
+          List.iter
+            (fun (engine, domains, kernel, want) ->
+               let ((_, _, bytes) as k) =
+                 List.find (fun (n, _, _) -> n = kernel) table_kernels
+               in
+               let label =
+                 Printf.sprintf "%s, %s, %d domains" kernel
+                   (match engine with
+                    | Gpusim.Config.Scalar -> "scalar"
+                    | Gpusim.Config.Lockstep -> "lockstep")
+                   domains
+               in
+               let got_bytes, got = table_row engine domains k in
+               Alcotest.(check (array int)) (label ^ ": global bytes") bytes
+                 got_bytes;
+               Alcotest.(check string) (label ^ ": outcome") want got)
+            outcome_table) ]
+
 (* --- domain-safety of shared infrastructure ----------------------------- *)
 
 let safety_tests =
@@ -432,5 +533,6 @@ let suites =
     ( "parallel.qcheck",
       [ QCheck_alcotest.to_alcotest prop_domain_counts;
         QCheck_alcotest.to_alcotest prop_domain_counts_interp ] );
+    ("parallel.outcomes", outcome_tests);
     ("parallel.safety", safety_tests);
     ("parallel.trace", trace_tests) ]
