@@ -476,8 +476,9 @@ let run_cmd =
     in
     Arg.(value & opt backend_conv !Gpusim.Exec.backend
          & info [ "backend" ]
-             ~doc:"Kernel execution backend: $(b,compiled) (closure-compiled, \
-                   the default) or $(b,interp) (AST interpreter); the \
+             ~doc:"Execution backend of kernels and host code: \
+                   $(b,compiled) (closure-compiled through the IR, the \
+                   default) or $(b,interp) (AST interpreter); the \
                    $(b,OCLCU_BACKEND) environment variable sets the default")
   in
   let domains_arg =

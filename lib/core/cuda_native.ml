@@ -1,8 +1,8 @@
 (* Run an original CUDA application natively: device code is loaded as a
-   module on the simulated device, host code is interpreted with cuda*
-   bound to the simulated CUDA runtime, and <<<...>>> kernel calls go
-   through the launch handler (this is the "original CUDA on Titan"
-   configuration of Figures 7 and 8). *)
+   module on the simulated device, host code runs (see Hostrun.run_main)
+   with cuda* bound to the simulated CUDA runtime, and <<<...>>> kernel
+   calls go through the launch handler (this is the "original CUDA on
+   Titan" configuration of Figures 7 and 8). *)
 
 open Minic.Ast
 open Vm
@@ -295,26 +295,20 @@ let cuda_externals (cu : Cuda.Cudart.t) ~launches () =
 (* ------------------------------------------------------------------ *)
 
 let launch_handler (cu : Cuda.Cudart.t) (m : Cuda.Cudart.modul) launches =
-  fun ctx (l : launch) ->
+  fun ctx (c : launch_call) ->
     incr launches;
     let kernel =
       match
-        find_function (Gpusim.Exec.program m.Cuda.Cudart.m_code) l.l_kernel
+        find_function (Gpusim.Exec.program m.Cuda.Cudart.m_code) c.lc_kernel
       with
       | Some f when f.fn_tmpl = [] -> f
-      | Some f -> Minic.Specialize.func f l.l_tmpl
-      | None -> errf "launch of unknown kernel %s" l.l_kernel
+      | Some f -> Minic.Specialize.func f c.lc_tmpl
+      | None -> errf "launch of unknown kernel %s" c.lc_kernel
     in
-    let grid = decode_dim3 ctx (eval ctx l.l_grid) in
-    let block = decode_dim3 ctx (eval ctx l.l_block) in
-    let shmem =
-      match l.l_shmem with
-      | Some e -> int_of (eval ctx e)
-      | None -> 0
-    in
-    let args =
-      List.map (fun a -> Gpusim.Exec.Arg_val (eval ctx a)) l.l_args
-    in
+    let grid = decode_dim3 ctx c.lc_grid in
+    let block = decode_dim3 ctx c.lc_block in
+    let shmem = match c.lc_shmem with Some v -> int_of v | None -> 0 in
+    let args = List.map (fun a -> Gpusim.Exec.Arg_val a) c.lc_args in
     ignore
       (Cuda.Cudart.launch_kernel cu ~m ~kernel ~grid ~block ~shmem ~args ());
     tunit
@@ -342,7 +336,7 @@ let run ~(dev : Gpusim.Device.t) ~(src : string) : run_result =
   let globals = Hashtbl.copy m.Cuda.Cudart.m_globals in
   let t0 = dev.Gpusim.Device.sim_time_ns in
   let output =
-    Hostrun.run_main ~session ~prog ~arena_of
+    Hostrun.run_main ~config:dev.Gpusim.Device.config ~session ~prog ~arena_of
       ~externals:(cuda_externals cu ~launches ())
       ~special_ident:Hostrun.host_constants ~globals
       ~launch_handler:(launch_handler cu m launches) ()

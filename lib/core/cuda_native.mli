@@ -1,8 +1,9 @@
 (** Run an original CUDA application natively.
 
     Device code is loaded as a module on the simulated device, host code
-    is interpreted with cuda* bound to the simulated CUDA runtime, and
-    [<<<...>>>] kernel calls go through the launch handler — the
+    runs ({!Hostrun.run_main}) with cuda* bound to the simulated CUDA
+    runtime, and [<<<...>>>] kernel calls go through the launch handler,
+    which receives their evaluated operands — the
     "original CUDA on Titan" configuration of Figures 7 and 8. *)
 
 exception Native_error of string

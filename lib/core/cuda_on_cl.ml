@@ -2,8 +2,8 @@
 
    A translated application consists of the host program (main.cu.cpp,
    still full of cuda* calls plus the rewritten launch sequences) and the
-   OpenCL device program (main.cu.cl).  This module interprets the host
-   program with:
+   OpenCL device program (main.cu.cl).  This module runs the host
+   program (see Hostrun.run_main) with:
 
    - every cuda* entry point bound to a wrapper over the simulated
      OpenCL API (cudaMalloc -> clCreateBuffer with the cl_mem handle cast
@@ -590,7 +590,8 @@ let run ~(dev : Gpusim.Device.t) ~(result : Xlat.Cuda_to_ocl.result) :
   in
   let t0 = dev.Gpusim.Device.sim_time_ns in
   let output =
-    Hostrun.run_main ~session ~prog:result.Xlat.Cuda_to_ocl.host_prog
+    Hostrun.run_main ~config:dev.Gpusim.Device.config ~session
+      ~prog:result.Xlat.Cuda_to_ocl.host_prog
       ~arena_of ~externals:(traced_externals t)
       ~special_ident:Hostrun.host_constants ()
   in

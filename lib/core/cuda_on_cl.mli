@@ -1,6 +1,6 @@
 (** The CUDA-to-OpenCL wrapper runtime (paper §3.4, Figure 3).
 
-    Interprets a translated application's host program with every cuda*
+    Runs a translated application's host program with every cuda*
     entry point bound to a wrapper over the simulated OpenCL API, plus
     the [__c2o_*] helpers the source translator emits for the three
     constructs that cannot be wrapped (kernel launches and

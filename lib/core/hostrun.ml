@@ -13,6 +13,9 @@ open Vm.Interp
 
 exception Host_error of string
 
+(* exit(): ends the whole program, from any depth of host calls *)
+exception Program_exit
+
 type session = {
   arena : Vm.Memory.arena;
   out : Buffer.t;
@@ -145,14 +148,14 @@ let libc_externals (session : session) =
           | [ a ] -> Int64.to_int (Value.to_int a.v)
           | _ -> raise (Host_error "malloc arity")
         in
-        let addr = Vm.Memory.alloc session.arena ~align:16 (max 1 n) in
+        let addr = Vm.Memory.alloc_heap session.arena ~align:16 (max 1 n) in
         tv (VInt (Value.make_ptr AS_none addr)) (TPtr (TScalar Void))));
     ("calloc",
      (fun _ctx args ->
         match args with
         | [ a; b ] ->
           let n = Int64.to_int (Value.to_int a.v) * Int64.to_int (Value.to_int b.v) in
-          let addr = Vm.Memory.alloc session.arena ~align:16 (max 1 n) in
+          let addr = Vm.Memory.alloc_heap session.arena ~align:16 (max 1 n) in
           Vm.Memory.store_bytes session.arena addr (Bytes.make (max 1 n) '\000');
           tv (VInt (Value.make_ptr AS_none addr)) (TPtr (TScalar Void))
         | _ -> raise (Host_error "calloc arity")));
@@ -192,7 +195,7 @@ let libc_externals (session : session) =
             (Int64.add (Int64.mul session.rng 6364136223846793005L) 1442695040888963407L)
             Int64.max_int;
         tint (Int64.to_int (Int64.rem (Int64.shift_right_logical session.rng 17) 32768L))));
-    ("exit", (fun _ _ -> raise (Return_exc (tint 0))));
+    ("exit", (fun _ _ -> raise Program_exit));
     ("fabs",
      (fun _ args ->
         match args with
@@ -203,12 +206,22 @@ let libc_externals (session : session) =
 (* Running main()                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The host compile of [prog] under [passes]: string literals and
+   kernel calls lower (see Ir.Lower), and [special_ident]'s names are
+   typed by their values. *)
+let compile ~passes ~special_ident prog =
+  Ir.Emit.make ~host:true
+    ~special_ty:(fun n -> Option.map (fun t -> t.ty) (special_ident n))
+    ~cfg:passes prog
+
 (* Build an interpreter context for host code over [session], with the
-   given CUDA/OpenCL API externals, and execute main().  Device symbol
-   bindings (if any) must be pre-seeded in [globals] so that identifiers
-   like texture references resolve. *)
-let run_main ~(session : session) ~prog ~arena_of ~externals ~special_ident
-    ?globals ?launch_handler () =
+   given CUDA/OpenCL API externals, and execute main(): compiled through
+   the IR under the Compiled backend (functions the lowering rejects,
+   main included, run on the interpreter), interpreted under Interp.
+   Device symbol bindings (if any) must be pre-seeded in [globals] so
+   that identifiers like texture references resolve. *)
+let run_main ~(config : Gpusim.Config.t) ~(session : session) ~prog ~arena_of
+    ~externals ~special_ident ?globals ?launch_handler () =
   let externals = libc_externals session @ externals in
   let ctx =
     Vm.Interp.make ~prog ~arena_of ~externals ~special_ident
@@ -224,7 +237,17 @@ let run_main ~(session : session) ~prog ~arena_of ~externals ~special_ident
         | AS_global | AS_constant | AS_local | AS_private -> false)
   in
   Vm.Interp.init_globals ctx ~filter:is_host_global prog;
-  ignore (Vm.Interp.run ctx "main" []);
+  let main =
+    match config.Gpusim.Config.backend with
+    | Gpusim.Config.Interp -> None
+    | Gpusim.Config.Compiled ->
+      Ir.Emit.prepare (compile ~passes:config.passes ~special_ident prog) "main"
+  in
+  (try
+     match main with
+     | Some main -> ignore (main ctx [||])
+     | None -> ignore (Vm.Interp.run ctx "main" [])
+   with Program_exit -> ());
   Buffer.contents session.out
 
 (* Common host-side named constants. *)

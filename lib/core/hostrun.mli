@@ -25,18 +25,32 @@ val format_printf : Vm.Interp.ctx -> string -> Vm.Interp.tval list -> string
 val libc_externals :
   session -> (string * (Vm.Interp.ctx -> Vm.Interp.tval list -> Vm.Interp.tval)) list
 
+(** The host compile of a program under an IR pass set: every function
+    lowered, with string literals and [<<<...>>>] kernel calls accepted
+    (a device compile rejects both); [special_ident]'s names are typed
+    by their values. *)
+val compile :
+  passes:Ir.Pipeline.config -> special_ident:(string -> Vm.Interp.tval option) ->
+  Minic.Ast.program -> Ir.Emit.t
+
 (** Build an interpreter context over [session] with the given runtime
     externals, initialise host globals, execute [main()], and return the
-    captured output.  [globals] seeds device-symbol bindings (textures,
-    __device__ variables) so host identifiers resolve;
-    [launch_handler] services CUDA [<<<...>>>] expressions. *)
+    captured output, also when the program calls [exit()].  Under
+    [config]'s [Compiled] backend, [main] runs through the program's
+    host {!compile} under [config]'s pass set, made afresh per call;
+    functions the lowering rejects, [main] included, run on the
+    interpreter.  Under [Interp], host code is interpreted.  [globals]
+    seeds device-symbol bindings (textures, __device__ variables) so
+    host identifiers resolve; [launch_handler] services CUDA
+    [<<<...>>>] kernel calls, whose operands both engines evaluate
+    first (see {!Vm.Interp.launch_call}). *)
 val run_main :
-  session:session -> prog:Minic.Ast.program ->
+  config:Gpusim.Config.t -> session:session -> prog:Minic.Ast.program ->
   arena_of:(Minic.Ast.addr_space -> Vm.Memory.arena) ->
   externals:(string * (Vm.Interp.ctx -> Vm.Interp.tval list -> Vm.Interp.tval)) list ->
   special_ident:(string -> Vm.Interp.tval option) ->
   ?globals:(string, Vm.Interp.binding) Hashtbl.t ->
-  ?launch_handler:(Vm.Interp.ctx -> Minic.Ast.launch -> Vm.Interp.tval) ->
+  ?launch_handler:(Vm.Interp.ctx -> Vm.Interp.launch_call -> Vm.Interp.tval) ->
   unit -> string
 
 (** Named constants host code expects (NULL, cudaMemcpy kinds, CL_TRUE,

@@ -151,7 +151,10 @@ and gen_real env s depth =
   let other = if s = Float then Double else Float in
   let leaf () =
     match Rng.int env.rng 3 with
-    | 0 -> FloatLit (float_of_int (Rng.range env.rng (-40) 40) /. 4.0, s)
+    | 0 ->
+      (* tenths: most are not exact in fp32, so a float literal carries
+         a value its variable's store must round *)
+      FloatLit (float_of_int (Rng.range env.rng (-40) 40) /. 10.0, s)
     | 1 ->
       (match vars_of env (TScalar s) with
        | [] -> FloatLit (1.5, s)

@@ -8,8 +8,9 @@
    flags set them once at start-up.  Library code never assigns them: a
    caller comparing settings builds one config per setting. *)
 
-(* Kernel execution backend: the IR-compiled closures, or the
-   tree-walking interpreter (for differential testing). *)
+(* Execution backend of kernels and host code (Bridge.Hostrun): the
+   IR-compiled closures, or the tree-walking interpreter (for
+   differential testing). *)
 type backend = Interp | Compiled
 
 (* Execution engine within a block: per-item coroutines, or whole warps

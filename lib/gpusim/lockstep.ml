@@ -1535,7 +1535,7 @@ let plan_for (est : Emit.t) ~(name : string) ~(warp : int) :
              let binders =
                Array.mapi
                  (fun idx (p : Core.pbind) ->
-                    let norm = Emit.normalizer lt p.Core.p_ty in
+                    let norm = Core.normalizer lt p.Core.p_ty in
                     let r = p.Core.p_reg in
                     match storage.(r) with
                     | SRow ->

@@ -70,6 +70,15 @@ type rhs =
                                          context like the interpreter *)
   | CallE of string * operand list    (* external/builtin call *)
   | CallU of string * operand list    (* user function call *)
+  (* The two host-only forms: only a host compile lowers them. *)
+  | CallK of string * ty list * bool * operand list
+      (* <<<...>>> kernel call: kernel, template args, whether shared
+         bytes are given; operands grid, block, [shared bytes], args, in
+         evaluation order.  Calls the context's launch handler. *)
+  | StrP of string
+      (* string literal: Interp.string_ptr on the running context, which
+         allocates on first use; charge-free, but impure so that no pass
+         merges, hoists or deletes it *)
 
 type ikind =
   | Let of int * rhs             (* regs.(r) <- rhs; single assignment *)
@@ -153,8 +162,8 @@ let rhs_operands = function
   | Bin (_, a, b) -> [ a; b ]
   | Un (_, a) | CastV (_, a) | CastRet (_, a) | Mov a | Swz (a, _, _) -> [ a ]
   | ReadLv l | AddrofLv l -> lv_operands [] l
-  | Vecc (_, l) | CallE (_, l) | CallU (_, l) -> l
-  | Special _ | Free _ -> []
+  | Vecc (_, l) | CallE (_, l) | CallU (_, l) | CallK (_, _, _, l) -> l
+  | Special _ | Free _ | StrP _ -> []
 
 let ikind_operands = function
   | Let (_, r) | Do r -> rhs_operands r
@@ -231,7 +240,7 @@ let rhs_pure = function
   | Bin _ | Un _ | CastV _ | CastRet _ | Mov _ | Swz _ | Vecc _ | Special _ ->
     true
   | CallE (n, _) -> is_invariant_external n
-  | ReadLv _ | AddrofLv _ | CallU _ | Free _ -> false
+  | ReadLv _ | AddrofLv _ | CallU _ | Free _ | CallK _ | StrP _ -> false
 
 (* May the rhs raise for reasons other than a broken operand?  Integer
    division by zero is the one pure-looking trap; a hoist must not turn
@@ -249,7 +258,27 @@ let rhs_charge = function
   | Un (UBool, _) -> Some 0
   | CastV _ | CastRet _ | Mov _ | Swz _ | Vecc _ | Special _ -> Some 0
   | CallE (n, _) when is_invariant_external n -> Some 0
-  | ReadLv _ | AddrofLv _ | CallE _ | CallU _ | Free _ -> None
+  | StrP _ -> Some 0
+  | ReadLv _ | AddrofLv _ | CallE _ | CallU _ | Free _ | CallK _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Register-write normalization                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What a `SetReg` of type [ty] stores: exactly the store+load roundtrip
+   the interpreter performs through a variable of the declared type,
+   minus the memory traffic.  Promoted variables are scalars or
+   pointers only (see Lower.promotable). *)
+let normalizer lt (ty : ty) : I.tval -> I.tval =
+  let module V = Vm.Value in
+  match Vm.Layout.resolve lt ty with
+  | TScalar ((Float | Double) as s) ->
+    fun x -> I.tv (V.VFloat (V.round_float s (V.to_float x.I.v))) ty
+  | TScalar s when s <> Void ->
+    fun x -> I.tv (V.VInt (V.wrap_int s (V.to_int x.I.v))) ty
+  | TPtr _ ->
+    fun x -> I.tv (V.VInt (V.to_int x.I.v)) ty
+  | _ -> fun x -> I.tv x.I.v ty
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printer (oclcu translate --ir-dump)                          *)
@@ -316,6 +345,9 @@ let show_rhs fn = function
     Printf.sprintf "calle %s(%s)" n (String.concat ", " (List.map show_operand l))
   | CallU (n, l) ->
     Printf.sprintf "callu %s(%s)" n (String.concat ", " (List.map show_operand l))
+  | CallK (n, _, _, l) ->
+    Printf.sprintf "launch %s(%s)" n (String.concat ", " (List.map show_operand l))
+  | StrP s -> Printf.sprintf "str %S" s
 
 let dump_fn (fn : fn) : string =
   let buf = Buffer.create 1024 in

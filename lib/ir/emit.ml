@@ -12,7 +12,9 @@
    Functions the lowering rejected run on the interpreter: a `CallU`
    resolves its callee lazily at first call, to an IR wrapper when one
    exists and to `Vm.Interp.call_function` otherwise, so a kernel is
-   IR-compiled even when a helper it calls is not. *)
+   IR-compiled even when a helper it calls is not.  A host compile's
+   kernel calls and string literals go through `Vm.Interp.launch` and
+   `Vm.Interp.string_ptr`, as the interpreter's do. *)
 
 open Minic.Ast
 module I = Vm.Interp
@@ -216,20 +218,6 @@ let fast_binop (op : binop) : (I.ctx -> I.tval -> I.tval -> I.tval) option =
             | r -> I.tv r (TScalar Float))
          | _ -> I.binop ctx op x y)
   | _ -> None
-
-(* Register-write normalization: exactly the store+load roundtrip the
-   interpreter performs through a variable of the declared type,
-   minus the memory traffic.  Promoted variables are scalars or
-   pointers only (see Lower.promotable). *)
-let normalizer lt (ty : ty) : I.tval -> I.tval =
-  match Layout.resolve lt ty with
-  | TScalar ((Float | Double) as s) ->
-    fun x -> I.tv (V.VFloat (V.round_float s (V.to_float x.I.v))) ty
-  | TScalar s when s <> Void ->
-    fun x -> I.tv (V.VInt (V.wrap_int s (V.to_int x.I.v))) ty
-  | TPtr _ ->
-    fun x -> I.tv (V.VInt (V.to_int x.I.v)) ty
-  | _ -> fun x -> I.tv x.I.v ty
 
 (* ------------------------------------------------------------------ *)
 (* Register residency                                                  *)
@@ -1446,6 +1434,22 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
         argv.(i) <- cargs.(i) env
       done;
       w env.ctx argv
+  | Core.CallK (kernel, tmpl, has_shmem, ops) ->
+    (match List.map (rd bst) ops with
+     | cgrid :: cblock :: rest ->
+       let cshmem, cargs =
+         match has_shmem, rest with
+         | true, c :: cargs -> (Some c, cargs)
+         | _ -> (None, rest)
+       in
+       fun env ->
+         I.launch env.ctx
+           { I.lc_kernel = kernel; lc_tmpl = tmpl; lc_grid = cgrid env;
+             lc_block = cblock env; lc_shmem = Option.map (fun c -> c env) cshmem;
+             lc_args = List.map (fun c -> c env) cargs }
+     | _ -> invalid_arg "Emit: kernel call without grid and block")
+  | Core.StrP str ->
+    fun env -> I.tv (V.VInt (I.string_ptr env.ctx str)) (TPtr (TScalar Char))
 
 (* ------------------------------------------------------------------ *)
 (* Instructions                                                        *)
@@ -1582,7 +1586,7 @@ and generic_ikind (bst : bst) (k : Core.ikind) : renv -> unit =
       fun env -> w env (f env)
   | Core.SetReg (r, ty, o) ->
     let co = rd bst o in
-    let norm = normalizer lt ty in
+    let norm = Core.normalizer lt ty in
     if slot_of bst r < 0 then fun env -> env.regs.(r) <- norm (co env)
     else
       let w = wr bst r in
@@ -1794,7 +1798,7 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
   let binders =
     Array.mapi
       (fun i (p : Core.pbind) ->
-         let norm = normalizer est.e_layout p.Core.p_ty in
+         let norm = Core.normalizer est.e_layout p.Core.p_ty in
          let w = wr bst p.Core.p_reg in
          fun env (args : I.tval array) ->
            let arg =
@@ -1864,8 +1868,8 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let make ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
-  let _md, lowered = Lower.make ?special_ty ~cfg prog in
+let make ?host ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
+  let _md, lowered = Lower.make ?host ?special_ty ~cfg prog in
   let funcs = Hashtbl.create 31 in
   List.iter
     (function TFunc f -> Hashtbl.replace funcs f.fn_name f | _ -> ())

@@ -1,4 +1,4 @@
-(* Lowering Mini-C device functions into the kernel IR.
+(* Lowering Mini-C functions into the kernel IR.
 
    The contract is observational identity with `Vm.Interp`: every
    lowered construct evaluates its pieces in the same order, charges the
@@ -11,10 +11,15 @@
    (`Fuzz.Pyramid.counter_refinement`) with no passes enabled.
 
    Lowering is per-function and total-or-nothing: any construct the IR
-   does not model (structs, references, templates, string literals,
-   module globals, host-side launches) raises [Reject] and the function
-   runs on the interpreter — `Emit` falls back per callee, so a kernel
-   can be IR-compiled even when a helper it calls is not. *)
+   does not model (struct members, initializers and parameters,
+   templates) raises [Reject] and the function runs on the interpreter
+   — `Emit` falls back per callee, so a kernel can be IR-compiled even
+   when a helper it calls is not.
+
+   A host compile ([~host:true], host `main()` and its helpers) also
+   lowers the two host-only constructs, string literals and `<<<...>>>`
+   kernel calls.  A device compile rejects both, as it always has: the
+   lowering census of every device program stays what it was. *)
 
 open Minic.Ast
 module I = Vm.Interp
@@ -34,6 +39,7 @@ type modl = {
   md_special_ty : string -> ty option;
   md_layout : Layout.env;
   md_cfg : Pipeline.config;
+  md_host : bool;               (* string literals and launches lower *)
   (* per-function inline candidates: body collapsed to one expression *)
   md_inline : (string, expr) Hashtbl.t;
   md_sync_pure : (string, bool) Hashtbl.t;
@@ -396,7 +402,9 @@ let rec lower_expr st acc (e : expr) : Core.operand =
   match e with
   | IntLit (n, s) -> Core.Cst (I.tv (V.VInt n) (TScalar s))
   | FloatLit (f, s) -> Core.Cst (I.tv (V.VFloat f) (TScalar s))
-  | StrLit _ -> reject "string literal"
+  | StrLit s ->
+    if not st.md.md_host then reject "string literal";
+    letk st acc (Core.StrP s)
   | Ident name ->
     (match lookup st name with
      | Some (VReg (r, _)) -> letk st acc (Core.Mov (Core.Reg r))
@@ -538,7 +546,17 @@ let rec lower_expr st acc (e : expr) : Core.operand =
           let oa = lower_expr st acc a in
           letk st acc (Core.CastV (t, oa))
         | [] -> reject "empty vector literal"))
-  | Launch _ -> reject "kernel launch"
+  | Launch l ->
+    if not st.md.md_host then reject "kernel launch";
+    (* the interpreter's operand order: grid, block, shared bytes, args *)
+    let grid = lower_expr st acc l.l_grid in
+    let block = lower_expr st acc l.l_block in
+    let shmem = Option.map (lower_expr st acc) l.l_shmem in
+    let args = List.map (lower_expr st acc) l.l_args in
+    letk st acc
+      (Core.CallK
+         (l.l_kernel, l.l_tmpl, shmem <> None,
+          (grid :: block :: Option.to_list shmem) @ args))
 
 and lower_lvalue st acc (e : expr) : llv =
   match e with
@@ -940,7 +958,7 @@ let lower_fn (md : modl) (f : func) : Core.fn =
     f_body = seal acc;
     f_sited = st.sited }
 
-let make ?(special_ty = fun _ -> None) ~(cfg : Pipeline.config)
+let make ?(host = false) ?(special_ty = fun _ -> None) ~(cfg : Pipeline.config)
     (prog : program) : modl * (string * (Core.fn, string) result) list =
   let funcs = Hashtbl.create 31 in
   let gtys = Hashtbl.create 31 in
@@ -957,6 +975,7 @@ let make ?(special_ty = fun _ -> None) ~(cfg : Pipeline.config)
       md_special_ty = special_ty;
       md_layout = Layout.make_env prog;
       md_cfg = cfg;
+      md_host = host;
       md_inline = Hashtbl.create 7;
       md_sync_pure = Hashtbl.create 7 }
   in

@@ -92,6 +92,10 @@ type pst = {
      emitter's construction fixes it exactly; used by strength reduction
      and SetReg forwarding *)
   ety : ty option array;
+  (* registers that may hold a narrow int outside its type's range:
+     negation and complement do not wrap (nor do the interpreter's), and
+     copies and component selects carry such a value on *)
+  wild : bool array;
 }
 
 let bump p r =
@@ -126,9 +130,10 @@ let canon_rhs p (r : Core.rhs) : Core.rhs =
   | Core.AddrofLv l -> Core.AddrofLv (canon_lv p l)
   | Core.Swz (a, m, pre) -> Core.Swz (c a, m, pre)
   | Core.Vecc (t, l) -> Core.Vecc (t, List.map c l)
-  | Core.Special _ | Core.Free _ -> r
+  | Core.Special _ | Core.Free _ | Core.StrP _ -> r
   | Core.CallE (n, l) -> Core.CallE (n, List.map c l)
   | Core.CallU (n, l) -> Core.CallU (n, List.map c l)
+  | Core.CallK (n, t, sh, l) -> Core.CallK (n, t, sh, List.map c l)
 
 (* ------------------------------------------------------------------ *)
 (* Static result types                                                 *)
@@ -155,6 +160,19 @@ let bin_ety op a b =
   | _, Some (TScalar Float), Some (TScalar Float) ->
     Some (TScalar (if cmp then Int else Float))
   | _ -> None
+
+let op_wild p = function
+  | Core.Cst _ -> false
+  | Core.Reg r -> p.wild.(r)
+
+let rhs_wild p = function
+  | Core.Un ((UNeg | UBnot), a) ->
+    (match op_ety p a with
+     | Some (TScalar s | TVec (s, _)) ->
+       (not (is_float_scalar s)) && scalar_size s < 8
+     | _ -> false)
+  | Core.Mov a | Core.CastRet (_, a) | Core.Swz (a, _, _) -> op_wild p a
+  | _ -> false
 
 let rhs_ety p = function
   | Core.Mov a -> op_ety p a
@@ -330,7 +348,11 @@ and walk_ins p env out (i : Core.instr) : env =
   match i.Core.i_kind with
   | Core.Let (r, rhs0) ->
     let rhs = canon_rhs p rhs0 in
-    let set_ety o = p.ety.(r) <- o in
+    (* the static facts of the register a kept Let defines *)
+    let set_static ety =
+      p.ety.(r) <- ety;
+      p.wild.(r) <- rhs_wild p rhs
+    in
     (match rhs with
      | Core.Mov ((Core.Cst _ as o)) when p.cfg.Pipeline.fold ->
        p.rename.(r) <- Some o;
@@ -350,7 +372,7 @@ and walk_ins p env out (i : Core.instr) : env =
              p.rename.(r) <- Some o;
              env
            | None ->
-             set_ety (rhs_ety p rhs);
+             set_static (rhs_ety p rhs);
              keep (Core.Let (r, rhs))
                { env with vals = KMap.add k (Core.Reg r) env.vals }))
      | _ ->
@@ -375,7 +397,7 @@ and walk_ins p env out (i : Core.instr) : env =
               | None -> rhs
             else rhs
           in
-          set_ety (rhs_ety p rhs);
+          set_static (rhs_ety p rhs);
           if
             p.cfg.Pipeline.cse && Core.rhs_pure rhs
             && (match rhs with Core.Mov _ -> false | _ -> true)
@@ -398,11 +420,20 @@ and walk_ins p env out (i : Core.instr) : env =
     let o = canon_op p o in
     bump p r;
     let vars =
-      (* forward only when the stored tval is bit-identical to the
-         operand: the declared type must match the operand's static
-         type exactly, making the normalizing store the identity *)
+      (* forward only when the declared type matches the operand's
+         static type exactly, and the operand is not wild: a register of
+         that type then holds a normalized value.  A constant need not
+         (a float literal carries its double value, an int literal its
+         64-bit one), so it is forwarded converted, as the store
+         converts it *)
       match op_ety p o with
-      | Some t when t = ty -> IMap.add r o env.vars
+      | Some t when t = ty && not (op_wild p o) ->
+        let o =
+          match o with
+          | Core.Cst c -> Core.Cst (Core.normalizer p.fold_ctx.I.layout ty c)
+          | o -> o
+        in
+        IMap.add r o env.vars
       | _ -> IMap.remove r env.vars
     in
     keep (Core.SetReg (r, ty, o)) { env with vars }
@@ -625,7 +656,8 @@ let fold_round (cfg : Pipeline.config) fold_ctx stats (fn : Core.fn) : Core.fn
       is_var = Array.make nregs false;
       version = Array.make nregs 0;
       vclock = 0;
-      ety = Array.make nregs None }
+      ety = Array.make nregs None;
+      wild = Array.make nregs false }
   in
   Core.body_defs ~lets:(fun _ -> ()) ~sets:(fun r -> p.is_var.(r) <- true)
     fn.Core.f_body;

@@ -118,7 +118,7 @@ let analyze (lt : Vm.Layout.env) (fn : Core.fn) : t =
     | Core.AddrofLv l -> lv_addr l
     | Core.Free _ -> false
     | Core.CallE (n, l) -> uniform_external n && List.for_all op l
-    | Core.CallU _ -> false
+    | Core.CallU _ | Core.CallK _ | Core.StrP _ -> false
   in
   let demote r =
     if u_reg.(r) then begin

@@ -58,10 +58,11 @@ type ctx = {
       (* per-work-group table making __local declarations idempotent *)
   strings : (string, int) Hashtbl.t;
   mutable call_depth : int;
-  (* invoked when host code evaluates a CUDA <<<...>>> kernel call; the
-     native CUDA runtime installs this, the translated host never needs
-     it because the translator removed all launches *)
-  mutable launch_handler : (ctx -> Minic.Ast.launch -> tval) option;
+  (* invoked when host code executes a CUDA <<<...>>> kernel call, with
+     its operands already evaluated (see [launch_call]); the native CUDA
+     runtime installs this, the translated host never needs it because
+     the translator removed all launches *)
+  mutable launch_handler : (ctx -> launch_call -> tval) option;
   (* attribution hook for the IR middle-end: fires with the number of
      statically-counted operations a pass eliminated at this point, so
      per-site reports can show `ops + ops_eliminated = unoptimized ops`
@@ -90,6 +91,19 @@ and observer = {
 }
 
 and ext_memo = { mutable resolved : (ctx -> tval list -> tval) array }
+
+(* A <<<...>>> kernel call with its operands evaluated.  Both host
+   engines evaluate them in one order: grid, block, shared bytes (when
+   given), then the kernel arguments left to right; the stream operand
+   is never evaluated. *)
+and launch_call = {
+  lc_kernel : string;
+  lc_tmpl : ty list;           (* template arguments on the kernel *)
+  lc_grid : tval;
+  lc_block : tval;
+  lc_shmem : tval option;
+  lc_args : tval list;
+}
 
 exception Return_exc of tval
 exception Break_exc
@@ -289,12 +303,14 @@ let alloc_var ctx name ty storage =
   bind ctx name b;
   b
 
+(* A string literal's address: allocated on first use per context, as
+   heap storage, so the frame that first evaluated it does not free it. *)
 let string_ptr ctx s =
   match Hashtbl.find_opt ctx.strings s with
   | Some addr -> Value.make_ptr AS_none addr
   | None ->
     let a = ctx.arena_of AS_none in
-    let addr = Memory.alloc a ~align:1 (String.length s + 1) in
+    let addr = Memory.alloc_heap a ~align:1 (String.length s + 1) in
     Memory.store_bytes a addr (Bytes.of_string (s ^ "\000"));
     Hashtbl.replace ctx.strings s addr;
     Value.make_ptr AS_none addr
@@ -708,6 +724,12 @@ let resolve_external ctx id name =
     f
   end
 
+(* Hand an evaluated kernel call to the context's launch handler. *)
+let launch ctx (call : launch_call) : tval =
+  match ctx.launch_handler with
+  | Some h -> h ctx call
+  | None -> fail "kernel launch %s without a CUDA runtime" call.lc_kernel
+
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
@@ -986,10 +1008,13 @@ and eval ctx (e : expr) : tval =
        tv (VVec (Array.of_list (List.map (convert_elt s) comps))) (TVec (s, n))
      | _ -> cast_value ctx t (eval ctx (List.hd args)))
   | Launch l ->
-    (match ctx.launch_handler with
-     | Some h -> h ctx l
-     | None ->
-       fail "kernel launch reached the interpreter without a CUDA runtime")
+    let grid = eval ctx l.l_grid in
+    let block = eval ctx l.l_block in
+    let shmem = Option.map (eval ctx) l.l_shmem in
+    let args = List.map (eval ctx) l.l_args in
+    launch ctx
+      { lc_kernel = l.l_kernel; lc_tmpl = l.l_tmpl; lc_grid = grid;
+        lc_block = block; lc_shmem = shmem; lc_args = args }
 
 (* threadIdx etc. are rvalue specials; anything bound in scope is not. *)
 and is_rvalue_member ctx a =

@@ -11,6 +11,7 @@ type access_kind = Load | Store
 type arena = {
   mutable data : Bytes.t;
   mutable brk : int;                       (* bump pointer *)
+  mutable floor : int;                     (* frame releases stop here *)
   mutable high_water : int;
   mutable frozen : bool;                   (* allocations forbidden *)
   mutable snap_buf : Bytes.t;              (* storage of the live snapshot *)
@@ -22,7 +23,7 @@ exception Fault of string * int
 exception Frozen of string
 
 let create ?(initial = 4096) name =
-  { data = Bytes.make initial '\000'; brk = 16; high_water = 16;
+  { data = Bytes.make initial '\000'; brk = 16; floor = 16; high_water = 16;
     frozen = false; snap_buf = Bytes.empty; name }
   (* offset 0 is reserved so that a zero offset is never a valid address *)
 
@@ -34,6 +35,7 @@ let size a = a.brk
 let reset a =
   Bytes.fill a.data 0 (min a.high_water (Bytes.length a.data)) '\000';
   a.brk <- 16;
+  a.floor <- 16;
   a.high_water <- 16
 
 let ensure a n =
@@ -58,9 +60,17 @@ let alloc a ?(align = 16) bytes =
   a.high_water <- max a.high_water a.brk;
   addr
 
+(* Heap storage (host malloc, string literals) shares the arena with
+   call frames but outlives them: it raises the floor that a frame
+   release never rewinds below. *)
+let alloc_heap a ?align bytes =
+  let addr = alloc a ?align bytes in
+  a.floor <- a.brk;
+  addr
+
 (* Stack-style deallocation used for call frames. *)
 let mark a = a.brk
-let release a m = a.brk <- m
+let release a m = a.brk <- max m a.floor
 
 (* Freezing an arena turns any allocation into a [Frozen] fault.  The
    parallel executor freezes the shared arenas (global, constant, host)
@@ -79,6 +89,7 @@ let thaw a = a.frozen <- false
    is live. *)
 type snapshot = {
   snap_brk : int;
+  snap_floor : int;
   snap_high_water : int;
 }
 
@@ -86,7 +97,7 @@ let snapshot a =
   let n = a.high_water in
   if Bytes.length a.snap_buf < n then a.snap_buf <- Bytes.create n;
   Bytes.blit a.data 0 a.snap_buf 0 n;
-  { snap_brk = a.brk; snap_high_water = n }
+  { snap_brk = a.brk; snap_floor = a.floor; snap_high_water = n }
 
 let restore a s =
   let touched = min a.high_water (Bytes.length a.data) in
@@ -94,6 +105,7 @@ let restore a s =
   if touched > s.snap_high_water then
     Bytes.fill a.data s.snap_high_water (touched - s.snap_high_water) '\000';
   a.brk <- s.snap_brk;
+  a.floor <- s.snap_floor;
   a.high_water <- s.snap_high_water
 
 (* Any address outside [0, brk) is a fault: the allocator's frontier is

@@ -10,6 +10,7 @@ type access_kind = Load | Store
 type arena = {
   mutable data : Bytes.t;
   mutable brk : int;         (** bump pointer *)
+  mutable floor : int;       (** {!release} never rewinds below this *)
   mutable high_water : int;
   mutable frozen : bool;     (** allocations forbidden; see {!freeze} *)
   mutable snap_buf : Bytes.t;  (** storage of the live {!snapshot} *)
@@ -29,8 +30,8 @@ val create : ?initial:int -> string -> arena
 (** Current allocation frontier (bytes in use). *)
 val size : arena -> int
 
-(** Reset the bump pointer and zero the arena (used per work-group for
-    local memory and per work-item for private memory). *)
+(** Reset the bump pointer and the floor and zero the arena (used per
+    work-group for local memory and per work-item for private memory). *)
 val reset : arena -> unit
 
 val align_up : int -> int -> int
@@ -38,8 +39,14 @@ val align_up : int -> int -> int
 (** [alloc a ~align bytes] bump-allocates and returns the offset. *)
 val alloc : arena -> ?align:int -> int -> int
 
+(** [alloc_heap a ~align bytes] allocates like {!alloc}, for storage
+    that outlives the call frame it is allocated in (host [malloc],
+    string literals): it raises the arena's floor to the new frontier. *)
+val alloc_heap : arena -> ?align:int -> int -> int
+
 (** Stack-style deallocation used for call frames: [release a (mark a)]
-    frees everything allocated in between. *)
+    frees everything allocated in between, except heap storage: the
+    frontier never drops below the floor {!alloc_heap} raised. *)
 val mark : arena -> int
 
 val release : arena -> int -> unit
@@ -52,9 +59,9 @@ val freeze : arena -> unit
 
 val thaw : arena -> unit
 
-(** Copy-out/copy-back of an arena's used prefix, for optimistic
-    execution: {!restore} also re-zeroes bytes the aborted run wrote
-    above the snapshot's frontier. *)
+(** Copy-out/copy-back of an arena's used prefix, frontier and floor,
+    for optimistic execution: {!restore} also re-zeroes bytes the
+    aborted run wrote above the snapshot's frontier. *)
 type snapshot
 
 (** [snapshot a] copies [a]'s used prefix into [a]'s own snapshot

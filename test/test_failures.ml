@@ -70,7 +70,8 @@ __kernel void nullw(__global int* p) {
              int main(void) { return f(0); }"
         in
         ignore
-          (Bridge.Hostrun.run_main ~session ~prog
+          (Bridge.Hostrun.run_main ~config:(Gpusim.Config.default ())
+             ~session ~prog
              ~arena_of:(fun _ -> session.Bridge.Hostrun.arena)
              ~externals:[] ~special_ident:Bridge.Hostrun.host_constants ()));
     raises_any "calling an undefined function is an error" (fun () ->
@@ -80,7 +81,8 @@ __kernel void nullw(__global int* p) {
             "int main(void) { mystery(1); return 0; }"
         in
         ignore
-          (Bridge.Hostrun.run_main ~session ~prog
+          (Bridge.Hostrun.run_main ~config:(Gpusim.Config.default ())
+             ~session ~prog
              ~arena_of:(fun _ -> session.Bridge.Hostrun.arena)
              ~externals:[] ~special_ident:Bridge.Hostrun.host_constants ()));
     raises_any "cudaMalloc of a negative size is rejected" (fun () ->

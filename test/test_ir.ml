@@ -465,6 +465,69 @@ let attribution_elim_sums () =
          (s.Gpusim.Attr.ops + s.Gpusim.Attr.ops_eliminated))
     opt
 
+(* A value that copy propagation forwards through a variable keeps the
+   conversion the variable's store applies: fp32 rounding for a float
+   constant (fuzz seed 42 case 136, once literals were drawn in tenths),
+   a 32-bit wrap for an int constant, and for the result of an unsigned
+   negation or complement, which does not wrap.  The interpreter stores
+   and reloads the variable; [src]'s kernel writes 8-byte elements. *)
+let fold_keeps_conversion ?(elems = 1) ~src ~elt ~expect () =
+  let plan =
+    { Xlat_validate.Plan.modul = Gpusim.Exec.load (parse src);
+      kernel = "k";
+      args = [ Buf (TScalar elt, String.make (8 * elems) '\000') ];
+      dyn_shared = 0 }
+  in
+  let output backend passes =
+    let config = { (Gpusim.Config.default ()) with backend; passes } in
+    List.hd (snd (Xlat_validate.Plan.run ~config ~gws:1 ~lws:1 plan))
+  in
+  let reference = output Gpusim.Exec.Interp Ir.Pipeline.none in
+  Alcotest.(check string) "interpreter" expect reference;
+  List.iter
+    (fun passes ->
+       Alcotest.(check string) (Ir.Pipeline.signature passes) reference
+         (output Gpusim.Exec.Compiled passes))
+    [ only "fold"; Ir.Pipeline.all ]
+
+let le64 n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 n;
+  Bytes.to_string b
+
+let fold_keeps_unsigned_wrap =
+  fold_keeps_conversion ~elems:2 ~elt:ULong
+    ~expect:(le64 0xFFFFFFFFL ^ le64 0xFFFFFFFDL)
+    ~src:{|
+__kernel void k(__global ulong* out) {
+  uint u = get_global_id(0);
+  uint v = ~u;
+  out[0] = v;
+  uint t = u + 3;
+  uint n = -t;
+  out[1] = n;
+}
+|}
+
+let fold_keeps_fp32_rounding =
+  fold_keeps_conversion ~elt:Double
+    ~expect:(le64 (Int64.bits_of_float (Int32.float_of_bits (Int32.bits_of_float (-3.4)))))
+    ~src:{|
+__kernel void k(__global double* dout) {
+  float t4 = -3.3999999999999999f;
+  dout[get_global_id(0)] = t4;
+}
+|}
+
+let fold_keeps_int_wrap =
+  fold_keeps_conversion ~elt:Long ~expect:(le64 1L)
+    ~src:{|
+__kernel void k(__global long* lout) {
+  int big = 4294967297;
+  lout[get_global_id(0)] = big;
+}
+|}
+
 (* ------------------------------------------------------------------ *)
 (* Mixed path: IR code calling an interpreted helper                   *)
 (* ------------------------------------------------------------------ *)
@@ -546,6 +609,12 @@ let suites =
           verifier_catches_broken_ir ] );
     ( "ir.passes",
       [ Alcotest.test_case "fold fires" `Quick fold_fires;
+        Alcotest.test_case "fold: forwarded float constant keeps fp32 rounding"
+          `Quick fold_keeps_fp32_rounding;
+        Alcotest.test_case "fold: forwarded int constant keeps its 32-bit wrap"
+          `Quick fold_keeps_int_wrap;
+        Alcotest.test_case "fold: forwarded unsigned complement and negation wrap"
+          `Quick fold_keeps_unsigned_wrap;
         Alcotest.test_case "fold: constant division kept" `Quick
           fold_planted_division;
         Alcotest.test_case "dce fires" `Quick dce_fires;

@@ -5,16 +5,31 @@ open Minic.Ast
 
 let host_arena () = Vm.Memory.create "host"
 
-(* Run a Mini-C program's main() on a host arena with printf captured. *)
+(* Run a Mini-C program's main() on a host arena with printf captured,
+   interpreted and compiled: the two must print the same output or raise
+   the same exception, which is then raised. *)
 let run_host ?(externals = []) src =
   let prog = Minic.Parser.program ~dialect:Minic.Parser.Cuda src in
-  let session = Bridge.Hostrun.make_session () in
-  let arena_of : addr_space -> Vm.Memory.arena = function
-    | AS_none -> session.Bridge.Hostrun.arena
-    | _ -> failwith "host-only test touched device space"
+  let run backend =
+    let session = Bridge.Hostrun.make_session () in
+    let arena_of : addr_space -> Vm.Memory.arena = function
+      | AS_none -> session.Bridge.Hostrun.arena
+      | _ -> failwith "host-only test touched device space"
+    in
+    let config = { (Gpusim.Config.default ()) with backend } in
+    match
+      Bridge.Hostrun.run_main ~config ~session ~prog ~arena_of ~externals
+        ~special_ident:Bridge.Hostrun.host_constants ()
+    with
+    | out -> Ok out
+    | exception e -> Error e
   in
-  Bridge.Hostrun.run_main ~session ~prog ~arena_of ~externals
-    ~special_ident:Bridge.Hostrun.host_constants ()
+  let interp = run Gpusim.Config.Interp in
+  let compiled = run Gpusim.Config.Compiled in
+  let show = function Ok out -> out | Error e -> Printexc.to_string e in
+  Alcotest.(check string) "compiled host agrees with the interpreter"
+    (show interp) (show compiled);
+  match interp with Ok out -> out | Error e -> raise e
 
 let expect name src out () =
   Alcotest.(check string) name out (run_host src)
