@@ -3,11 +3,12 @@
    A translated application consists of the host program (main.cu.cpp,
    still full of cuda* calls plus the rewritten launch sequences) and the
    OpenCL device program (main.cu.cl).  This module runs the host
-   program (see Hostrun.run_main) with:
+   program (see Hostrun.run) with:
 
-   - every cuda* entry point bound to a wrapper over the simulated
-     OpenCL API (cudaMalloc -> clCreateBuffer with the cl_mem handle cast
-     to void*, cudaMemcpy -> clEnqueue{Read,Write,Copy}Buffer, ...);
+   - the cuda* calls it shares with original programs bound once
+     (Cuda_api) to [Runtime], wrappers over the simulated OpenCL API
+     (cudaMalloc -> clCreateBuffer with the cl_mem handle cast to void*,
+     cudaMemcpy -> clEnqueue{Read,Write,Copy}Buffer, ...);
    - the __c2o_* helper functions emitted by the source translator for
      the three constructs that could not be wrapped (kernel launches and
      cudaMemcpy{To,From}Symbol);
@@ -28,9 +29,6 @@ exception Wrapper_error of string
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Wrapper_error s)) fmt
 
-let int_of (a : tval) = Int64.to_int (Value.to_int a.v)
-let ptr_of (a : tval) = Value.to_int a.v
-
 type t = {
   cl : Opencl.Cl.t;
   result : Xlat.Cuda_to_ocl.result;
@@ -44,7 +42,6 @@ type t = {
   tex_state : (string, Opencl.Cl.image * Opencl.Cl.sampler) Hashtbl.t;
   arrays : (int, Opencl.Cl.image) Hashtbl.t;
   mutable next_array : int;
-  mutable launches : int;
   mutable build_ns : float;
   cl_layout : Layout.env Lazy.t;
 }
@@ -61,7 +58,6 @@ let make dev result session =
     tex_state = Hashtbl.create 4;
     arrays = Hashtbl.create 4;
     next_array = 1;
-    launches = 0;
     build_ns = 0.0;
     cl_layout = lazy (Layout.make_env result.Xlat.Cuda_to_ocl.cl_prog) }
 
@@ -174,429 +170,281 @@ let convert_to_param layout (pa : param) (v : tval) : tval =
   | TScalar _ -> tv (VInt (Value.to_int v.v)) pa.pa_ty
   | _ -> tv v.v pa.pa_ty
 
+
 (* ------------------------------------------------------------------ *)
-(* Externals                                                           *)
+(* The runtime behind the shared binding: wrappers over OpenCL         *)
 (* ------------------------------------------------------------------ *)
 
-let externals (t : t) =
+module Runtime = struct
+  type nonrec t = t
+  type event = float ref
+  type array = Opencl.Cl.image
+  type texref = string
+
+  let dev t = t.cl.Opencl.Cl.dev
+
+  let malloc t size =
+    ignore (ensure_built t);
+    (* clCreateBuffer; the cl_mem handle is cast to void* and returned
+       through the out parameter (§2, §4) *)
+    let b = Opencl.Cl.create_buffer t.cl size in
+    t.buffers <- (b.Opencl.Cl.b_addr, b) :: t.buffers;
+    Opencl.Cl.buffer_device_ptr b
+
+  let free t p =
+    let addr = Value.ptr_offset p in
+    match List.assoc_opt addr t.buffers with
+    | Some b ->
+      Opencl.Cl.release_mem_object t.cl b;
+      t.buffers <- List.remove_assoc addr t.buffers
+    | None -> ()
+
+  let memcpy t ~dst:d ~src:s ~bytes =
+    ignore (ensure_built t);
+    match Value.ptr_space d, Value.ptr_space s with
+    | AS_global, AS_none ->
+      let b, off = find_buffer t (Value.ptr_offset d) in
+      ignore
+        (Opencl.Cl.enqueue_write_buffer t.cl b ~offset:off ~size:bytes
+           ~host_ptr:s ())
+    | AS_none, AS_global ->
+      let b, off = find_buffer t (Value.ptr_offset s) in
+      ignore
+        (Opencl.Cl.enqueue_read_buffer t.cl b ~offset:off ~size:bytes
+           ~host_ptr:d ())
+    | AS_global, AS_global ->
+      let bd, od = find_buffer t (Value.ptr_offset d) in
+      let bs, os = find_buffer t (Value.ptr_offset s) in
+      ignore
+        (Opencl.Cl.enqueue_copy_buffer t.cl bs bd ~src_offset:os
+           ~dst_offset:od ~size:bytes ())
+    | AS_none, AS_none ->
+      Memory.blit ~src:t.session.Hostrun.arena
+        ~src_addr:(Value.ptr_offset s) ~dst:t.session.Hostrun.arena
+        ~dst_addr:(Value.ptr_offset d) ~len:bytes
+    | _ -> errf "cudaMemcpy: unsupported direction"
+
+  let memset t ~dst ~byte ~bytes =
+    let b, off = find_buffer t (Value.ptr_offset dst) in
+    Memory.store_bytes (dev t).Gpusim.Device.global
+      (b.Opencl.Cl.b_addr + off)
+      (Bytes.make bytes (Char.chr (byte land 0xff)))
+
+  (* UVA wrappers over OpenCL 2.0 shared virtual memory (§3.7's
+     anticipated clSVMAlloc translation): the SVM pointer serves as
+     both the host and the device pointer. *)
+  let host_alloc t size =
+    ignore (ensure_built t);
+    Opencl.Cl.svm_alloc t.cl size
+
+  let free_host t p = Opencl.Cl.svm_free t.cl p
+
+  (* the paper's nn/mummergpu failure: OpenCL has no counterpart *)
+  let mem_get_info _ =
+    errf "cudaMemGetInfo cannot be implemented over OpenCL (§3.7)"
+
+  (* one clGetDeviceInfo round-trip per field: the deviceQuery
+     amplification of Figure 8 *)
+  let device_properties t =
+    List.map
+      (fun (field, param, scale) ->
+         (field, Int64.mul scale (Opencl.Cl.get_device_info t.cl param)))
+      [ ("multiProcessorCount", "CL_DEVICE_MAX_COMPUTE_UNITS", 1L);
+        ("totalGlobalMem", "CL_DEVICE_GLOBAL_MEM_SIZE", 1L);
+        ("sharedMemPerBlock", "CL_DEVICE_LOCAL_MEM_SIZE", 1L);
+        ("maxThreadsPerBlock", "CL_DEVICE_MAX_WORK_GROUP_SIZE", 1L);
+        ("clockRate", "CL_DEVICE_MAX_CLOCK_FREQUENCY", 1000L);
+        ("warpSize", "CL_DEVICE_WARP_SIZE", 1L);
+        ("regsPerBlock", "CL_DEVICE_REGISTERS_PER_BLOCK_NV", 1L) ]
+    (* no OpenCL query yields a compute capability; report 3.5 *)
+    @ [ ("major", 3L); ("minor", 5L) ]
+
+  let synchronize t = Opencl.Cl.finish t.cl
+  let event_create _ = ref 0.0
+  let event_record t e = e := (dev t).Gpusim.Device.sim_time_ns
+  let event_elapsed_ms _ e0 e1 = (!e1 -. !e0) /. 1e6
+
+  let malloc_array t sc ~width ~height =
+    ignore (ensure_built t);
+    let img =
+      Opencl.Cl.create_image t.cl ~dim:2 ~width ~height
+        ~order:Gpusim.Imagelib.CO_r
+        ~chtype:(image_chtype_of_scalar sc RM_element) ()
+    in
+    let id = t.next_array in
+    t.next_array <- id + 1;
+    Hashtbl.replace t.arrays id img;
+    id
+
+  let array t id = Hashtbl.find_opt t.arrays id
+
+  let memcpy_to_array t img ~src ~bytes:_ =
+    ignore (Opencl.Cl.enqueue_write_image t.cl img ~host_ptr:src ())
+
+  (* the translator passes a texture reference by name *)
+  let texture _ ctx (name : tval) = read_string ctx name.v
+
+  let bind_texture t name ~ptr ~bytes =
+    ignore (ensure_built t);
+    let tx = tex_info t name in
+    let elem = scalar_size tx.Xlat.Cuda_to_ocl.tx_scalar in
+    let texels = bytes / max 1 elem in
+    (* a 1D image buffer is capped at the max 2D image width (§5) *)
+    let maxw = fst (dev t).Gpusim.Device.hw.max_image2d in
+    if texels > maxw then
+      errf "cudaBindTexture: %d texels exceed the OpenCL 1D image limit %d"
+        texels maxw;
+    let img =
+      Opencl.Cl.create_image t.cl ~dim:1 ~width:texels
+        ~order:Gpusim.Imagelib.CO_r
+        ~chtype:
+          (image_chtype_of_scalar tx.Xlat.Cuda_to_ocl.tx_scalar
+             tx.Xlat.Cuda_to_ocl.tx_mode)
+        ()
+    in
+    (* copy the linear data into the image *)
+    let global = (dev t).Gpusim.Device.global in
+    Memory.blit ~src:global ~src_addr:(Value.ptr_offset ptr) ~dst:global
+      ~dst_addr:img.Gpusim.Imagelib.i_addr ~len:bytes;
+    Hashtbl.replace t.tex_state name (img, default_sampler t)
+
+  let bind_texture_to_array t name img =
+    Hashtbl.replace t.tex_state name (img, default_sampler t)
+
+  let unbind_texture t name = Hashtbl.remove t.tex_state name
+end
+
+module Binding = Cuda_api.Make (Runtime)
+
+(* ------------------------------------------------------------------ *)
+(* The translator-emitted helpers                                      *)
+(* ------------------------------------------------------------------ *)
+
+let helper_externals (t : t) =
+  let open Cuda_api in
   let ok = tint 0 in
-  let dev = t.cl.Opencl.Cl.dev in
-  let store_out ctx (p : tval) ty v =
-    let ptr = ptr_of p in
-    Vm.Interp.store ctx (Value.ptr_space ptr) (Value.ptr_offset ptr) ty v
-  in
   let read_sizet_array ctx p i =
     let ptr = ptr_of p in
     let arena = ctx.arena_of (Value.ptr_space ptr) in
     Int64.to_int (Memory.load_int arena (Value.ptr_offset ptr + (8 * i)) 8)
   in
-  let events : (int, float) Hashtbl.t = Hashtbl.create 4 in
-  let next_event = ref 1 in
-  [ (* ---- memory management wrappers --------------------------------- *)
-    ("cudaMalloc",
-     (fun ctx args ->
-        match args with
-        | [ pp; size ] ->
-          ignore (ensure_built t);
-          (* clCreateBuffer; the cl_mem handle is cast to void* and
-             returned through the out parameter (§2, §4) *)
-          let b = Opencl.Cl.create_buffer t.cl (int_of size) in
-          t.buffers <- (b.Opencl.Cl.b_addr, b) :: t.buffers;
-          store_out ctx pp (TPtr (TScalar Void))
-            (VInt (Opencl.Cl.buffer_device_ptr b));
-          ok
-        | _ -> errf "cudaMalloc arity"));
-    ("cudaFree",
-     (fun _ args ->
-        match args with
-        | [ p ] ->
-          let addr = Value.ptr_offset (ptr_of p) in
-          (match List.assoc_opt addr t.buffers with
-           | Some b ->
-             Opencl.Cl.release_mem_object t.cl b;
-             t.buffers <- List.remove_assoc addr t.buffers
-           | None -> ());
-          ok
-        | _ -> errf "cudaFree arity"));
-    ("cudaMemcpy",
-     (fun _ args ->
-        match args with
-        | dst :: src :: n :: _ ->
-          ignore (ensure_built t);
-          let bytes = int_of n in
-          let d = ptr_of dst and s = ptr_of src in
-          (match Value.ptr_space d, Value.ptr_space s with
-           | AS_global, AS_none ->
-             let b, off = find_buffer t (Value.ptr_offset d) in
-             ignore
-               (Opencl.Cl.enqueue_write_buffer t.cl b ~offset:off ~size:bytes
-                  ~host_ptr:s ())
-           | AS_none, AS_global ->
-             let b, off = find_buffer t (Value.ptr_offset s) in
-             ignore
-               (Opencl.Cl.enqueue_read_buffer t.cl b ~offset:off ~size:bytes
-                  ~host_ptr:d ())
-           | AS_global, AS_global ->
-             let bd, od = find_buffer t (Value.ptr_offset d) in
-             let bs, os = find_buffer t (Value.ptr_offset s) in
-             ignore
-               (Opencl.Cl.enqueue_copy_buffer t.cl bs bd ~src_offset:os
-                  ~dst_offset:od ~size:bytes ())
-           | AS_none, AS_none ->
-             Memory.blit ~src:t.session.Hostrun.arena
-               ~src_addr:(Value.ptr_offset s) ~dst:t.session.Hostrun.arena
-               ~dst_addr:(Value.ptr_offset d) ~len:bytes
-           | _ -> errf "cudaMemcpy: unsupported direction");
-          ok
-        | _ -> errf "cudaMemcpy arity"));
-    ("cudaMemset",
-     (fun _ args ->
-        match args with
-        | [ dst; v; n ] ->
-          let d = ptr_of dst in
-          let b, off = find_buffer t (Value.ptr_offset d) in
-          let bytes = Bytes.make (int_of n) (Char.chr (int_of v land 0xff)) in
-          Memory.store_bytes dev.Gpusim.Device.global
-            (b.Opencl.Cl.b_addr + off) bytes;
-          ok
-        | _ -> errf "cudaMemset arity"));
-    (* UVA wrappers over OpenCL 2.0 shared virtual memory (§3.7's
-       anticipated clSVMAlloc translation): the SVM pointer serves as
-       both the host and the device pointer. *)
-    ("cudaHostAlloc",
-     (fun ctx args ->
-        match args with
-        | pp :: size :: _ ->
-          ignore (ensure_built t);
-          let p = Opencl.Cl.svm_alloc t.cl (int_of size) in
-          store_out ctx pp (TPtr (TScalar Void)) (VInt p);
-          ok
-        | _ -> errf "cudaHostAlloc arity"));
-    ("cudaMallocHost",
-     (fun ctx args ->
-        match args with
-        | pp :: size :: _ ->
-          ignore (ensure_built t);
-          let p = Opencl.Cl.svm_alloc t.cl (int_of size) in
-          store_out ctx pp (TPtr (TScalar Void)) (VInt p);
-          ok
-        | _ -> errf "cudaMallocHost arity"));
-    ("cudaHostGetDevicePointer",
-     (fun ctx args ->
-        match args with
-        | dpp :: hp :: _ ->
-          (* one shared address space: the device pointer IS the host one *)
-          store_out ctx dpp (TPtr (TScalar Void)) (VInt (ptr_of hp));
-          ok
-        | _ -> errf "cudaHostGetDevicePointer arity"));
-    ("cudaFreeHost",
-     (fun _ args ->
-        match args with
-        | [ p ] -> Opencl.Cl.svm_free t.cl (ptr_of p); ok
-        | _ -> errf "cudaFreeHost arity"));
-    ("cudaMemGetInfo",
-     (fun _ _ ->
-        (* the paper's nn/mummergpu failure: OpenCL has no counterpart *)
-        errf "cudaMemGetInfo cannot be implemented over OpenCL (§3.7)"));
-    (* ---- the translator-emitted helpers ------------------------------ *)
-    ("__c2o_kernel",
-     (fun ctx args ->
-        match args with
-        | [ name ] ->
-          let n = read_string ctx name.v in
-          tv (VInt (Int64.of_int (kernel_handle t n))) (TNamed "cl_kernel")
-        | _ -> errf "__c2o_kernel arity"));
-    ("__c2o_set_arg",
-     (fun _ args ->
-        match args with
-        | [ kh; idx; v ] ->
-          let k = kernel_of_handle t (int_of kh) in
-          let i = int_of idx in
-          let pa = List.nth k.Opencl.Cl.k_fn.fn_params i in
-          let layout = Lazy.force t.cl_layout in
-          Opencl.Cl.set_kernel_arg t.cl k i
-            (Opencl.Cl.A_scalar (convert_to_param layout pa v));
-          ok
-        | _ -> errf "__c2o_set_arg arity"));
-    ("clSetKernelArg",
-     (fun _ args ->
-        match args with
-        | [ kh; idx; size; nullp ] when Value.to_int nullp.v = 0L ->
-          (* dynamic __local argument (§4.1) *)
-          let k = kernel_of_handle t (int_of kh) in
-          Opencl.Cl.set_kernel_arg t.cl k (int_of idx)
-            (Opencl.Cl.A_local (int_of size));
-          ok
-        | _ -> errf "clSetKernelArg: only the NULL (local) form is emitted"));
-    ("__c2o_set_symbol_arg",
-     (fun ctx args ->
-        match args with
-        | [ kh; idx; name ] ->
-          let k = kernel_of_handle t (int_of kh) in
-          let b = sym_buffer t (read_string ctx name.v) in
-          Opencl.Cl.set_kernel_arg t.cl k (int_of idx) (Opencl.Cl.A_buffer b);
-          ok
-        | _ -> errf "__c2o_set_symbol_arg arity"));
-    ("__c2o_set_texture_args",
-     (fun ctx args ->
-        match args with
-        | [ kh; idx; name ] ->
-          let k = kernel_of_handle t (int_of kh) in
-          let n = read_string ctx name.v in
-          (match Hashtbl.find_opt t.tex_state n with
-           | Some (img, smp) ->
-             Opencl.Cl.set_kernel_arg t.cl k (int_of idx) (Opencl.Cl.A_image img);
-             Opencl.Cl.set_kernel_arg t.cl k (int_of idx + 1)
-               (Opencl.Cl.A_sampler smp);
-             ok
-           | None -> errf "texture %s used before cudaBindTexture*" n)
-        | _ -> errf "__c2o_set_texture_args arity"));
-    ("__c2o_fill_dims",
-     (fun ctx args ->
-        match args with
-        | [ grid; block; gws; lws ] ->
-          let gx, gy, gz = Cuda_native.decode_dim3 ctx grid in
-          let bx, by, bz = Cuda_native.decode_dim3 ctx block in
-          let store p i v =
-            let ptr = ptr_of p in
-            let arena = ctx.arena_of (Value.ptr_space ptr) in
-            Memory.store_int arena (Value.ptr_offset ptr + (8 * i)) 8
-              (Int64.of_int v)
-          in
-          (* NDRange = grid x block (Fig. 1) *)
-          store gws 0 (gx * bx); store gws 1 (gy * by); store gws 2 (gz * bz);
-          store lws 0 bx; store lws 1 by; store lws 2 bz;
-          ok
-        | _ -> errf "__c2o_fill_dims arity"));
-    ("clEnqueueNDRangeKernel",
-     (fun ctx args ->
-        match args with
-        | _q :: kh :: _dim :: _off :: gws :: lws :: _ ->
-          let k = kernel_of_handle t (int_of kh) in
-          let g = Array.init 3 (read_sizet_array ctx gws) in
-          let l = Array.init 3 (read_sizet_array ctx lws) in
-          let g = Array.map (max 1) g and l = Array.map (max 1) l in
-          t.launches <- t.launches + 1;
-          ignore (Opencl.Cl.enqueue_nd_range t.cl k ~gws:g ~lws:l ());
-          ok
-        | _ -> errf "clEnqueueNDRangeKernel arity"));
-    ("__c2o_queue", (fun _ _ -> tv (VInt 1L) (TNamed "cl_command_queue")));
-    ("__c2o_memcpy_to_symbol",
-     (fun ctx args ->
-        match args with
-        | name :: src :: n :: _ ->
-          let b = sym_buffer t (read_string ctx name.v) in
-          ignore
-            (Opencl.Cl.enqueue_write_buffer t.cl b ~size:(int_of n)
-               ~host_ptr:(ptr_of src) ());
-          ok
-        | _ -> errf "__c2o_memcpy_to_symbol arity"));
-    ("__c2o_memcpy_from_symbol",
-     (fun ctx args ->
-        match args with
-        | dst :: name :: n :: _ ->
-          let b = sym_buffer t (read_string ctx name.v) in
-          ignore
-            (Opencl.Cl.enqueue_read_buffer t.cl b ~size:(int_of n)
-               ~host_ptr:(ptr_of dst) ());
-          ok
-        | _ -> errf "__c2o_memcpy_from_symbol arity"));
-    (* ---- textures as images (§5) ------------------------------------- *)
-    ("cudaCreateChannelDesc",
-     (fun ctx _ -> Cuda_native.channel_desc_of_scalar ctx Float));
-    ("cudaMallocArray",
-     (fun ctx args ->
-        match args with
-        | parr :: desc :: w :: rest ->
-          ignore (ensure_built t);
-          let h = match rest with hh :: _ -> max 1 (int_of hh) | [] -> 1 in
-          let sc =
-            if Value.to_int desc.v = 0L then Float
-            else Cuda_native.scalar_of_channel_desc ctx desc
-          in
-          let img =
-            Opencl.Cl.create_image t.cl ~dim:2 ~width:(int_of w) ~height:h
-              ~order:Gpusim.Imagelib.CO_r
-              ~chtype:(image_chtype_of_scalar sc RM_element) ()
-          in
-          let id = t.next_array in
-          t.next_array <- id + 1;
-          Hashtbl.replace t.arrays id img;
-          store_out ctx parr (TPtr (TNamed "cudaArray")) (VInt (Int64.of_int id));
-          ok
-        | _ -> errf "cudaMallocArray arity"));
-    ("cudaMemcpyToArray",
-     (fun _ args ->
-        match args with
-        | arr :: _ :: _ :: src :: _bytes :: _ ->
-          (match Hashtbl.find_opt t.arrays (int_of arr) with
-           | Some img ->
-             ignore
-               (Opencl.Cl.enqueue_write_image t.cl img ~host_ptr:(ptr_of src) ());
-             ok
-           | None -> errf "cudaMemcpyToArray: bad array handle")
-        | _ -> errf "cudaMemcpyToArray arity"));
-    ("cudaBindTexture",
-     (fun ctx args ->
-        match args with
-        | [ _off; name; p; size ] ->
-          ignore (ensure_built t);
-          let n = read_string ctx name.v in
-          let tx = tex_info t n in
-          let elem = scalar_size tx.Xlat.Cuda_to_ocl.tx_scalar in
-          let texels = int_of size / max 1 elem in
-          (* a 1D image buffer is capped at the max 2D image width (§5) *)
-          let maxw = fst dev.Gpusim.Device.hw.max_image2d in
-          if texels > maxw then
-            errf "cudaBindTexture: %d texels exceed the OpenCL 1D image limit %d"
-              texels maxw;
-          let img =
-            Opencl.Cl.create_image t.cl ~dim:1 ~width:texels
-              ~order:Gpusim.Imagelib.CO_r
-              ~chtype:
-                (image_chtype_of_scalar tx.Xlat.Cuda_to_ocl.tx_scalar
-                   tx.Xlat.Cuda_to_ocl.tx_mode)
-              ()
-          in
-          (* copy the linear data into the image *)
-          Memory.blit ~src:dev.Gpusim.Device.global
-            ~src_addr:(Value.ptr_offset (ptr_of p))
-            ~dst:dev.Gpusim.Device.global
-            ~dst_addr:img.Gpusim.Imagelib.i_addr
-            ~len:(int_of size);
-          Hashtbl.replace t.tex_state n (img, default_sampler t);
-          ok
-        | _ -> errf "cudaBindTexture arity"));
-    ("cudaBindTextureToArray",
-     (fun ctx args ->
-        match args with
-        | name :: arr :: _ ->
-          let n = read_string ctx name.v in
-          (match Hashtbl.find_opt t.arrays (int_of arr) with
-           | Some img -> Hashtbl.replace t.tex_state n (img, default_sampler t); ok
-           | None -> errf "cudaBindTextureToArray: bad array handle")
-        | _ -> errf "cudaBindTextureToArray arity"));
-    ("cudaUnbindTexture",
-     (fun ctx args ->
-        (match args with
-         | [ name ] -> Hashtbl.remove t.tex_state (read_string ctx name.v)
-         | _ -> ());
-        ok));
-    ("cudaFreeArray", (fun _ _ -> ok));
-    (* ---- device management -------------------------------------------- *)
-    ("cudaGetDeviceProperties",
-     (fun ctx args ->
-        match args with
-        | pp :: _ ->
-          (* one clGetDeviceInfo round-trip per field: the deviceQuery
-             amplification of Figure 8 *)
-          let base = ptr_of pp in
-          let sp = Value.ptr_space base and off = Value.ptr_offset base in
-          let put field v =
-            match Layout.field_offset ctx.layout "cudaDeviceProp" field with
-            | Some (fo, fty) ->
-              Vm.Interp.store ctx sp (off + fo) fty (VInt v)
-            | None -> ()
-          in
-          let q p = Opencl.Cl.get_device_info t.cl p in
-          put "multiProcessorCount" (q "CL_DEVICE_MAX_COMPUTE_UNITS");
-          put "totalGlobalMem" (q "CL_DEVICE_GLOBAL_MEM_SIZE");
-          put "sharedMemPerBlock" (q "CL_DEVICE_LOCAL_MEM_SIZE");
-          put "maxThreadsPerBlock" (q "CL_DEVICE_MAX_WORK_GROUP_SIZE");
-          put "clockRate" (Int64.mul 1000L (q "CL_DEVICE_MAX_CLOCK_FREQUENCY"));
-          put "warpSize" (q "CL_DEVICE_WARP_SIZE");
-          put "regsPerBlock" (q "CL_DEVICE_REGISTERS_PER_BLOCK_NV");
-          (* no OpenCL query yields a compute capability; report 3.5 *)
-          put "major" 3L;
-          put "minor" 5L;
-          ok
-        | _ -> errf "cudaGetDeviceProperties arity"));
-    ("cudaGetDeviceCount",
-     (fun ctx args ->
-        match args with
-        | [ pn ] -> store_out ctx pn (TScalar Int) (VInt 1L); ok
-        | _ -> errf "cudaGetDeviceCount arity"));
-    ("cudaSetDevice", (fun _ _ -> ok));
-    ("cudaGetLastError", (fun _ _ -> ok));
-    ("cudaGetErrorString",
-     (fun ctx _ -> tv (VInt (string_ptr ctx "no error")) (TPtr (TScalar Char))));
-    ("cudaDeviceSynchronize", (fun _ _ -> Opencl.Cl.finish t.cl; ok));
-    ("cudaThreadSynchronize", (fun _ _ -> Opencl.Cl.finish t.cl; ok));
-    ("cudaDeviceReset", (fun _ _ -> ok));
-    ("cudaEventCreate",
-     (fun ctx args ->
-        match args with
-        | [ pe ] ->
-          let id = !next_event in
-          incr next_event;
-          Hashtbl.replace events id 0.0;
-          store_out ctx pe (TNamed "cudaEvent_t") (VInt (Int64.of_int id));
-          ok
-        | _ -> errf "cudaEventCreate arity"));
-    ("cudaEventRecord",
-     (fun _ args ->
-        match args with
-        | e :: _ ->
-          Hashtbl.replace events (int_of e) dev.Gpusim.Device.sim_time_ns;
-          ok
-        | _ -> errf "cudaEventRecord arity"));
-    ("cudaEventSynchronize", (fun _ _ -> ok));
-    ("cudaEventDestroy", (fun _ _ -> ok));
-    ("cudaEventElapsedTime",
-     (fun ctx args ->
-        match args with
-        | [ pms; e0; e1 ] ->
-          let t0 = Hashtbl.find events (int_of e0) in
-          let t1 = Hashtbl.find events (int_of e1) in
-          store_out ctx pms (TScalar Float) (VFloat ((t1 -. t0) /. 1e6));
-          ok
-        | _ -> errf "cudaEventElapsedTime arity"));
-    ("cudaStreamCreate",
-     (fun ctx args ->
-        match args with
-        | [ ps ] -> store_out ctx ps (TNamed "cudaStream_t") (VInt 0L); ok
-        | _ -> errf "cudaStreamCreate arity"));
-    ("cudaStreamSynchronize", (fun _ _ -> ok)) ]
-
-(* Every cuda* wrapper entry point wrapped in a wrapper-category span:
-   the cl* API spans a wrapper issues nest inside it automatically, so
-   the deviceQuery fan-out of §6.4 (one cudaGetDeviceProperties call
-   issuing one clGetDeviceInfo per property) is countable from the
-   trace. *)
-let traced_externals (t : t) =
-  let d = t.cl.Opencl.Cl.dev in
-  let clock () = d.Gpusim.Device.sim_time_ns in
-  List.map
-    (fun (name, fn) ->
-       ( name,
-         fun ctx args ->
-           Trace.Sink.with_span ~cat:Trace.Event.Wrapper ~name ~clock
-             (fun () -> fn ctx args) ))
-    (externals t)
+  checked
+    [ ("__c2o_kernel",
+       fun ctx -> function
+         | [ name ] ->
+           let n = read_string ctx name.v in
+           tv (VInt (Int64.of_int (kernel_handle t n))) (TNamed "cl_kernel")
+         | _ -> raise Arity);
+      ("__c2o_set_arg",
+       fun _ -> function
+         | [ kh; idx; v ] ->
+           let k = kernel_of_handle t (int_of kh) in
+           let i = int_of idx in
+           let pa = List.nth k.Opencl.Cl.k_fn.fn_params i in
+           let layout = Lazy.force t.cl_layout in
+           Opencl.Cl.set_kernel_arg t.cl k i
+             (Opencl.Cl.A_scalar (convert_to_param layout pa v));
+           ok
+         | _ -> raise Arity);
+      ("clSetKernelArg",
+       fun _ -> function
+         | [ kh; idx; size; nullp ] when Value.to_int nullp.v = 0L ->
+           (* dynamic __local argument (§4.1) *)
+           let k = kernel_of_handle t (int_of kh) in
+           Opencl.Cl.set_kernel_arg t.cl k (int_of idx)
+             (Opencl.Cl.A_local (int_of size));
+           ok
+         | _ -> errf "clSetKernelArg: only the NULL (local) form is emitted");
+      ("__c2o_set_symbol_arg",
+       fun ctx -> function
+         | [ kh; idx; name ] ->
+           let k = kernel_of_handle t (int_of kh) in
+           let b = sym_buffer t (read_string ctx name.v) in
+           Opencl.Cl.set_kernel_arg t.cl k (int_of idx) (Opencl.Cl.A_buffer b);
+           ok
+         | _ -> raise Arity);
+      ("__c2o_set_texture_args",
+       fun ctx -> function
+         | [ kh; idx; name ] ->
+           let k = kernel_of_handle t (int_of kh) in
+           let n = read_string ctx name.v in
+           (match Hashtbl.find_opt t.tex_state n with
+            | Some (img, smp) ->
+              Opencl.Cl.set_kernel_arg t.cl k (int_of idx) (Opencl.Cl.A_image img);
+              Opencl.Cl.set_kernel_arg t.cl k (int_of idx + 1)
+                (Opencl.Cl.A_sampler smp);
+              ok
+            | None -> errf "texture %s used before cudaBindTexture*" n)
+         | _ -> raise Arity);
+      ("__c2o_fill_dims",
+       fun ctx -> function
+         | [ grid; block; gws; lws ] ->
+           let gx, gy, gz = decode_dim3 ctx grid in
+           let bx, by, bz = decode_dim3 ctx block in
+           let store p i v =
+             let ptr = ptr_of p in
+             let arena = ctx.arena_of (Value.ptr_space ptr) in
+             Memory.store_int arena (Value.ptr_offset ptr + (8 * i)) 8
+               (Int64.of_int v)
+           in
+           (* NDRange = grid x block (Fig. 1) *)
+           store gws 0 (gx * bx); store gws 1 (gy * by); store gws 2 (gz * bz);
+           store lws 0 bx; store lws 1 by; store lws 2 bz;
+           ok
+         | _ -> raise Arity);
+      ("clEnqueueNDRangeKernel",
+       fun ctx -> function
+         | _q :: kh :: _dim :: _off :: gws :: lws :: _ ->
+           let k = kernel_of_handle t (int_of kh) in
+           let g = Array.init 3 (read_sizet_array ctx gws) in
+           let l = Array.init 3 (read_sizet_array ctx lws) in
+           let g = Array.map (max 1) g and l = Array.map (max 1) l in
+           ignore (Opencl.Cl.enqueue_nd_range t.cl k ~gws:g ~lws:l ());
+           ok
+         | _ -> raise Arity);
+      ("__c2o_queue", fun _ _ -> tv (VInt 1L) (TNamed "cl_command_queue"));
+      ("__c2o_memcpy_to_symbol",
+       fun ctx -> function
+         | name :: src :: n :: _ ->
+           let b = sym_buffer t (read_string ctx name.v) in
+           ignore
+             (Opencl.Cl.enqueue_write_buffer t.cl b ~size:(int_of n)
+                ~host_ptr:(ptr_of src) ());
+           ok
+         | _ -> raise Arity);
+      ("__c2o_memcpy_from_symbol",
+       fun ctx -> function
+         | dst :: name :: n :: _ ->
+           let b = sym_buffer t (read_string ctx name.v) in
+           ignore
+             (Opencl.Cl.enqueue_read_buffer t.cl b ~size:(int_of n)
+                ~host_ptr:(ptr_of dst) ());
+           ok
+         | _ -> raise Arity) ]
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let run ~(dev : Gpusim.Device.t) ~(result : Xlat.Cuda_to_ocl.result) :
-  Cuda_native.run_result =
+  Hostrun.run =
   let session = Hostrun.make_session () in
   let t = make dev result session in
-  let arena_of : addr_space -> Memory.arena = function
-    | AS_none -> session.Hostrun.arena
-    | AS_global -> dev.Gpusim.Device.global
-    | AS_constant -> dev.Gpusim.Device.constant
-    | AS_local | AS_private -> errf "host code touched device-only memory"
+  (* every entry point in a wrapper-category span: the cl* API spans a
+     wrapper issues nest inside it, so the deviceQuery fan-out of §6.4
+     (one cudaGetDeviceProperties call issuing one clGetDeviceInfo per
+     property) is countable from the trace *)
+  let clock () = dev.Gpusim.Device.sim_time_ns in
+  let traced (name, fn) =
+    ( name,
+      fun ctx args ->
+        Trace.Sink.with_span ~cat:Trace.Event.Wrapper ~name ~clock
+          (fun () -> fn ctx args) )
   in
-  let t0 = dev.Gpusim.Device.sim_time_ns in
-  let output =
-    Hostrun.run_main ~config:dev.Gpusim.Device.config ~session
-      ~prog:result.Xlat.Cuda_to_ocl.host_prog
-      ~arena_of ~externals:(traced_externals t)
-      ~special_ident:Hostrun.host_constants ()
+  let r =
+    Hostrun.run ~dev ~session ~prog:result.Xlat.Cuda_to_ocl.host_prog
+      ~externals:(List.map traced (Binding.externals t @ helper_externals t)) ()
   in
   (* like Figure 7, the on-line build is excluded: CUDA needs no on-line
      compilation, so including it would not compare like with like *)
-  { Cuda_native.output;
-    time_ns = dev.Gpusim.Device.sim_time_ns -. t0 -. t.build_ns;
-    kernel_launches = t.launches }
+  { r with Hostrun.r_time_ns = r.Hostrun.r_time_ns -. t.build_ns }

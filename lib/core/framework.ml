@@ -19,7 +19,7 @@ let device_of ?config target =
   | Titan_opencl -> create Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
   | Amd_opencl -> create Gpusim.Device.hd7970 Gpusim.Device.opencl_on_amd
 
-type run = {
+type run = Hostrun.run = {
   r_output : string;
   r_time_ns : float;        (* already excludes what the paper excludes *)
 }
@@ -110,13 +110,11 @@ let translate_cuda ?(tex1d_texels = None) ?(cl_target = Xlat.Feature.CL12)
 
 let run_cuda_native ?dev (src : string) : run =
   let dev = match dev with Some d -> d | None -> device_of Titan_cuda in
-  let r = Cuda_native.run ~dev ~src in
-  { r_output = r.Cuda_native.output; r_time_ns = r.Cuda_native.time_ns }
+  Cuda_native.run ~dev ~src
 
 let run_translated_cuda ?dev (result : Xlat.Cuda_to_ocl.result) : run =
   let dev = match dev with Some d -> d | None -> device_of Titan_opencl in
-  let r = Cuda_on_cl.run ~dev ~result in
-  { r_output = r.Cuda_native.output; r_time_ns = r.Cuda_native.time_ns }
+  Cuda_on_cl.run ~dev ~result
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)

@@ -17,7 +17,7 @@ val device_of : ?config:Gpusim.Config.t -> target -> Gpusim.Device.t
 (** Result of one application run: the program's printed output and its
     simulated duration.  Durations already exclude what the paper
     excludes (the OpenCL on-line build, §6.2). *)
-type run = {
+type run = Hostrun.run = {
   r_output : string;
   r_time_ns : float;
 }

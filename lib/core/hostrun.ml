@@ -99,9 +99,10 @@ let format_printf ctx fmt (args : tval list) =
            Buffer.add_char buf (Char.chr (v land 0xff))
          | 'f' | 'e' | 'g' | 'E' | 'G' ->
            let v = Value.to_float (pop ()).v in
-           let sp = if sp = "%" then "%f" else sp ^ String.make 1 conv in
            Buffer.add_string buf
-             (Printf.sprintf (Scanf.format_from_string sp "%f") v)
+             (Printf.sprintf
+                (Scanf.format_from_string (sp ^ String.make 1 conv) "%f")
+                v)
          | 's' ->
            let v = pop () in
            Buffer.add_string buf (read_string ctx v.v)
@@ -266,3 +267,27 @@ let host_constants name : tval option =
   | "RAND_MAX" -> Some (tint 32767)
   | "stdout" | "stderr" -> Some (tint 0)
   | _ -> None
+
+type run = {
+  r_output : string;
+  r_time_ns : float;
+}
+
+(* Run a CUDA host program on [dev] over [session], whose runtime the
+   caller has set up: host pointers reach the session arena, device
+   pointers [dev]'s arenas, and the run lasts the simulated time from
+   here to the end of main(). *)
+let run ~(dev : Gpusim.Device.t) ~session ~prog ~externals ?globals
+    ?launch_handler () =
+  let arena_of : addr_space -> Vm.Memory.arena = function
+    | AS_none -> session.arena
+    | AS_global -> dev.Gpusim.Device.global
+    | AS_constant -> dev.Gpusim.Device.constant
+    | AS_local | AS_private -> raise (Host_error "host code touched device-only memory")
+  in
+  let t0 = dev.Gpusim.Device.sim_time_ns in
+  let r_output =
+    run_main ~config:dev.Gpusim.Device.config ~session ~prog ~arena_of ~externals
+      ~special_ident:host_constants ?globals ?launch_handler ()
+  in
+  { r_output; r_time_ns = dev.Gpusim.Device.sim_time_ns -. t0 }

@@ -4,8 +4,10 @@
     module supplies the libc-level externals every host program needs —
     printf with output capture, malloc over the host arena, memcpy,
     memset, a deterministic rand — plus the glue to run [main()].  The
-    CUDA- or OpenCL-specific externals come from {!Cuda_native}
-    (original programs) or {!Cuda_on_cl} (translated ones). *)
+    cuda* calls original and translated CUDA host programs share are
+    bound once, by {!Cuda_api}, over the simulated CUDA runtime
+    ({!Cuda_native}) or wrappers over OpenCL ({!Cuda_on_cl}); each of
+    those two adds the calls only its direction has. *)
 
 exception Host_error of string
 
@@ -56,3 +58,22 @@ val run_main :
 (** Named constants host code expects (NULL, cudaMemcpy kinds, CL_TRUE,
     RAND_MAX, ...). *)
 val host_constants : string -> Vm.Interp.tval option
+
+(** A CUDA host program's printed output and simulated duration. *)
+type run = {
+  r_output : string;
+  r_time_ns : float;
+}
+
+(** Run a CUDA host program's [main()] on [dev] ({!run_main} under the
+    device's configuration and {!host_constants}) over [session], whose
+    runtime the caller has set up: host pointers reach the session
+    arena, device pointers [dev]'s global and constant arenas, and any
+    other space is a [Host_error].  [r_time_ns] is the simulated time
+    from the call to the end of [main()]. *)
+val run :
+  dev:Gpusim.Device.t -> session:session -> prog:Minic.Ast.program ->
+  externals:(string * (Vm.Interp.ctx -> Vm.Interp.tval list -> Vm.Interp.tval)) list ->
+  ?globals:(string, Vm.Interp.binding) Hashtbl.t ->
+  ?launch_handler:(Vm.Interp.ctx -> Vm.Interp.launch_call -> Vm.Interp.tval) ->
+  unit -> run

@@ -183,8 +183,8 @@ let arena_for cu space =
   | AS_local | AS_private -> err "cudaMemcpy: bad pointer space"
 
 (* cudaMemcpy: the direction is implied by the encoded pointer spaces
-   (unified-virtual-addressing style); the explicit kind argument of the
-   C API is validated by the bridge layer. *)
+   (unified-virtual-addressing style); host code's binding ignores the
+   explicit kind argument of the C API. *)
 let memcpy cu ~dst ~src ~bytes =
   traced cu "cudaMemcpy" ~args:[ ("bytes", string_of_int bytes) ]
   @@ fun () ->
@@ -321,15 +321,10 @@ let bind_texture_to_array_ref cu tref (a : cuda_array) =
   api cu;
   tref.t_bound <- B_array a
 
-let bind_texture_to_array cu name (a : cuda_array) =
-  bind_texture_to_array_ref cu (texture_by_name cu name) a
-
 let unbind_texture_ref cu tref =
   traced cu "cudaUnbindTexture" @@ fun () ->
   api cu;
   tref.t_bound <- B_unbound
-
-let unbind_texture cu name = unbind_texture_ref cu (texture_by_name cu name)
 
 (* Kernel-side texture fetch built-ins. *)
 let texture_externals cu =

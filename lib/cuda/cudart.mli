@@ -120,9 +120,7 @@ val bind_texture_ref :
 val bind_texture :
   t -> string -> ptr:int64 -> bytes:int -> elem:Minic.Ast.scalar -> unit
 val bind_texture_to_array_ref : t -> texture_ref -> cuda_array -> unit
-val bind_texture_to_array : t -> string -> cuda_array -> unit
 val unbind_texture_ref : t -> texture_ref -> unit
-val unbind_texture : t -> string -> unit
 
 (** The tex1Dfetch/tex1D/tex2D/tex3D kernel built-ins, resolving texture
     handles against this runtime's registry. *)

@@ -475,10 +475,10 @@ type mop =
     }
   | MBinFF of { op : binop; dst : int; a : fsrc; b : fsrc }
   | MCmpFF of { op : binop; dst : int; a : fsrc; b : fsrc }
-  | MNegI of { dst : int; a : isrc }
+  | MNegI of { dst : int; a : isrc; wsh : int; wsg : bool }
   | MNegF of { dst : int; a : fsrc }
   | MLnot of { dst : int; a : isrc }
-  | MBnot of { dst : int; a : isrc }
+  | MBnot of { dst : int; a : isrc; wsh : int; wsg : bool }
   | MBool of { dst : int; a : isrc }
   | MCastI of { dst : int; a : isrc; wsh : int; wsg : bool }
   | MCastF of { dst : int; a : fsrc; r32 : bool }
@@ -598,6 +598,12 @@ let crossings (c : cenv) (k : Core.ikind) : mop list * mop list =
 
 let ( let* ) = Option.bind
 
+(* Interp.unop's wrap of an int or unsigned int negation or complement *)
+let wrap32_spec (c : cenv) t =
+  match Layout.resolve c.c_lt t with
+  | TScalar ((Int | UInt) as s) -> wrap_spec s
+  | _ -> (0, false)
+
 (* [cast_value] on lane-resident scalars: the four statically-resolved
    conversion shapes ([Region.cast_class] admits exactly these), all
    charge-free like the scalar CastV/CastRet closures. *)
@@ -665,10 +671,11 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
          Some (MBinFF { op; dst = d; a = sa; b = sb }, Some I.Op_float))
   | Core.Let (r, Core.Un (u, a)) ->
     (match u, cls_operand c.c_cls a with
-     | Core.UNeg, CI _ ->
+     | Core.UNeg, CI t ->
        let* sa = src_i c a in
        let* d = lane_i c r in
-       Some (MNegI { dst = d; a = sa }, Some I.Op_int)
+       let wsh, wsg = wrap32_spec c t in
+       Some (MNegI { dst = d; a = sa; wsh; wsg }, Some I.Op_int)
      | Core.UNeg, CF _ ->
        let* sa = src_f c a in
        let* d = lane_f c r in
@@ -677,10 +684,11 @@ let fuse_ikind (c : cenv) ~(iid : int) (k : Core.ikind) :
        let* sa = src_i c a in
        let* d = lane_i c r in
        Some (MLnot { dst = d; a = sa }, Some I.Op_int)
-     | Core.UBnot, CI _ ->
+     | Core.UBnot, CI t ->
        let* sa = src_i c a in
        let* d = lane_i c r in
-       Some (MBnot { dst = d; a = sa }, Some I.Op_int)
+       let wsh, wsg = wrap32_spec c t in
+       Some (MBnot { dst = d; a = sa; wsh; wsg }, Some I.Op_int)
      | Core.UBool, CI _ ->
        let* sa = src_i c a in
        let* d = lane_i c r in
@@ -870,10 +878,10 @@ let exec_mop (w : wenv) (nact : int) (full : bool) (m : mop) : unit =
       in
       Lanes.set_i w.ki (dst + l) (if t then 1L else 0L)
     done
-  | MNegI { dst; a } ->
+  | MNegI { dst; a; wsh; wsg } ->
     for k = 0 to nact - 1 do
       let l = Array.unsafe_get lx k in
-      Lanes.set_i w.ki (dst + l) (Int64.neg (get_i w a l))
+      Lanes.set_i w.ki (dst + l) (apply_wrap wsh wsg (Int64.neg (get_i w a l)))
     done
   | MNegF { dst; a } ->
     for k = 0 to nact - 1 do
@@ -886,10 +894,10 @@ let exec_mop (w : wenv) (nact : int) (full : bool) (m : mop) : unit =
       Lanes.set_i w.ki (dst + l)
         (if Int64.equal (get_i w a l) 0L then 1L else 0L)
     done
-  | MBnot { dst; a } ->
+  | MBnot { dst; a; wsh; wsg } ->
     for k = 0 to nact - 1 do
       let l = Array.unsafe_get lx k in
-      Lanes.set_i w.ki (dst + l) (Int64.lognot (get_i w a l))
+      Lanes.set_i w.ki (dst + l) (apply_wrap wsh wsg (Int64.lognot (get_i w a l)))
     done
   | MBool { dst; a } ->
     for k = 0 to nact - 1 do

@@ -2,12 +2,14 @@
 
    One OCaml closure per instruction, composed into per-body arrays,
    with a per-call wrapper that follows `Vm.Interp.call_function` (depth
-   guard, stack-arena mark/release, observer enter/leave, return-type
-   conversion).  Every runtime branch below evaluates as the
-   interpreter does — same value normalization, same
-   `on_access`/`on_op` charges, same failure messages — except where
-   the IR's documented promotion exception applies: values in virtual
-   registers have no simulated memory traffic at all.
+   guard, stack-arena mark/release, return-type conversion).  Every
+   runtime branch below evaluates as the interpreter does — same value
+   normalization, same `on_access`/`on_op`/`on_branch` charges, same
+   failure messages — except where the IR's documented promotion
+   exception applies: values in virtual registers have no simulated
+   memory traffic at all.  No observer is modelled: `Exec.setup` runs a
+   launch that has one on the interpreter, and host code never has
+   one.
 
    Functions the lowering rejected run on the interpreter: a `CallU`
    resolves its callee lazily at first call, to an IR wrapper when one
@@ -93,7 +95,7 @@ let compiled_load lt ty : I.ctx -> addr_space -> int -> V.t =
       V.VInt (Memory.load_int (ctx.I.arena_of space) addr 8)
   | TQual _ | TConst _ -> assert false
 
-let rec compiled_store_raw lt ty : I.ctx -> addr_space -> int -> V.t -> unit =
+let rec compiled_store lt ty : I.ctx -> addr_space -> int -> V.t -> unit =
   match Layout.resolve lt ty with
   | TScalar ((Float | Double) as s) ->
     let n = scalar_size s in
@@ -139,17 +141,8 @@ let rec compiled_store_raw lt ty : I.ctx -> addr_space -> int -> V.t -> unit =
     fun ctx space addr v ->
       ctx.I.on_access Memory.Store space addr 8;
       Memory.store_int (ctx.I.arena_of space) addr 8 (V.to_int v)
-  | TArr (elt, _) -> compiled_store_raw lt (TPtr elt)
+  | TArr (elt, _) -> compiled_store lt (TPtr elt)
   | TQual _ | TConst _ -> assert false
-
-let compiled_store lt ty : I.ctx -> addr_space -> int -> V.t -> unit =
-  let raw = compiled_store_raw lt ty in
-  fun ctx space addr v ->
-    match ctx.I.observer with
-    | None -> raw ctx space addr v
-    | Some o ->
-      o.I.obs_store ctx space addr ty v;
-      if o.I.obs_perform space then raw ctx space addr v
 
 (* Generic load/store for dynamically shaped lvalues. *)
 
@@ -351,8 +344,7 @@ let classify lt (fn : Core.fn) : Region.vcls array =
    its kind, space, address and size ([private_accesses] feeds
    Timing.issue_cost), and the DeclMem still allocates, so later private
    addresses do not move.  Slot values are normalized to the element
-   type, as a load from memory would return them.  Exec never runs the
-   IR under an observer, so the slot closures do not model one. *)
+   type, as a load from memory would return them. *)
 
 let slot_scalar s = is_float_scalar s || narrow_scalar s
 
@@ -784,6 +776,14 @@ let wrap_params s =
   if is_unsigned s then (0, (1 lsl bits) - 1) else (63 - bits, -1)
 
 let[@inline] wrap sh mask x = ((x lsl sh) asr sh) land mask
+
+(* Interp.unop's wrap: an int or unsigned int result wraps to 32 bits,
+   a narrower one (promoted to int) does not. *)
+let wrap32_params lt t =
+  match Layout.resolve lt t with
+  | TScalar ((Int | UInt) as s) -> wrap_params s
+  | _ -> (0, -1)
+
 let[@inline] round32 f = Int32.float_of_bits (Int32.bits_of_float f)
 let[@inline] round single f = if single then round32 f else f
 
@@ -970,11 +970,11 @@ let typed_un lt (k : bank) r u a : (renv -> unit) option =
        let x = fdesc k a in
        Some (fun env -> float_op env; setf env d ty (-.getf env x))
      | Core.UNeg, Region.CI t when narrow lt t ->
-       let x = idesc k a in
-       Some (fun env -> int_op env; seti env d ty (-geti env x))
+       let x = idesc k a and sh, mask = wrap32_params lt t in
+       Some (fun env -> int_op env; seti env d ty (wrap sh mask (-geti env x)))
      | Core.UBnot, Region.CI t when narrow lt t ->
-       let x = idesc k a in
-       Some (fun env -> int_op env; seti env d ty (lnot (geti env x)))
+       let x = idesc k a and sh, mask = wrap32_params lt t in
+       Some (fun env -> int_op env; seti env d ty (wrap sh mask (lnot (geti env x))))
      | Core.ULnot, Region.CI _ ->
        let x = idesc k a in
        Some
@@ -1269,35 +1269,13 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
   | Core.Un (u, a) ->
     let ca = rd bst a in
     (match u with
-     | Core.UNeg ->
-       fun env ->
-         let x = ca env in
-         env.ctx.I.on_op
-           (if I.is_float_ty env.ctx x.I.ty then I.Op_float else I.Op_int);
-         (match x.I.v with
-          | V.VFloat f -> I.tv (V.VFloat (-.f)) x.I.ty
-          | V.VInt n -> I.tv (V.VInt (Int64.neg n)) x.I.ty
-          | V.VVec c ->
-            I.tv
-              (V.VVec
-                 (Array.map
-                    (function
-                      | V.VFloat f -> V.VFloat (-.f)
-                      | V.VInt n -> V.VInt (Int64.neg n)
-                      | v -> v)
-                    c))
-              x.I.ty
-          | V.VUnit -> I.fail "negating unit")
+     | Core.UNeg -> fun env -> I.unop env.ctx Neg (ca env)
      | Core.ULnot ->
        fun env ->
          let x = ca env in
          env.ctx.I.on_op I.Op_int;
          I.tv (V.of_bool (not (V.to_bool x.I.v))) (TScalar Int)
-     | Core.UBnot ->
-       fun env ->
-         let x = ca env in
-         env.ctx.I.on_op I.Op_int;
-         I.tv (V.VInt (Int64.lognot (V.to_int x.I.v))) x.I.ty
+     | Core.UBnot -> fun env -> I.unop env.ctx Bnot (ca env)
      | Core.UBool ->
        fun env ->
          let x = ca env in
@@ -1535,8 +1513,6 @@ and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option
      | _ -> None)
   | Core.Store (Core.LvIdx (a, i, elt, esz), o) ->
     let xa = idesc bk a and xi = idesc bk i in
-    (* an observer (never installed on this engine) gets the generic store *)
-    let cs = compiled_store lt elt and co = rd bst o in
     (match Layout.resolve lt elt with
      | TScalar ((Float | Double) as s) ->
        let n = scalar_size s and x = fdesc bk o and single = s = Float in
@@ -1545,15 +1521,12 @@ and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option
             let addr = idx_addr env xa xi esz in
             let sp = space_of addr and off = offset_of addr in
             let ctx = env.ctx in
-            match ctx.I.observer with
-            | Some _ -> cs ctx sp off (co env).I.v
-            | None ->
-              ctx.I.on_access Memory.Store sp off n;
-              let ar = ctx.I.arena_of sp in
-              check ar off n;
-              let f = round single (getf env x) in
-              if n = 4 then Bytes.set_int32_le ar.Memory.data off (Int32.bits_of_float f)
-              else Bytes.set_int64_le ar.Memory.data off (Int64.bits_of_float f))
+            ctx.I.on_access Memory.Store sp off n;
+            let ar = ctx.I.arena_of sp in
+            check ar off n;
+            let f = round single (getf env x) in
+            if n = 4 then Bytes.set_int32_le ar.Memory.data off (Int32.bits_of_float f)
+            else Bytes.set_int64_le ar.Memory.data off (Int64.bits_of_float f))
      | TScalar s ->
        let n = max 1 (scalar_size s) and x = idesc bk o in
        Some
@@ -1561,17 +1534,14 @@ and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option
             let addr = idx_addr env xa xi esz in
             let sp = space_of addr and off = offset_of addr in
             let ctx = env.ctx in
-            match ctx.I.observer with
-            | Some _ -> cs ctx sp off (co env).I.v
-            | None ->
-              ctx.I.on_access Memory.Store sp off n;
-              let ar = ctx.I.arena_of sp in
-              check ar off n;
-              let data = ar.Memory.data in
-              if n = 8 then Bytes.set_int64_le data off (geti64 env x)
-              else if n = 4 then Bytes.set_int32_le data off (Int32.of_int (geti env x))
-              else if n = 2 then Bytes.set_uint16_le data off (geti env x land 0xFFFF)
-              else Bytes.set data off (Char.unsafe_chr (geti env x land 0xFF)))
+            ctx.I.on_access Memory.Store sp off n;
+            let ar = ctx.I.arena_of sp in
+            check ar off n;
+            let data = ar.Memory.data in
+            if n = 8 then Bytes.set_int64_le data off (geti64 env x)
+            else if n = 4 then Bytes.set_int32_le data off (Int32.of_int (geti env x))
+            else if n = 2 then Bytes.set_uint16_le data off (geti env x land 0xFFFF)
+            else Bytes.set data off (Char.unsafe_chr (geti env x land 0xFF)))
      | _ -> None)
   | _ -> None
 
@@ -1690,7 +1660,9 @@ and emit_body (bst : bst) (tracked : int option) (b : Core.body) : renv -> unit 
       let ce = emit_body bst (Some site) e in
       let f env =
         env.ctx.I.on_op I.Op_branch;
-        if I.obs_branch env.ctx (cc env) then ct env else ce env
+        let b = cc env in
+        env.ctx.I.on_branch b;
+        if b then ct env else ce env
       in
       build None (f :: acc) rest
     | Core.Loop l :: rest -> build None (emit_loop bst l :: acc) rest
@@ -1756,7 +1728,9 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
            | None -> true
            | Some (cb, co) ->
              cb env;
-             I.obs_branch env.ctx (co env)
+             let b = co env in
+             env.ctx.I.on_branch b;
+             b
          do
            (try body env with I.Continue_exc -> ());
            update env
@@ -1776,7 +1750,9 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
             | None -> continue_ := false
             | Some (cb, co) ->
               cb env;
-              continue_ := I.obs_branch env.ctx (co env))
+              let b = co env in
+              env.ctx.I.on_branch b;
+              continue_ := b)
          done
        with I.Break_exc -> ())
 
@@ -1827,10 +1803,6 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
     end;
     let arena = ctx.I.arena_of ctx.I.stack_space in
     let m = Memory.mark arena in
-    (match ctx.I.observer with Some o -> o.I.obs_enter fname | None -> ());
-    let obs_leave () =
-      match ctx.I.observer with Some o -> o.I.obs_leave fname | None -> ()
-    in
     let ambient = !(ctx.I.cur_site) in
     let env =
       { ctx;
@@ -1849,19 +1821,16 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
       Memory.release arena m;
       ctx.I.call_depth <- ctx.I.call_depth - 1;
       restore ();
-      obs_leave ();
       I.tunit
     | exception I.Return_exc v ->
       Memory.release arena m;
       ctx.I.call_depth <- ctx.I.call_depth - 1;
       restore ();
-      obs_leave ();
       if equal_ty v.I.ty ret then v else I.cast_value ctx ret v
     | exception e ->
       Memory.release arena m;
       ctx.I.call_depth <- ctx.I.call_depth - 1;
       restore ();
-      obs_leave ();
       raise e
 
 (* ------------------------------------------------------------------ *)

@@ -51,7 +51,7 @@ type modl = {
 
 (* A device helper is inlinable when its body is an if/return tree over
    plain scalar parameters: the call then lowers to the equivalent
-   conditional expression (same Op_branch charges, same branch-observer
+   conditional expression (same Op_branch charges, same on_branch
    decisions), the return conversion to `CastRet` and the parameters to
    normalized registers.  This is what dissolves the translator's
    `__oc2cu_get_*` dimension-switch helpers into foldable selects. *)

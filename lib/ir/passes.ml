@@ -188,24 +188,9 @@ let rhs_ety p = function
 (* Folding helpers (counter-free mirrors of the backend's evaluation)   *)
 (* ------------------------------------------------------------------ *)
 
-let fold_un (u : Core.un1) (x : I.tval) : I.tval option =
+let fold_un ctx (u : Core.un1) (x : I.tval) : I.tval option =
   match u with
-  | Core.UNeg ->
-    (match x.I.v with
-     | V.VFloat f -> Some (I.tv (V.VFloat (-.f)) x.I.ty)
-     | V.VInt n -> Some (I.tv (V.VInt (Int64.neg n)) x.I.ty)
-     | V.VVec c ->
-       Some
-         (I.tv
-            (V.VVec
-               (Array.map
-                  (function
-                    | V.VFloat f -> V.VFloat (-.f)
-                    | V.VInt n -> V.VInt (Int64.neg n)
-                    | v -> v)
-                  c))
-            x.I.ty)
-     | _ -> None)
+  | Core.UNeg -> Some (I.unop ctx Neg x)
   | Core.ULnot ->
     (match x.I.v with
      | V.VUnit -> None
@@ -213,7 +198,7 @@ let fold_un (u : Core.un1) (x : I.tval) : I.tval option =
   | Core.UBnot ->
     (* mirror applies to_int; fold only the plain-int case *)
     (match x.I.v with
-     | V.VInt n -> Some (I.tv (V.VInt (Int64.lognot n)) x.I.ty)
+     | V.VInt _ -> Some (I.unop ctx Bnot x)
      | _ -> None)
   | Core.UBool ->
     (match x.I.v with
@@ -225,7 +210,7 @@ let try_fold p (rhs : Core.rhs) : I.tval option =
   match rhs with
   | Core.Bin (op, Core.Cst a, Core.Cst b) ->
     (try Some (I.binop ctx op a b) with _ -> None)
-  | Core.Un (u, Core.Cst a) -> (try fold_un u a with _ -> None)
+  | Core.Un (u, Core.Cst a) -> (try fold_un ctx u a with _ -> None)
   | Core.CastV (t, Core.Cst a) ->
     (try Some (I.cast_value ctx t a) with _ -> None)
   | Core.CastRet (t, Core.Cst a) ->

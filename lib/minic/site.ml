@@ -23,7 +23,7 @@ open Ast
 let overhead_site = 0
 
 (* Global switch read by the build pipelines (Cl.build_program,
-   Cuda_native.load, Framework.translate_cuda, Cl_on_cuda); off until
+   Cuda_native.run, Framework.translate_cuda, Cl_on_cuda); off until
    `--attribute` (or a test) sets it.  Build caches must salt their keys
    with [cache_salt] so annotated and plain ASTs never alias. *)
 let enabled = ref false

@@ -523,6 +523,40 @@ let rec binop ctx op (a : tval) (b : tval) : tval =
       | _ -> tv (VInt (Value.wrap_int sc r)) (TScalar sc)
     end
 
+(* An int or unsigned int result of a unary operator wraps to 32 bits,
+   as in C; a narrower operand is promoted to int by C, whose result
+   needs no wrap. *)
+let wrap_unary ctx ty n =
+  match Layout.resolve ctx.layout ty with
+  | TScalar ((Int | UInt) as s) -> Value.wrap_int s n
+  | _ -> n
+
+(* Negation and bitwise complement, charged like binop; a vector
+   negates componentwise. *)
+let unop ctx op (x : tval) : tval =
+  match op with
+  | Neg ->
+    ctx.on_op (if is_float_ty ctx x.ty then Op_float else Op_int);
+    (match x.v with
+     | VFloat f -> tv (VFloat (-.f)) x.ty
+     | VInt n -> tv (VInt (wrap_unary ctx x.ty (Int64.neg n))) x.ty
+     | VVec c ->
+       tv
+         (VVec
+            (Array.map
+               (function
+                 | Value.VFloat f -> Value.VFloat (-.f)
+                 | Value.VInt n -> Value.VInt (Int64.neg n)
+                 | v -> v)
+               c))
+         x.ty
+     | VUnit -> fail "negating unit")
+  | Bnot ->
+    ctx.on_op Op_int;
+    tv (VInt (wrap_unary ctx x.ty (Int64.lognot (Value.to_int x.v)))) x.ty
+  | Lnot | Deref | Addrof | Preinc | Predec | Postinc | Postdec ->
+    invalid_arg "Interp.unop"
+
 (* A vector component converted to its element type: rounded to a
    float type's precision, or wrapped to an integer type's width. *)
 let convert_elt s c =
@@ -893,31 +927,11 @@ and eval ctx (e : expr) : tval =
        (match ctx.special_ident name with
         | Some t -> t
         | None -> fail "unbound identifier %s" name))
-  | Unary (Neg, a) ->
-    let x = eval ctx a in
-    ctx.on_op (if is_float_ty ctx x.ty then Op_float else Op_int);
-    (match x.v with
-     | VFloat f -> tv (VFloat (-.f)) x.ty
-     | VInt n -> tv (VInt (Int64.neg n)) x.ty
-     | VVec c ->
-       tv
-         (VVec
-            (Array.map
-               (function
-                 | Value.VFloat f -> Value.VFloat (-.f)
-                 | Value.VInt n -> Value.VInt (Int64.neg n)
-                 | v -> v)
-               c))
-         x.ty
-     | VUnit -> fail "negating unit")
+  | Unary ((Neg | Bnot) as op, a) -> unop ctx op (eval ctx a)
   | Unary (Lnot, a) ->
     let x = eval ctx a in
     ctx.on_op Op_int;
     tv (Value.of_bool (not (Value.to_bool x.v))) (TScalar Int)
-  | Unary (Bnot, a) ->
-    let x = eval ctx a in
-    ctx.on_op Op_int;
-    tv (VInt (Int64.lognot (Value.to_int x.v))) x.ty
   | Unary (Deref, _) | Index (_, _) | Member (_, _) ->
     (* may still be an rvalue-only member: threadIdx.x, or a component of
        a call result like read_imagef(...).x *)

@@ -219,13 +219,40 @@ let uint_inputs =
   [ 0; 1; 2; 3; 0x7fffffff; 0x80000000; 0xffffffff; 0xfffffffe; 12345;
     0x40000000; 0xc0000000; 7; 65536; 0x1234abcd; 0x80000001; 100 ]
 
+(* C wraps a uint negation or complement to 32 bits before it widens *)
+let uint_wide_src = {|
+__kernel void k(__global ulong* out, __global uint* in) {
+  int i = get_global_id(0);
+  uint a = in[i];
+  out[i * 2] = (ulong)~a;
+  out[i * 2 + 1] = (ulong)-a;
+}
+|}
+
 let uint_case () =
   let prog, r =
     differential ~src:uint_src ~out_bytes:(gws * 40)
       ~inputs:[ counts; ints uint_inputs ] ()
   in
   expect_done r;
-  banked prog ~ints:4 ~flts:0
+  banked prog ~ints:4 ~flts:0;
+  let wide = Minic.Parser.program ~dialect:Minic.Parser.OpenCL uint_wide_src in
+  let expected =
+    List.concat_map (fun a -> [ lnot a land 0xFFFFFFFF; -a land 0xFFFFFFFF ]) uint_inputs
+  in
+  List.iter
+    (fun (name, backend, passes) ->
+       match
+         launch ~backend ~passes ~domains:1 wide ~out_bytes:(gws * 16)
+           ~inputs:[ ints uint_inputs ]
+       with
+       | Done (b, _, _) ->
+         Alcotest.(check (list int)) ("(ulong)~a, (ulong)-a: " ^ name) expected
+           (List.init (2 * gws) (fun i -> Int64.to_int (String.get_int64_le b (8 * i))))
+       | Failed (m, _) -> Alcotest.failf "%s: kernel failed: %s" name m)
+    [ ("interpreter", Gpusim.Exec.Interp, Ir.Pipeline.none);
+      ("IR, passes none", Gpusim.Exec.Compiled, Ir.Pipeline.none);
+      ("IR, passes all", Gpusim.Exec.Compiled, Ir.Pipeline.all) ]
 
 let int_src = {|
 __kernel void k(__global int* out, __global int* cnt, __global int* in) {

@@ -38,6 +38,21 @@ int main(void) {
 }
 |}
 
+(* a program whose one misused cuda* call is [call] *)
+let misuse_src call = Printf.sprintf {|
+__global__ void k(int* p) { p[0] = 1; }
+
+int main(void) {
+  int h[2] = {1, 3};
+  int* d;
+  cudaEvent_t e;
+  cudaMalloc((void**)&d, 2 * sizeof(int));
+  %s;
+  printf("%%d %%d\n", h[0], h[1]);
+  return 0;
+}
+|} call
+
 let translate_ok src =
   match translate_cuda src with
   | Translated r -> r
@@ -106,6 +121,23 @@ let bridge_tests =
              ignore (run_translated_cuda res);
              false
            with Bridge.Cuda_on_cl.Wrapper_error _ -> true));
+    Alcotest.test_case "a misused cuda* call fails alike in both directions"
+      `Quick (fun () ->
+          let host_error f =
+            match f () with
+            | _ -> None
+            | exception Bridge.Hostrun.Host_error m -> Some m
+          in
+          List.iter
+            (fun (call, expected) ->
+               let src = misuse_src call in
+               Alcotest.(check (option string)) (call ^ " natively") (Some expected)
+                 (host_error (fun () -> run_cuda_native src));
+               Alcotest.(check (option string)) (call ^ " translated") (Some expected)
+                 (host_error (fun () -> run_translated_cuda (translate_ok src))))
+            [ ("cudaMemcpy(d, h, 2 * sizeof(int), cudaMemcpyHostToDevice, 0)",
+               "cudaMemcpy arity");
+              ("cudaEventRecord(e, 0)", "cudaEventRecord: not a created event") ]);
     Alcotest.test_case "OpenCL app runs identically via wrappers (Fig. 2)"
       `Quick (fun () ->
           let app =

@@ -197,6 +197,33 @@ int main(void) {
 }
 |}
 
+(* %e %E %g %G with no flag, width or precision keep their conversion *)
+let printf_floats_src = {|
+int main(void) {
+  printf("%g %e %G %E\n", 4.5, 4.5, 0.00001234, 1234567.0);
+  return 0;
+}
+|}
+
+(* C wraps an unsigned int negation or complement to 32 bits, and
+   promotes narrower operands to int *)
+let unsigned_unary_src = {|
+int main(void) {
+  unsigned int* p = (unsigned int*)malloc(2 * sizeof(unsigned int));
+  p[0] = 0u;
+  p[1] = 1u;
+  unsigned int u = p[0];
+  unsigned long w = ~u;
+  unsigned long v = -p[1];
+  unsigned char c = (unsigned char)p[0];
+  int x = ~c;
+  short s = (short)-32768;
+  int y = -s;
+  printf("%lu %lu %d %d\n", w, v, x, y);
+  return 0;
+}
+|}
+
 let exit_in_helper_src = {|
 void fatal(void) {
   printf("fatal\n");
@@ -230,4 +257,10 @@ let suites =
           (expect_output "forwarded values" forwarded_values_src
              "0.10000000149011612 1 4294967295 268435455 4294967293\n");
         Alcotest.test_case "exit() in a helper ends the program" `Quick
-          (expect_output "exit in helper" exit_in_helper_src "fatal\n") ] ) ]
+          (expect_output "exit in helper" exit_in_helper_src "fatal\n");
+        Alcotest.test_case "printf %g %e %G %E keep their conversion" `Quick
+          (expect_output "printf floats" printf_floats_src
+             "4.5 4.500000e+00 1.234E-05 1.234567E+06\n");
+        Alcotest.test_case "unsigned int negation and complement wrap" `Quick
+          (expect_output "unsigned unary" unsigned_unary_src
+             "4294967295 4294967295 -1 32768\n") ] ) ]

@@ -468,9 +468,9 @@ let attribution_elim_sums () =
 (* A value that copy propagation forwards through a variable keeps the
    conversion the variable's store applies: fp32 rounding for a float
    constant (fuzz seed 42 case 136, once literals were drawn in tenths),
-   a 32-bit wrap for an int constant, and for the result of an unsigned
-   negation or complement, which does not wrap.  The interpreter stores
-   and reloads the variable; [src]'s kernel writes 8-byte elements. *)
+   a 32-bit wrap for an int constant and for an unsigned negation or
+   complement.  The interpreter stores and reloads the variable; [src]'s
+   kernel writes 8-byte elements. *)
 let fold_keeps_conversion ?(elems = 1) ~src ~elt ~expect () =
   let plan =
     { Xlat_validate.Plan.modul = Gpusim.Exec.load (parse src);
@@ -506,6 +506,16 @@ __kernel void k(__global ulong* out) {
   uint t = u + 3;
   uint n = -t;
   out[1] = n;
+}
+|}
+
+(* a folded unsigned complement wraps to 32 bits before it widens *)
+let fold_wraps_unsigned_complement =
+  fold_keeps_conversion ~elt:ULong ~expect:(le64 0xFFFFFFFFL)
+    ~src:{|
+__kernel void k(__global ulong* out) {
+  ulong w = ~0u;
+  out[get_global_id(0)] = w;
 }
 |}
 
@@ -615,6 +625,8 @@ let suites =
           `Quick fold_keeps_int_wrap;
         Alcotest.test_case "fold: forwarded unsigned complement and negation wrap"
           `Quick fold_keeps_unsigned_wrap;
+        Alcotest.test_case "fold: constant unsigned complement wraps to 32 bits"
+          `Quick fold_wraps_unsigned_complement;
         Alcotest.test_case "fold: constant division kept" `Quick
           fold_planted_division;
         Alcotest.test_case "dce fires" `Quick dce_fires;
