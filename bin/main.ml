@@ -452,6 +452,19 @@ let enable_attribution () =
   Minic.Site.enabled := true;
   Minic.Site.reset ()
 
+(* A host call the runtime rejected (a malformed cuda* call, a wrapper's
+   refusal, a CUDA runtime error) is the program's error, not an
+   internal one: [run] reports it and exits 1, as its man page says. *)
+let exit_on_rejected_call f =
+  match f () with
+  | r -> r
+  | exception
+      ( Bridge.Hostrun.Host_error msg
+      | Bridge.Cuda_on_cl.Wrapper_error msg
+      | Cuda.Cudart.Cuda_error msg ) ->
+    Printf.eprintf "oclcu: run: %s\n" msg;
+    exit 1
+
 let run_cmd =
   let input =
     Arg.(required & pos 0 (some file) None
@@ -506,6 +519,7 @@ let run_cmd =
   in
   let run input device trace profile attribute backend domains engine =
     catching_sys_error @@ fun () ->
+    exit_on_rejected_call @@ fun () ->
     Gpusim.Exec.backend := backend;
     Gpusim.Exec.engine := engine;
     Gpusim.Exec.domains := max 1 domains;
@@ -562,8 +576,16 @@ let run_cmd =
         `Ok ()
     end
   in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:"the program made a host call the runtime rejected: a malformed \
+            $(b,cuda*) call, a refusal of the CUDA-on-OpenCL wrappers or a \
+            CUDA runtime error.  The message follows $(b,oclcu: run:) on \
+            standard error."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "run" ~doc:"Execute a CUDA program on a simulated device")
+    (Cmd.info "run" ~exits ~doc:"Execute a CUDA program on a simulated device")
     Term.(
       ret
         (const run $ input $ device $ trace_arg $ profile $ attribute_arg

@@ -278,8 +278,8 @@ module Runtime = struct
 
   let array t id = Hashtbl.find_opt t.arrays id
 
-  let memcpy_to_array t img ~src ~bytes:_ =
-    ignore (Opencl.Cl.enqueue_write_image t.cl img ~host_ptr:src ())
+  let memcpy_to_array t img ~src ~bytes =
+    ignore (Opencl.Cl.enqueue_write_image t.cl img ~bytes ~host_ptr:src ())
 
   (* the translator passes a texture reference by name *)
   let texture _ ctx (name : tval) = read_string ctx name.v

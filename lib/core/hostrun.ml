@@ -246,7 +246,7 @@ let run_main ~(config : Gpusim.Config.t) ~(session : session) ~prog ~arena_of
   in
   (try
      match main with
-     | Some main -> ignore (main ctx [||])
+     | Some main -> ignore (main.Ir.Emit.run ctx [||])
      | None -> ignore (Vm.Interp.run ctx "main" [])
    with Program_exit -> ());
   Buffer.contents session.out

@@ -5,13 +5,19 @@
    engine.  [execute] runs the blocks on one or more workers.  [merge]
    sums their counters and attribution, and [cost] adds occupancy.
 
-   Work-items of a group are coroutines multiplexed on one OCaml fibre
-   each: an item runs until it finishes or performs the [Barrier]
-   effect, at which point the scheduler parks its continuation and runs
-   the next item.  When every live item of the group has reached the
-   barrier, all are resumed -- faithful bulk-synchronous semantics
-   including values communicated through __local/__shared__ memory.
-   Under the lockstep engine a fibre runs a whole warp instead.
+   When the kernel can reach a barrier, work-items of a group are
+   coroutines multiplexed on one OCaml fibre each: an item runs until it
+   finishes or performs the [Barrier] effect, at which point the
+   scheduler parks its continuation and runs the next item.  When every
+   live item of the group has reached the barrier, all are resumed --
+   faithful bulk-synchronous semantics including values communicated
+   through __local/__shared__ memory.  A kernel that cannot (decided
+   once per form from its IR, and per launch for the externals the
+   launch supplies) runs its items as plain calls in local-id order,
+   the same order.  Under the lockstep engine a fibre runs a whole warp
+   instead.  A compiled item's frame holds only its boxed registers,
+   and its arguments were converted to the parameter types once, in
+   [setup].
 
    Work-groups run sequentially when the device's configuration asks
    for 1 domain.  With more (OCLCU_DOMAINS, `oclcu run --domains N`,
@@ -253,6 +259,7 @@ type form = {
   f_passes : Ir.Pipeline.config;
   f_est : Ir.Emit.t;
   f_plans : (string * int, (Lockstep.plan, string) result) Hashtbl.t;
+  f_reach : (string, string list option) Hashtbl.t;  (* Ir.Emit.reached_externals *)
 }
 
 type modul = {
@@ -276,7 +283,8 @@ let form m passes =
         let f =
           { f_passes = passes;
             f_est = Ir.Emit.make ~special_ty ~cfg:passes m.m_prog;
-            f_plans = Hashtbl.create 4 }
+            f_plans = Hashtbl.create 4;
+            f_reach = Hashtbl.create 4 }
         in
         m.m_forms <- f :: m.m_forms;
         f)
@@ -309,7 +317,12 @@ type setup = {
   s_bdim : Vm.Interp.tval;
   s_gdim : Vm.Interp.tval;
   s_warp : Vm.Interp.tval;
-  s_compiled : (Vm.Interp.ctx -> Vm.Interp.tval array -> Vm.Interp.tval) option;
+  s_compiled : Ir.Emit.wrapper option;
+  (* the arguments converted to the kernel's parameter types, for the
+     IR; a dynamic __local argument's pointer converts per block *)
+  s_argv : Vm.Interp.tval array;
+  s_local_args : bool;
+  s_fibre : bool;              (* an item may suspend at a barrier *)
   s_plan : Lockstep.plan option;
   s_engine : engine_outcome;
   (* no kernel call reads an atomic's return value: decides which
@@ -356,6 +369,23 @@ let choose_engine (conf : Config.t) m form ~extra ~(kernel : func) ~warp =
      | Ok p -> (Some p, Engine_lockstep)
      | Error e -> (None, Engine_fallback e))
 
+(* Can an item of [kernel] suspend at a barrier?  The IR scan is made
+   once per form; a launch's extra externals are checked per launch,
+   since any the kernel reaches might perform the barrier effect. *)
+let may_suspend m f ~extra ~(kernel : func) =
+  let reach =
+    Mutex.protect m.m_lock (fun () ->
+        match Hashtbl.find_opt f.f_reach kernel.fn_name with
+        | Some r -> r
+        | None ->
+          let r = Ir.Emit.reached_externals f.f_est kernel.fn_name in
+          Hashtbl.replace f.f_reach kernel.fn_name r;
+          r)
+  in
+  match reach with
+  | None -> true
+  | Some names -> List.exists (fun (n, _) -> List.mem n names) extra
+
 (* Geometry, launch constants, the compiled form and the engine.
    @raise Launch_error when the global size is not a multiple of the
    local size. *)
@@ -389,11 +419,23 @@ let setup ~(dev : Device.t) ~modul ~globals ~host_arena ~extra ~observer
       Some (form modul conf.passes)
     else None
   in
+  let compiled = Option.bind form (fun f -> Ir.Emit.prepare f.f_est kernel.fn_name) in
   let warp = dev.hw.warp_size in
   let plan, engine =
     choose_engine conf modul form ~extra ~kernel ~warp
   in
   let workers = min conf.domains blocks in
+  let argv =
+    match compiled with
+    | None -> [||]
+    | Some w ->
+      Array.of_list
+        (List.mapi
+           (fun i -> function
+              | Arg_val v -> w.Ir.Emit.convert i v
+              | Arg_local _ -> Vm.Interp.tunit)
+           args)
+  in
   { s_dev = dev;
     s_prog = modul.m_prog;
     s_kernel = kernel;
@@ -414,8 +456,13 @@ let setup ~(dev : Device.t) ~modul ~globals ~host_arena ~extra ~observer
     s_bdim = uint3 local;
     s_gdim = uint3 groups;
     s_warp = Vm.Interp.tint warp;
-    s_compiled =
-      Option.bind form (fun f -> Ir.Emit.prepare f.f_est kernel.fn_name);
+    s_compiled = compiled;
+    s_argv = argv;
+    s_local_args = List.exists (function Arg_local _ -> true | Arg_val _ -> false) args;
+    s_fibre =
+      (match form, compiled with
+       | Some f, Some _ -> may_suspend modul f ~extra ~kernel
+       | _ -> true);
     s_plan = plan;
     s_engine = engine;
     s_atomics_clean =
@@ -667,8 +714,8 @@ type group = {
   g_bid : Vm.Interp.tval;
   g_locals : (string, int) Hashtbl.t;  (* makes __local declarations idempotent *)
   g_dynshared : int option;    (* CUDA extern __shared__ block *)
-  g_args : Vm.Interp.tval list;
-  g_args_arr : Vm.Interp.tval array;
+  g_args : Vm.Interp.tval list;   (* as passed, for the interpreter *)
+  g_argv : Vm.Interp.tval array;  (* converted, for the IR *)
   (* parked items (or warps): local id, innermost site, continuation *)
   g_waiting : (int * int * (unit, unit) Effect.Deep.continuation) Queue.t;
 }
@@ -746,20 +793,28 @@ let rounds s w g =
     done
   done
 
-(* The scalar block runner: one fibre per item, in local-id order. *)
+(* The scalar block runner: the items in local-id order, each on a
+   fibre of its own when it may suspend at a barrier, else as a plain
+   call (a barrier reached anyway raises Effect.Unhandled, a fault). *)
 let run_items s w g =
   let item lid =
     set_item s w g lid;
     reset_private w lid;
     let ctx = group_ctx s w g in
     match s.s_compiled with
-    | Some f -> ignore (f ctx g.g_args_arr)
+    | Some f -> ignore (f.Ir.Emit.run ctx g.g_argv)
     | None -> ignore (Vm.Interp.call_function ctx s.s_kernel g.g_args)
   in
-  for lid = 0 to s.s_threads - 1 do
-    run_root w g lid item
-  done;
-  rounds s w g
+  if s.s_fibre then begin
+    for lid = 0 to s.s_threads - 1 do
+      run_root w g lid item
+    done;
+    rounds s w g
+  end
+  else
+    for lid = 0 to s.s_threads - 1 do
+      item lid
+    done
 
 (* The warp block runner (lockstep): one context per block and one
    fibre per warp; the same rounds resume parked warps.  On any exception it
@@ -819,7 +874,7 @@ let run_warps s w g l =
       let lane0 = wd * warp in
       let nlanes = min warp (s.s_threads - lane0) in
       run_root w g lane0 (fun lane0 ->
-          Lockstep.run_warp l.l_plan hooks ~lane0 ~nlanes ~args:g.g_args_arr)
+          Lockstep.run_warp l.l_plan hooks ~lane0 ~nlanes ~args:g.g_argv)
     done;
     rounds s w g
   with e ->
@@ -855,6 +910,18 @@ let run_block s w b =
             (TPtr (TQual (AS_local, TScalar Char))))
       s.s_args
   in
+  let argv =
+    match s.s_compiled with
+    | Some f when s.s_local_args ->
+      Array.of_list
+        (List.mapi
+           (fun i (a, v) ->
+              match a with
+              | Arg_val _ -> s.s_argv.(i)
+              | Arg_local _ -> f.Ir.Emit.convert i v)
+           (List.combine s.s_args args))
+    | _ -> s.s_argv
+  in
   let g =
     { g_grp = grp;
       g_base = Array.map2 ( * ) grp s.s_local;
@@ -862,7 +929,7 @@ let run_block s w b =
       g_locals = Hashtbl.create 8;
       g_dynshared = dynshared;
       g_args = args;
-      g_args_arr = Array.of_list args;
+      g_argv = argv;
       g_waiting = Queue.create () }
   in
   (match w.w_lanes with

@@ -265,19 +265,39 @@ let rhs_charge = function
 (* Register-write normalization                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* V.wrap_int on a native int, for a scalar of at most 32 bits: shift
+   the value's bits to the top and back (sign extension), then mask
+   (unsigned).  [wrap_params s] is the shift and the mask. *)
+let wrap_params s =
+  let bits = 8 * scalar_size s in
+  if is_unsigned s then (0, (1 lsl bits) - 1) else (63 - bits, -1)
+
+(* V.to_int and V.to_float with their common case here: a call into
+   Vm.Value returns its result boxed. *)
+let[@inline] value_int = function Vm.Value.VInt n -> n | v -> Vm.Value.to_int v
+let[@inline] value_float = function Vm.Value.VFloat f -> f | v -> Vm.Value.to_float v
+
 (* What a `SetReg` of type [ty] stores: exactly the store+load roundtrip
    the interpreter performs through a variable of the declared type,
    minus the memory traffic.  Promoted variables are scalars or
-   pointers only (see Lower.promotable). *)
+   pointers only (see Lower.promotable).  Narrow ints wrap and floats
+   round to fp32 in this module, as V.wrap_int and V.round_float do. *)
 let normalizer lt (ty : ty) : I.tval -> I.tval =
   let module V = Vm.Value in
   match Vm.Layout.resolve lt ty with
-  | TScalar ((Float | Double) as s) ->
-    fun x -> I.tv (V.VFloat (V.round_float s (V.to_float x.I.v))) ty
+  | TScalar Float ->
+    fun x ->
+      I.tv (V.VFloat (Int32.float_of_bits (Int32.bits_of_float (value_float x.I.v)))) ty
+  | TScalar Double -> fun x -> I.tv (V.VFloat (value_float x.I.v)) ty
+  | TScalar s when s <> Void && scalar_size s <= 4 ->
+    let sh, mask = wrap_params s in
+    fun x ->
+      let n = Int64.to_int (value_int x.I.v) in
+      I.tv (V.VInt (Int64.of_int (((n lsl sh) asr sh) land mask))) ty
   | TScalar s when s <> Void ->
-    fun x -> I.tv (V.VInt (V.wrap_int s (V.to_int x.I.v))) ty
+    fun x -> I.tv (V.VInt (V.wrap_int s (value_int x.I.v))) ty
   | TPtr _ ->
-    fun x -> I.tv (V.VInt (V.to_int x.I.v)) ty
+    fun x -> I.tv (V.VInt (value_int x.I.v)) ty
   | _ -> fun x -> I.tv x.I.v ty
 
 (* ------------------------------------------------------------------ *)

@@ -2,7 +2,8 @@
 
    One OCaml closure per instruction, composed into per-body arrays,
    with a per-call wrapper that follows `Vm.Interp.call_function` (depth
-   guard, stack-arena mark/release, return-type conversion).  Every
+   guard, argument conversion, a stack-arena mark/release when the body
+   allocates there, return-type conversion).  Every
    runtime branch below evaluates as the interpreter does — same value
    normalization, same `on_access`/`on_op`/`on_branch` charges, same
    failure messages — except where the IR's documented promotion
@@ -26,8 +27,9 @@ module Layout = Vm.Layout
 
 (* Per-invocation state: registers and memory-variable bindings are
    per-call (and thus per-work-item), like the interpreter's call
-   scope.  A register lives either boxed in [regs] or unboxed in one of
-   the two banks (see "Register residency" below); each bank holds the
+   scope.  A register lives either boxed in [regs], which holds only
+   the boxed registers, numbered densely, or unboxed in one of the two
+   banks (see "Register residency" below); each bank holds the
    function's vector slots (see "Short-vector slots"), then its banked
    registers, then the constants its typed closures read.  [ambient] is
    the attribution site current at function entry, the meaning of an
@@ -44,6 +46,10 @@ type renv = {
 let dummy_binding = { I.b_space = AS_none; b_addr = 0; b_ty = TScalar Void }
 let no_ints : int array = [||]
 let no_flts = Float.Array.create 0
+
+(* The arena a call without a stack frame names in place of one; never
+   marked or released. *)
+let no_frame = Memory.create ~initial:0 "no-frame"
 
 (* Runtime lvalue. *)
 type dlv =
@@ -505,8 +511,10 @@ type residency = {
   r_slot : int array;  (* bank index (int or float bank by class), -1 boxed *)
   r_vreg : int array;  (* first slot of a vector register, -1 none *)
   r_vmem : int array;  (* first slot of a vector local, -1 in memory *)
+  r_box : int array;   (* index in the frame's [regs], -1 banked or slotted *)
   r_ints : int;        (* int bank slots, before the constants *)
   r_flts : int;
+  r_boxes : int;       (* [regs] entries *)
   r_census : census;
 }
 
@@ -590,11 +598,21 @@ let residency lt (fn : Core.fn) : residency =
         incr nf
       | Region.CTop -> ()
   done;
+  (* the rest are boxed, numbered densely: a frame holds only them *)
+  let nb = ref 0 in
+  let box =
+    Array.init n (fun r ->
+        if slot.(r) >= 0 || r_vreg.(r) >= 0 then -1
+        else begin
+          incr nb;
+          !nb - 1
+        end)
+  in
   let count a = Array.fold_left (fun acc k -> if k >= 0 then acc + 1 else acc) 0 a in
   let nlive = Array.fold_left (fun a l -> if l then a + 1 else a) 0 live in
   let si = !ni - vi and sf = !nf - vf and vregs = count r_vreg in
-  { r_cls = cls; r_wild = wild; r_slot = slot; r_vreg; r_vmem;
-    r_ints = !ni; r_flts = !nf;
+  { r_cls = cls; r_wild = wild; r_slot = slot; r_vreg; r_vmem; r_box = box;
+    r_ints = !ni; r_flts = !nf; r_boxes = !nb;
     r_census =
       { c_ints = si; c_flts = sf; c_boxed = nlive - si - sf - vregs;
         c_vregs = vregs; c_vlocals = count r_vmem } }
@@ -608,12 +626,24 @@ let census lt (fn : Core.fn) : census = (residency lt fn).r_census
 (* Module state                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* A function's wrapper.  [convert i v] is argument [i] converted to
+   parameter [i]'s type, as a call binds it ([v] itself past the last
+   parameter, or when the callee runs on the interpreter, which converts
+   as it binds); [run] makes the call on converted arguments.  A call
+   site converts each argument it passes; a kernel launch converts its
+   arguments once, for every work-item. *)
+type wrapper = {
+  convert : int -> I.tval -> I.tval;
+  run : I.ctx -> I.tval array -> I.tval;
+}
+
 type t = {
   e_layout : Layout.env;
+  e_host : bool;                                        (* a host compile *)
   e_funcs : (string, func) Hashtbl.t;                   (* AST functions *)
   e_ir : (string, (Core.fn, string) result) Hashtbl.t;  (* optimized IR *)
   e_stats : (string, Passes.stats) Hashtbl.t;
-  e_wrappers : (string, I.ctx -> I.tval array -> I.tval) Hashtbl.t;
+  e_wrappers : (string, wrapper) Hashtbl.t;
 }
 
 (* Wrapper building mutates [e_wrappers]; one process-wide lock
@@ -669,13 +699,20 @@ let slot_of (bst : bst) r =
     k.k_res.r_slot.(r)
   | None -> -1
 
+(* A boxed register's index in [regs]: its residency number, or itself
+   in the all-boxed frames the lockstep engine builds. *)
+let box_of (bst : bst) r =
+  match bst.bank with Some k -> k.k_res.r_box.(r) | None -> r
+
 (* Generic reader: banked registers are boxed on the way out (rule (c)
    keeps that off the hot path). *)
 let rd (bst : bst) (o : Core.operand) : renv -> I.tval =
   match o with
   | Core.Reg r ->
     let k = slot_of bst r in
-    if k < 0 then fun env -> env.regs.(r)
+    if k < 0 then
+      let b = box_of bst r in
+      fun env -> env.regs.(b)
     else (
       match (Option.get bst.bank).k_res.r_cls.(r) with
       | Region.CI ty -> fun env -> I.tv (V.VInt (Int64.of_int env.ints.(k))) ty
@@ -686,7 +723,9 @@ let rd (bst : bst) (o : Core.operand) : renv -> I.tval =
 (* Generic writer: the class invariant makes unboxing lossless. *)
 let wr (bst : bst) r : renv -> I.tval -> unit =
   let k = slot_of bst r in
-  if k < 0 then fun env v -> env.regs.(r) <- v
+  if k < 0 then
+    let b = box_of bst r in
+    fun env v -> env.regs.(b) <- v
   else
     match (Option.get bst.bank).k_res.r_cls.(r) with
     | Region.CI _ ->
@@ -703,13 +742,14 @@ let wr (bst : bst) r : renv -> I.tval -> unit =
 (* Typed closures over the banks                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Operand descriptors: a bank index (>= 0), or a boxed register r as
-   -1 - r.  A boxed operand of a known class is read straight out of its
-   tval, so reads never allocate; only a boxed destination does. *)
+(* Operand descriptors: a bank index (>= 0), or a boxed register as
+   -1 - its [regs] index.  A boxed operand of a known class is read
+   straight out of its tval, so reads never allocate; only a boxed
+   destination does. *)
 let ddesc (k : bank) r =
   if k.k_res.r_vreg.(r) >= 0 then on_generic_path "register";
   let s = k.k_res.r_slot.(r) in
-  if s >= 0 then s else -1 - r
+  if s >= 0 then s else -1 - k.k_res.r_box.(r)
 
 let idesc (k : bank) = function
   | Core.Reg r -> ddesc k r
@@ -769,11 +809,8 @@ let[@inline] setf env d ty x =
   if d >= 0 then Float.Array.unsafe_set env.flts d x
   else Array.unsafe_set env.regs (-1 - d) (I.tv (V.VFloat x) ty)
 
-(* V.wrap_int on a native int, for a narrow scalar: shift the value's
-   bits to the top and back (sign extension), then mask (unsigned). *)
-let wrap_params s =
-  let bits = 8 * scalar_size s in
-  if is_unsigned s then (0, (1 lsl bits) - 1) else (63 - bits, -1)
+(* V.wrap_int on a native int, for a narrow scalar (Core.wrap_params) *)
+let wrap_params = Core.wrap_params
 
 let[@inline] wrap sh mask x = ((x lsl sh) asr sh) land mask
 
@@ -1016,10 +1053,10 @@ let vec_ikind (bst : bst) (k : bank) (ik : Core.ikind) : renv -> unit =
     if kr >= 0 then fun env -> access Memory.Load env v 0 sz; blit fl kv kr n env
     else
       (* a boxed vector: Interp.load's components, at the declared type *)
-      let ty = bst.fmem.(v).Core.m_ty in
+      let ty = bst.fmem.(v).Core.m_ty and b = box_of bst r in
       fun env ->
         access Memory.Load env v 0 sz;
-        env.regs.(r) <-
+        env.regs.(b) <-
           I.tv
             (V.VVec
                (Array.init n (fun c ->
@@ -1228,23 +1265,50 @@ let rec emit_lv (bst : bst) (lv : Core.lv) : clv =
 (* Rhs                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Does a call of [fn] need a frame in the stack arena?  Only when
+   something in its own body allocates there: a DeclMem in the stack
+   space, or the interpreter's dim3 constructor, which builds its struct
+   in the caller's frame.  Callees mark their own frames, so a device
+   function without either never touches the arena, and an item's
+   private arena is not created for it.  A host compile keeps every
+   frame: host externals build temporaries on the host stack, which is
+   the host arena and always exists. *)
+let needs_frame (est : t) (fn : Core.fn) =
+  est.e_host
+  ||
+  let found = ref false in
+  Region.iter_instrs
+    (fun i ->
+       match i.Core.i_kind with
+       | Core.DeclMem v ->
+         let m = fn.Core.f_mem.(v) in
+         if (not m.Core.m_shared)
+         && (m.Core.m_space = AS_none || m.Core.m_space = AS_private)
+         then found := true
+       | Core.Let (_, Core.CallE ("dim3", _)) | Core.Do (Core.CallE ("dim3", _)) ->
+         found := true
+       | _ -> ())
+    fn.Core.f_body;
+  !found
+
 (* Lazily resolved callee wrapper: IR when available, the interpreter
    otherwise; prototypes fail at call time like the interpreter. *)
-let rec resolve_wrapper (est : t) (name : string) : I.ctx -> I.tval array -> I.tval =
+let rec resolve_wrapper (est : t) (name : string) : wrapper =
   with_emit_lock (fun () ->
       match Hashtbl.find_opt est.e_wrappers name with
       | Some w -> w
       | None ->
+        let interpreted run = { convert = (fun _ v -> v); run } in
         let w =
           match Hashtbl.find_opt est.e_ir name with
           | Some (Ok fn) -> prepare_fn est fn
           | _ ->
             (match Hashtbl.find_opt est.e_funcs name with
              | Some ({ fn_body = Some _; _ } as f) ->
-               fun ctx args -> I.call_function ctx f (Array.to_list args)
+               interpreted (fun ctx args -> I.call_function ctx f (Array.to_list args))
              | Some { fn_body = None; _ } ->
-               fun _ _ -> I.fail "calling prototype %s" name
-             | None -> fun _ _ -> I.fail "unknown function %s" name)
+               interpreted (fun _ _ -> I.fail "calling prototype %s" name)
+             | None -> interpreted (fun _ _ -> I.fail "unknown function %s" name))
         in
         Hashtbl.replace est.e_wrappers name w;
         w)
@@ -1409,9 +1473,9 @@ and emit_rhs (bst : bst) (rhs : Core.rhs) : renv -> I.tval =
       let n = Array.length cargs in
       let argv = Array.make n I.tunit in
       for i = 0 to n - 1 do
-        argv.(i) <- cargs.(i) env
+        argv.(i) <- w.convert i (cargs.(i) env)
       done;
-      w env.ctx argv
+      w.run env.ctx argv
   | Core.CallK (kernel, tmpl, has_shmem, ops) ->
     (match List.map (rd bst) ops with
      | cgrid :: cblock :: rest ->
@@ -1491,6 +1555,7 @@ and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option
             seti env d elt (wrap sh mask v))
      | TScalar _ ->
        (* 64-bit element: never banked, loaded exactly *)
+       let b = box_of bst r in
        Some
          (fun env ->
             let addr = idx_addr env xa xi esz in
@@ -1499,7 +1564,7 @@ and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option
             ctx.I.on_access Memory.Load sp off 8;
             let ar = ctx.I.arena_of sp in
             check ar off 8;
-            env.regs.(r) <- I.tv (V.VInt (Bytes.get_int64_le ar.Memory.data off)) elt)
+            env.regs.(b) <- I.tv (V.VInt (Bytes.get_int64_le ar.Memory.data off)) elt)
      | _ -> None)
   | Core.SetReg (r, ty, o) ->
     let d = ddesc bk r in
@@ -1550,20 +1615,25 @@ and generic_ikind (bst : bst) (k : Core.ikind) : renv -> unit =
   match k with
   | Core.Let (r, rhs) ->
     let f = emit_rhs bst rhs in
-    if slot_of bst r < 0 then fun env -> env.regs.(r) <- f env
+    if slot_of bst r < 0 then
+      let b = box_of bst r in
+      fun env -> env.regs.(b) <- f env
     else
       let w = wr bst r in
       fun env -> w env (f env)
   | Core.SetReg (r, ty, o) ->
     let co = rd bst o in
     let norm = Core.normalizer lt ty in
-    if slot_of bst r < 0 then fun env -> env.regs.(r) <- norm (co env)
+    if slot_of bst r < 0 then
+      let b = box_of bst r in
+      fun env -> env.regs.(b) <- norm (co env)
     else
       let w = wr bst r in
       fun env -> w env (norm (co env))
   | Core.SetRaw (r, o) ->
-    let co = rd bst o in
-    fun env -> env.regs.(r) <- co env
+    (* never banked: a raw write does not normalize *)
+    let co = rd bst o and b = box_of bst r in
+    fun env -> env.regs.(b) <- co env
   | Core.Store (lv, o) ->
     let co = rd bst o in
     (match emit_lv bst lv with
@@ -1761,7 +1831,7 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
    resolved at emission)                                               *)
 (* ------------------------------------------------------------------ *)
 
-and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
+and prepare_fn (est : t) (fn : Core.fn) : wrapper =
   let res = residency est.e_layout fn in
   let bk =
     { k_res = res; k_ints = Hashtbl.create 8; k_flts = Hashtbl.create 8;
@@ -1771,17 +1841,17 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
     { est; fmem = fn.Core.f_mem; sited = fn.Core.f_sited; bank = Some bk }
   in
   let fname = fn.Core.f_name in
+  let norms =
+    Array.map (fun (p : Core.pbind) -> Core.normalizer est.e_layout p.Core.p_ty)
+      fn.Core.f_params
+  in
   let binders =
     Array.mapi
       (fun i (p : Core.pbind) ->
-         let norm = Core.normalizer est.e_layout p.Core.p_ty in
          let w = wr bst p.Core.p_reg in
          fun env (args : I.tval array) ->
-           let arg =
-             if i < Array.length args then args.(i)
-             else I.fail "missing argument %d in call to %s" (i + 1) fname
-           in
-           w env (norm arg))
+           if i < Array.length args then w env args.(i)
+           else I.fail "missing argument %d in call to %s" (i + 1) fname)
       fn.Core.f_params
   in
   let body = emit_body bst (Some (-1)) fn.Core.f_body in
@@ -1791,54 +1861,56 @@ and prepare_fn (est : t) (fn : Core.fn) : I.ctx -> I.tval array -> I.tval =
   Hashtbl.iter (fun n k -> ints.(k) <- n) bk.k_ints;
   let flts = Float.Array.make bk.k_nf 0. in
   Hashtbl.iter (fun b k -> Float.Array.set flts k (Int64.float_of_bits b)) bk.k_flts;
-  let nregs = fn.Core.f_nregs in
+  let nboxes = res.r_boxes in
   let nmem = Array.length fn.Core.f_mem in
   let sited = fn.Core.f_sited in
   let ret = fn.Core.f_ret in
-  fun ctx args ->
+  let frame = needs_frame est fn in
+  let run ctx args =
     ctx.I.call_depth <- ctx.I.call_depth + 1;
     if ctx.I.call_depth > 512 then begin
       ctx.I.call_depth <- ctx.I.call_depth - 1;
       I.fail "call depth exceeded in %s" fname
     end;
-    let arena = ctx.I.arena_of ctx.I.stack_space in
+    let arena = if frame then ctx.I.arena_of ctx.I.stack_space else no_frame in
     let m = Memory.mark arena in
     let ambient = !(ctx.I.cur_site) in
     let env =
       { ctx;
-        regs = Array.make nregs I.tunit;
+        regs = (if nboxes = 0 then [||] else Array.make nboxes I.tunit);
         ints = (if Array.length ints = 0 then no_ints else Array.copy ints);
         flts = (if Float.Array.length flts = 0 then no_flts else Float.Array.copy flts);
         mem = (if nmem = 0 then [||] else Array.make nmem dummy_binding);
         ambient }
     in
-    let restore () = if sited then ctx.I.cur_site := ambient in
+    let leave () =
+      if frame then Memory.release arena m;
+      ctx.I.call_depth <- ctx.I.call_depth - 1;
+      if sited then ctx.I.cur_site := ambient
+    in
     match
       Array.iter (fun b -> b env args) binders;
       body env
     with
     | () ->
-      Memory.release arena m;
-      ctx.I.call_depth <- ctx.I.call_depth - 1;
-      restore ();
+      leave ();
       I.tunit
     | exception I.Return_exc v ->
-      Memory.release arena m;
-      ctx.I.call_depth <- ctx.I.call_depth - 1;
-      restore ();
+      leave ();
       if equal_ty v.I.ty ret then v else I.cast_value ctx ret v
     | exception e ->
-      Memory.release arena m;
-      ctx.I.call_depth <- ctx.I.call_depth - 1;
-      restore ();
+      leave ();
       raise e
+  in
+  let nparams = Array.length norms in
+  { convert = (fun i v -> if i < nparams then norms.(i) v else v); run }
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let make ?host ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
-  let _md, lowered = Lower.make ?host ?special_ty ~cfg prog in
+let make ?(host = false) ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
+  let _md, lowered = Lower.make ~host ?special_ty ~cfg prog in
   let funcs = Hashtbl.create 31 in
   List.iter
     (function TFunc f -> Hashtbl.replace funcs f.fn_name f | _ -> ())
@@ -1864,6 +1936,7 @@ let make ?host ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
        Hashtbl.replace e_ir n r)
     lowered;
   { e_layout = Layout.make_env prog;
+    e_host = host;
     e_funcs = funcs;
     e_ir;
     e_stats;
@@ -1871,10 +1944,44 @@ let make ?host ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
 
 (* IR-compiled entry for [name], or None when lowering rejected it (the
    caller runs it on the interpreter). *)
-let prepare (est : t) (name : string) : (I.ctx -> I.tval array -> I.tval) option =
+let prepare (est : t) (name : string) : wrapper option =
   match Hashtbl.find_opt est.e_ir name with
   | Some (Ok _) -> Some (resolve_wrapper est name)
   | _ -> None
+
+(* The externals a call of [name] can reach through IR code, or None
+   when it may suspend at a barrier: it reaches a Barrier, an
+   external named like one, or a function the scan cannot see into (one
+   the lowering rejected, a prototype, an unknown name), which keeps
+   the caller's fibre. *)
+let reached_externals (est : t) (name : string) : string list option =
+  let seen = Hashtbl.create 8 and ext = Hashtbl.create 8 in
+  let exception Opaque in
+  let rec fn name =
+    if not (Hashtbl.mem seen name) then begin
+      Hashtbl.replace seen name ();
+      match Hashtbl.find_opt est.e_ir name with
+      | Some (Ok f) ->
+        Region.iter_instrs
+          (fun i ->
+             match i.Core.i_kind with
+             | Core.Barrier _ -> raise Opaque
+             | Core.Let (_, rhs) | Core.Do rhs -> call rhs
+             | _ -> ())
+          f.Core.f_body
+      | _ -> raise Opaque
+    end
+  and call = function
+    | Core.CallE (n, _) ->
+      if Xlat_analysis.Checks.is_barrier_name n then raise Opaque;
+      Hashtbl.replace ext n ()
+    | Core.CallU (n, _) -> fn n
+    | Core.CallK _ -> raise Opaque
+    | _ -> ()
+  in
+  match fn name with
+  | () -> Some (Hashtbl.fold (fun n () acc -> n :: acc) ext [])
+  | exception Opaque -> None
 
 let ir (est : t) name : (Core.fn, string) result option = Hashtbl.find_opt est.e_ir name
 let stats (est : t) name : Passes.stats option = Hashtbl.find_opt est.e_stats name

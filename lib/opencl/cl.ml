@@ -286,11 +286,18 @@ let create_sampler cl ~normalized ~address ~filter =
   Hashtbl.replace cl.objects s.s_id (O_sampler s);
   s
 
-let enqueue_write_image cl img ~host_ptr () =
+let enqueue_write_image cl img ?bytes ~host_ptr () =
   traced cl "clEnqueueWriteImage" @@ fun () ->
   api cl;
   let t0 = now cl in
-  let bytes = img.i_width * img.i_height * img.i_depth * Gpusim.Imagelib.elem_size img in
+  let size = img.i_width * img.i_height * img.i_depth * Gpusim.Imagelib.elem_size img in
+  let bytes =
+    match bytes with
+    | None -> size
+    | Some n when n < 0 || n > size ->
+      err cl_invalid_value "clEnqueueWriteImage: %d bytes for a %d-byte image" n size
+    | Some n -> n
+  in
   memcpy_span cl "HtoD" bytes (fun () ->
       let src_arena, src_addr = resolve_host_ptr cl host_ptr in
       Vm.Memory.blit ~src:src_arena ~src_addr ~dst:cl.dev.Gpusim.Device.global

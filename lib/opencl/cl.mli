@@ -118,7 +118,13 @@ val create_sampler :
   t -> normalized:bool -> address:Gpusim.Imagelib.address_mode ->
   filter:Gpusim.Imagelib.filter_mode -> sampler
 
-val enqueue_write_image : t -> image -> host_ptr:int64 -> unit -> event
+(** [enqueue_write_image cl img ?bytes ~host_ptr ()] copies the whole
+    image from [host_ptr], or with [bytes] only that many: a row-major
+    prefix from the origin, charged as a copy of those bytes.
+    @raise Cl_error when [bytes] is negative or exceeds the image. *)
+val enqueue_write_image :
+  t -> image -> ?bytes:int -> host_ptr:int64 -> unit -> event
+
 val enqueue_read_image : t -> image -> host_ptr:int64 -> unit -> event
 
 (** {2 Programs and kernels} *)

@@ -53,6 +53,36 @@ int main(void) {
 }
 |} call
 
+(* cudaMemcpyToArray of 4 floats, from an 8-float host buffer, into an
+   8x1 array: the rest of the array stays zero *)
+let partial_array_src = {|
+texture<float, 2, cudaReadModeElementType> tex_arr;
+
+__global__ void readback(float* out, int w) {
+  int x = threadIdx.x;
+  if (x < w) out[x] = tex2D(tex_arr, (float)x, 0.0f);
+}
+
+int main(void) {
+  int w = 8;
+  float* h_img = (float*)malloc(w * sizeof(float));
+  for (int i = 0; i < w; i++) h_img[i] = (float)(i + 1);
+  cudaArray* arr;
+  cudaChannelFormatDesc desc = cudaCreateChannelDesc<float>();
+  cudaMallocArray(&arr, &desc, w, 1);
+  cudaMemcpyToArray(arr, 0, 0, h_img, 4 * sizeof(float), cudaMemcpyHostToDevice);
+  cudaBindTextureToArray(tex_arr, arr);
+  float* d_out;
+  cudaMalloc((void**)&d_out, w * sizeof(float));
+  readback<<<1, w>>>(d_out, w);
+  float* h_out = (float*)malloc(w * sizeof(float));
+  cudaMemcpy(h_out, d_out, w * sizeof(float), cudaMemcpyDeviceToHost);
+  for (int i = 0; i < w; i++) printf("%g ", h_out[i]);
+  printf("\n");
+  return 0;
+}
+|}
+
 let translate_ok src =
   match translate_cuda src with
   | Translated r -> r
@@ -98,6 +128,13 @@ let bridge_tests =
           (outputs_agree native.r_output xlat.r_output);
         Alcotest.(check int) "one texture captured" 1
           (List.length res.Xlat.Cuda_to_ocl.textures));
+    Alcotest.test_case "cudaMemcpyToArray copies only its byte count" `Quick
+      (fun () ->
+         let expected = "1 2 3 4 0 0 0 0 \n" in
+         Alcotest.(check string) "native" expected
+           (run_cuda_native partial_array_src).r_output;
+         Alcotest.(check string) "translated" expected
+           (run_translated_cuda (translate_ok partial_array_src)).r_output);
     Alcotest.test_case "deviceQuery wrapper amplification (Figure 8)" `Quick
       (fun () ->
          let dq =

@@ -10,4 +10,4 @@ let () =
      @ Test_golden.suites
      @ Test_parallel.suites @ Test_validate.suites @ Test_attr.suites
      @ Test_lockstep.suites @ Test_fusion.suites @ Test_bookkeeping.suites
-     @ Test_banks.suites @ Test_host.suites)
+     @ Test_banks.suites @ Test_host.suites @ Test_frames.suites)
