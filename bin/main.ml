@@ -152,7 +152,7 @@ let translate_cmd =
                           (fun (k, n) -> Printf.sprintf "%s %d" k n)
                           parts))
               | None -> ());
-             let c = Ir.Emit.census est.Ir.Emit.e_layout fn in
+             let c = Ir.Emit.census est fn in
              Printf.printf
                "; %s: registers %d int-banked, %d float-banked, %d boxed; \
                 in slots %d vector registers, %d vector locals\n"

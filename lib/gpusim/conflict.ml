@@ -59,7 +59,7 @@ let merge_window = 4
 
 let ilog_push l lo hi =
   let buf = l.buf in
-  let stop = max 0 (l.len - (2 * merge_window)) in
+  let stop = Int.max 0 (l.len - (2 * merge_window)) in
   let rec absorb i =
     if i < stop then false
     else if buf.(i) <= lo && lo <= buf.(i + 1) then begin
@@ -383,7 +383,7 @@ let check (logs : block_log list) ~atomics_clean : string option =
        cap_r := !cap_r + (b.lb_reads.len / 2) + a)
     logs;
   let w = tab_create !cap_w and r = tab_create !cap_r in
-  let cap = max !cap_w !cap_r in
+  let cap = Int.max !cap_w !cap_r in
   let sc = { perm = Array.make cap 0; tmp = Array.make cap 0 } in
   let atoms = ref [] in
   List.iter

@@ -301,10 +301,10 @@ let finish_group c ?attr ?branches ~warp_size ~smem_word ~banks
   let nwarps = (n + warp_size - 1) / warp_size in
   for w = 0 to nwarps - 1 do
     let lo = w * warp_size in
-    let hi = min n (lo + warp_size) - 1 in
+    let hi = Int.min n (lo + warp_size) - 1 in
     let max_len = ref 0 in
     for i = lo to hi do
-      max_len := max !max_len streams.(i).len
+      max_len := Int.max !max_len streams.(i).len
     done;
     for pos = 0 to !max_len - 1 do
       (* split the row by address space: under divergence streams of
@@ -325,7 +325,7 @@ let finish_group c ?attr ?branches ~warp_size ~smem_word ~banks
      | Some (bs : bstream array) ->
        let max_blen = ref 0 in
        for i = lo to hi do
-         max_blen := max !max_blen bs.(i).b_len
+         max_blen := Int.max !max_blen bs.(i).b_len
        done;
        for pos = 0 to !max_blen - 1 do
          (* one decision row: first live lane fixes the reference;

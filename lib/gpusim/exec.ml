@@ -48,7 +48,7 @@ type config = {
   dyn_shared : int;                    (* CUDA <<< , , n >>> bytes *)
 }
 
-let dim3_of arr i = if i < Array.length arr then max 1 arr.(i) else 1
+let dim3_of arr i = if i < Array.length arr then Int.max 1 arr.(i) else 1
 
 (* indices must NOT be clamped like sizes: dimension 0 has index 0 *)
 let idx_of arr i = if i >= 0 && i < Array.length arr then arr.(i) else 0
@@ -424,7 +424,7 @@ let setup ~(dev : Device.t) ~modul ~globals ~host_arena ~extra ~observer
   let plan, engine =
     choose_engine conf modul form ~extra ~kernel ~warp
   in
-  let workers = min conf.domains blocks in
+  let workers = Int.min conf.domains blocks in
   let argv =
     match compiled with
     | None -> [||]
@@ -872,7 +872,7 @@ let run_warps s w g l =
     let warp = s.s_dev.Device.hw.warp_size in
     for wd = 0 to ((s.s_threads + warp - 1) / warp) - 1 do
       let lane0 = wd * warp in
-      let nlanes = min warp (s.s_threads - lane0) in
+      let nlanes = Int.min warp (s.s_threads - lane0) in
       run_root w g lane0 (fun lane0 ->
           Lockstep.run_warp l.l_plan hooks ~lane0 ~nlanes ~args:g.g_argv)
     done;
@@ -904,7 +904,7 @@ let run_block s w b =
       (function
         | Arg_val v -> v
         | Arg_local bytes ->
-          let addr = Vm.Memory.alloc w.w_local ~align:16 (max 1 bytes) in
+          let addr = Vm.Memory.alloc w.w_local ~align:16 (Int.max 1 bytes) in
           Vm.Interp.tv
             (VInt (Vm.Value.make_ptr AS_local addr))
             (TPtr (TQual (AS_local, TScalar Char))))

@@ -74,7 +74,7 @@ let compiled_load lt ty : I.ctx -> addr_space -> int -> V.t =
       ctx.I.on_access Memory.Load space addr n;
       V.VFloat (Memory.load_float (ctx.I.arena_of space) addr n)
   | TScalar s ->
-    let n = max 1 (scalar_size s) in
+    let n = Int.max 1 (scalar_size s) in
     fun ctx space addr ->
       ctx.I.on_access Memory.Load space addr n;
       V.VInt (V.wrap_int s (Memory.load_int (ctx.I.arena_of space) addr n))
@@ -110,7 +110,7 @@ let rec compiled_store lt ty : I.ctx -> addr_space -> int -> V.t -> unit =
       Memory.store_float (ctx.I.arena_of space) addr n
         (V.round_float s (V.to_float v))
   | TScalar s ->
-    let n = max 1 (scalar_size s) in
+    let n = Int.max 1 (scalar_size s) in
     fun ctx space addr v ->
       ctx.I.on_access Memory.Store space addr n;
       Memory.store_int (ctx.I.arena_of space) addr n (V.to_int v)
@@ -300,17 +300,25 @@ let bin_shape lt cls (op : binop) a b : (bshape * Region.vcls) option =
   | _ -> None
 
 (* Emit's instruction shapes with a typed closure: the fast shapes, with
-   binary operators classed by [bin_shape]. *)
+   binary operators classed by [bin_shape], and the index components
+   [classify] classes (no other Swz has a class). *)
 let emit_shape lt cls (k : Core.ikind) =
   match k with
   | Core.Let (_, Core.Bin (op, a, b)) -> bin_shape lt cls op a b <> None
+  | Core.Let (r, Core.Swz (Core.Reg _, _, Some _)) -> cls.(r) <> Region.CTop
   | _ -> Region.fast_shape lt cls k
 
-(* Register classes: [Region.classify], with two more Let shapes classed
-   — the [bin_shape] results, and a single component loaded from a
-   vector variable, which Interp.load types at its element scalar. *)
-let classify lt (fn : Core.fn) : Region.vcls array =
+(* Register classes: [Region.classify], with four more Let shapes
+   classed — the [bin_shape] results; a single component loaded from a
+   vector variable, which Interp.load types at its element scalar; an
+   index component, one component of a special typed uint3 ([uint3 n]:
+   threadIdx, blockIdx, blockDim, gridDim), which the launcher binds to
+   a vector of unsigned ints; and a cast to a pointer, which
+   Interp.cast_value makes a VInt at the resolved target whatever its
+   operand. *)
+let classify lt ~uint3 (fn : Core.fn) : Region.vcls array =
   let cls = Region.classify lt fn in
+  let special = Array.make (Array.length cls) false in
   Region.iter_instrs
     (fun i ->
        match i.Core.i_kind with
@@ -321,6 +329,15 @@ let classify lt (fn : Core.fn) : Region.vcls array =
               (match bin_shape lt cls op a b with Some (_, c) -> c | None -> Region.CTop)
             | Core.ReadLv (Core.LvSwz (Core.LvVar _, [| _ |], s)) when s <> Void ->
               if is_float_scalar s then Region.CF (TScalar s) else Region.CI (TScalar s)
+            | Core.Special n ->
+              special.(r) <- uint3 n;
+              Region.CTop
+            | Core.Swz (Core.Reg v, _, Some (UInt, 3, _)) when special.(v) ->
+              Region.CI (TScalar UInt)
+            | Core.CastV (t, _) ->
+              (match Layout.resolve lt t with
+               | TPtr _ as rt -> Region.CI rt
+               | _ -> Region.let_class lt cls fn.Core.f_mem rhs)
             | _ -> Region.let_class lt cls fn.Core.f_mem rhs)
        | _ -> ())
     fn.Core.f_body;
@@ -525,8 +542,8 @@ let native_shape lt cls wild k =
           cst_ok o && match o with Core.Reg r -> not wild.(r) | Core.Cst _ -> true)
        (Core.ikind_operands k)
 
-let residency lt (fn : Core.fn) : residency =
-  let cls = classify lt fn in
+let residency lt ~uint3 (fn : Core.fn) : residency =
+  let cls = classify lt ~uint3 fn in
   let vmem = slotted_locals lt fn in
   let vreg = slotted_regs lt fn cls vmem in
   (* vector slots open each bank; the scalar registers follow *)
@@ -617,11 +634,6 @@ let residency lt (fn : Core.fn) : residency =
       { c_ints = si; c_flts = sf; c_boxed = nlive - si - sf - vregs;
         c_vregs = vregs; c_vlocals = count r_vmem } }
 
-(* Residency census of a function: the banked, boxed and slotted
-   registers among those it defines or reads, and its slotted vector
-   locals (oclcu translate --ir-dump). *)
-let census lt (fn : Core.fn) : census = (residency lt fn).r_census
-
 (* ------------------------------------------------------------------ *)
 (* Module state                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -640,11 +652,18 @@ type wrapper = {
 type t = {
   e_layout : Layout.env;
   e_host : bool;                                        (* a host compile *)
+  e_uint3 : string -> bool;                             (* specials typed uint3 *)
   e_funcs : (string, func) Hashtbl.t;                   (* AST functions *)
   e_ir : (string, (Core.fn, string) result) Hashtbl.t;  (* optimized IR *)
   e_stats : (string, Passes.stats) Hashtbl.t;
   e_wrappers : (string, wrapper) Hashtbl.t;
 }
+
+(* Residency census of a function: the banked, boxed and slotted
+   registers among those it defines or reads, and its slotted vector
+   locals (oclcu translate --ir-dump). *)
+let census (est : t) (fn : Core.fn) : census =
+  (residency est.e_layout ~uint3:est.e_uint3 fn).r_census
 
 (* Wrapper building mutates [e_wrappers]; one process-wide lock
    serialises it, and a domain-local flag lets a resolution nested on
@@ -1515,6 +1534,18 @@ and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option
   | Core.Let (r, Core.Un (u, a)) -> typed_un lt bk r u a
   | Core.Let (r, Core.Mov a) when bankable lt bk.k_res.r_cls.(r) -> typed_copy bk r a
   | Core.Let (r, Core.CastV (t, a)) -> typed_cast lt bk r t a
+  | Core.Let (r, Core.Swz (Core.Reg v, _, Some (_, _, c))) ->
+    (* an index component: the generic Swz's component, charge-free *)
+    let b = box_of bst v and d = ddesc bk r and ty = TScalar UInt in
+    let slow = generic_ikind bst k in
+    Some
+      (fun env ->
+         match (Array.unsafe_get env.regs b).I.v with
+         | V.VVec a when Array.length a = 3 ->
+           (match Array.unsafe_get a c with
+            | V.VInt n -> seti env d ty (Int64.to_int n)
+            | _ -> slow env)
+         | _ -> slow env)
   | Core.Let (r, Core.CastRet (t, a)) ->
     (match Region.cls_operand bk.k_res.r_cls a with
      | (Region.CI tc | Region.CF tc) when equal_ty tc t ->
@@ -1593,7 +1624,7 @@ and typed_ikind (bst : bst) (bk : bank) (k : Core.ikind) : (renv -> unit) option
             if n = 4 then Bytes.set_int32_le ar.Memory.data off (Int32.bits_of_float f)
             else Bytes.set_int64_le ar.Memory.data off (Int64.bits_of_float f))
      | TScalar s ->
-       let n = max 1 (scalar_size s) and x = idesc bk o in
+       let n = Int.max 1 (scalar_size s) and x = idesc bk o in
        Some
          (fun env ->
             let addr = idx_addr env xa xi esz in
@@ -1832,7 +1863,7 @@ and emit_loop (bst : bst) (l : Core.loop) : renv -> unit =
 (* ------------------------------------------------------------------ *)
 
 and prepare_fn (est : t) (fn : Core.fn) : wrapper =
-  let res = residency est.e_layout fn in
+  let res = residency est.e_layout ~uint3:est.e_uint3 fn in
   let bk =
     { k_res = res; k_ints = Hashtbl.create 8; k_flts = Hashtbl.create 8;
       k_ni = res.r_ints; k_nf = res.r_flts }
@@ -1909,8 +1940,9 @@ and prepare_fn (est : t) (fn : Core.fn) : wrapper =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let make ?(host = false) ?special_ty ~(cfg : Pipeline.config) (prog : program) : t =
-  let _md, lowered = Lower.make ~host ?special_ty ~cfg prog in
+let make ?(host = false) ?(special_ty = fun _ -> None) ~(cfg : Pipeline.config)
+    (prog : program) : t =
+  let _md, lowered = Lower.make ~host ~special_ty ~cfg prog in
   let funcs = Hashtbl.create 31 in
   List.iter
     (function TFunc f -> Hashtbl.replace funcs f.fn_name f | _ -> ())
@@ -1937,6 +1969,11 @@ let make ?(host = false) ?special_ty ~(cfg : Pipeline.config) (prog : program) :
     lowered;
   { e_layout = Layout.make_env prog;
     e_host = host;
+    e_uint3 =
+      (fun n ->
+         match special_ty n with
+         | Some t -> equal_ty t (TVec (UInt, 3))
+         | None -> false);
     e_funcs = funcs;
     e_ir;
     e_stats;

@@ -100,7 +100,9 @@ let inlinable (f : func) : expr option =
    kernel entry) on any path reaching it — so the two intervals it
    separates have nothing to order — and (b) it is not control-dependent
    on a thread-id-tainted branch (removing a divergence-sensitive
-   barrier would change which items block).  (a) is a forward dataflow
+   barrier would change which items block).  A helper's entry counts as
+   touched: its caller may have written just before the call, and only
+   the helper's barrier orders those writes.  (a) is a forward dataflow
    over the `lib/analysis` CFG with a boolean "shared memory touched"
    fact; (b) reuses the analyzer's taint solver and control-dependence
    sets, the same machinery behind its barrier-divergence diagnostic.
@@ -209,7 +211,7 @@ let exact_barrier = function
   | Call (n, _, _) when Checks.is_barrier_name n -> true
   | _ -> false
 
-let removable_barriers (md : modl) (body : stmt list) : expr list =
+let removable_barriers ~entry_dirty (md : modl) (body : stmt list) : expr list =
   let cfg = Cfg.of_body body in
   let shared = shared_names md body in
   let dirty = dirty_expr md shared in
@@ -235,7 +237,7 @@ let removable_barriers (md : modl) (body : stmt list) : expr list =
     let fact = List.fold_left step fact nd.Cfg.instrs in
     match nd.Cfg.branch with Some c -> fact || dirty c | None -> fact
   in
-  let in_facts, _ = DirtyFlow.solve cfg ~init:false ~bottom:false ~transfer in
+  let in_facts, _ = DirtyFlow.solve cfg ~init:entry_dirty ~bottom:false ~transfer in
   let taint_out = snd (Checks.solve_taint cfg) in
   let deps = Cfg.control_deps cfg in
   let live = Cfg.reachable cfg in
@@ -891,7 +893,9 @@ let lower_fn (md : modl) (f : func) : Core.fn =
   in
   if f.fn_tmpl <> [] then reject "template function";
   let addr_taken = addr_taken_names md body in
-  let removable = removable_barriers md body in
+  let removable =
+    removable_barriers ~entry_dirty:(f.fn_kind <> FK_kernel) md body
+  in
   let st =
     { md; nregs = 0; mems = []; nmem = 0; scope = [ [] ]; site = -1;
       sited = false; addr_taken; removable; inl_depth = 0 }

@@ -33,7 +33,7 @@ let size a = a.brk
    [high_water] are still zero from [create]/[ensure]; clearing just the
    used prefix is equivalent to clearing the whole buffer. *)
 let reset a =
-  Bytes.fill a.data 0 (min a.high_water (Bytes.length a.data)) '\000';
+  Bytes.fill a.data 0 (Int.min a.high_water (Bytes.length a.data)) '\000';
   a.brk <- 16;
   a.floor <- 16;
   a.high_water <- 16
@@ -53,11 +53,11 @@ let align_up n a = (n + a - 1) land lnot (a - 1)
 
 let alloc a ?(align = 16) bytes =
   if a.frozen then raise (Frozen a.name);
-  let bytes = max bytes 1 in
+  let bytes = Int.max bytes 1 in
   let addr = align_up a.brk align in
   ensure a (addr + bytes);
   a.brk <- addr + bytes;
-  a.high_water <- max a.high_water a.brk;
+  a.high_water <- Int.max a.high_water a.brk;
   addr
 
 (* Heap storage (host malloc, string literals) shares the arena with
@@ -70,7 +70,7 @@ let alloc_heap a ?align bytes =
 
 (* Stack-style deallocation used for call frames. *)
 let mark a = a.brk
-let release a m = a.brk <- max m a.floor
+let release a m = a.brk <- Int.max m a.floor
 
 (* Freezing an arena turns any allocation into a [Frozen] fault.  The
    parallel executor freezes the shared arenas (global, constant, host)
@@ -100,7 +100,7 @@ let snapshot a =
   { snap_brk = a.brk; snap_floor = a.floor; snap_high_water = n }
 
 let restore a s =
-  let touched = min a.high_water (Bytes.length a.data) in
+  let touched = Int.min a.high_water (Bytes.length a.data) in
   Bytes.blit a.snap_buf 0 a.data 0 s.snap_high_water;
   if touched > s.snap_high_water then
     Bytes.fill a.data s.snap_high_water (touched - s.snap_high_water) '\000';

@@ -10,7 +10,10 @@
    and 63 and INT_MIN * -1; float-to-int casts of NaN, infinities, 2^40
    and -0.5; int-to-float conversions above 2^24 and chained fp32
    arithmetic; indexing through a null pointer and through a value that
-   is not an encoded pointer.
+   is not an encoded pointer; CUDA kernels, written so or translated
+   from OpenCL, that read every uint3 component, wrap threadIdx.x - 1
+   through unsigned, and index dynamic __local buffers cast out of the
+   extern __shared__ pool.
 
    Each kernel runs under Vm.Interp and under the IR backend at 1 and 4
    domains, with attribution on.  Buffers, Counters.t (under
@@ -59,7 +62,10 @@ let doubles l =
 let gws = 16
 let lws = 8
 
-let launch ?(extra_externals = []) ~backend ~passes ~domains prog ~out_bytes
+(* A launch is 1-D over [gws] items in groups of [lws] unless [geometry]
+   gives the global and local sizes; [scalars] follow the buffers. *)
+let launch ?(extra_externals = []) ?(geometry = ([| gws; 1; 1 |], [| lws; 1; 1 |]))
+    ?(dyn_shared = 0) ?(scalars = []) ~backend ~passes ~domains prog ~out_bytes
     ~inputs =
   with_ref Minic.Site.enabled true @@ fun () ->
   let config = { (Gpusim.Config.default ()) with backend; passes; domains } in
@@ -92,11 +98,8 @@ let launch ?(extra_externals = []) ~backend ~passes ~domains prog ~out_bytes
     Gpusim.Exec.launch ~dev ~modul:(Gpusim.Exec.load prog)
       ~globals:(Hashtbl.create 4)
       ~host_arena:(Vm.Memory.create "host") ~extra_externals ~kernel:k
-      ~cfg:
-        { global_size = [| gws; 1; 1 |];
-          local_size = [| lws; 1; 1 |];
-          dyn_shared = 0 }
-      ~args:(ptr out :: args) ()
+      ~cfg:{ global_size = fst geometry; local_size = snd geometry; dyn_shared }
+      ~args:((ptr out :: args) @ scalars) ()
   with
   | stats ->
     Done
@@ -137,40 +140,57 @@ let comparable ~exact reference got =
     if b <> b' then Some "partial buffers" else None
   | _ -> Some "outcomes"
 
+(* How a test source becomes the launched program: parsed as OpenCL C
+   or as CUDA, or parsed as OpenCL C and translated to CUDA as
+   clBuildProgram on the CUDA wrappers does (a dynamic __local becomes a
+   size_t parameter and a cast out of the extern __shared__ pool).
+   Sites are on the source as written, when attribution is on. *)
+type source = OpenCL | Cuda | Translated
+
+let program_of source src =
+  let parse dialect = Minic.Parser.program ~dialect src in
+  match source with
+  | OpenCL -> Minic.Site.maybe_annotate (parse Minic.Parser.OpenCL)
+  | Cuda -> Minic.Site.maybe_annotate (parse Minic.Parser.Cuda)
+  | Translated ->
+    (Xlat.Ocl_to_cuda.translate (parse Minic.Parser.OpenCL)).Xlat.Ocl_to_cuda.cuda_prog
+
 (* Interpreter vs IR backend at 1 and 4 domains; returns the reference.
    With no passes the IR charges what the interpreter charges (up to
    promoted private traffic), so counters and attribution rows must
-   match too; with every pass on,
-   ops are eliminated, and buffers and failures must still match. *)
-let differential ?extra_externals ~src ~out_bytes ~inputs () =
+   match too; with every pass on, ops are eliminated, and buffers and
+   failures must still match, and the run at 4 domains must read
+   exactly as the one at 1. *)
+let differential ?extra_externals ?(source = OpenCL) ?geometry ?dyn_shared
+    ?scalars ~src ~out_bytes ~inputs () =
   with_ref Minic.Site.enabled true @@ fun () ->
   Minic.Site.reset ();
-  let prog =
-    Minic.Site.annotate (Minic.Parser.program ~dialect:Minic.Parser.OpenCL src)
+  let prog = program_of source src in
+  let run backend passes domains =
+    launch ?extra_externals ?geometry ?dyn_shared ?scalars ~backend ~passes
+      ~domains prog ~out_bytes ~inputs
   in
-  let reference =
-    launch ?extra_externals ~backend:Gpusim.Exec.Interp ~passes:Ir.Pipeline.all
-      ~domains:1 prog ~out_bytes ~inputs
+  let reference = run Gpusim.Exec.Interp Ir.Pipeline.all 1 in
+  let ir passes domains =
+    let got = run Gpusim.Exec.Compiled passes domains in
+    let exact = passes = Ir.Pipeline.none in
+    (match comparable ~exact reference got with
+     | None -> ()
+     | Some part ->
+       Alcotest.failf
+         "IR backend (%s passes) at %d domains: %s differ from the \
+          interpreter\ninterp: %s\nir:     %s"
+         (if exact then "no" else "all") domains part (show reference)
+         (show got));
+    got
   in
-  List.iter
-    (fun (passes, domains) ->
-       let got =
-         launch ?extra_externals ~backend:Gpusim.Exec.Compiled ~passes ~domains
-           prog ~out_bytes ~inputs
-       in
-       let exact = passes = Ir.Pipeline.none in
-       match comparable ~exact reference got with
-       | None -> ()
-       | Some part ->
-         Alcotest.failf
-           "IR backend (%s passes) at %d domains: %s differ from the \
-            interpreter\ninterp: %s\nir:     %s"
-           (if exact then "no" else "all") domains part (show reference)
-           (show got))
-    [ (Ir.Pipeline.none, 1);
-      (Ir.Pipeline.none, 4);
-      (Ir.Pipeline.all, 1);
-      (Ir.Pipeline.all, 4) ];
+  ignore (ir Ir.Pipeline.none 1);
+  ignore (ir Ir.Pipeline.none 4);
+  let all1 = ir Ir.Pipeline.all 1 in
+  let all4 = ir Ir.Pipeline.all 4 in
+  if all1 <> all4 then
+    Alcotest.failf "IR backend (all passes): 4 domains differ from 1\n1: %s\n4: %s"
+      (show all1) (show all4);
   (prog, reference)
 
 (* The kernel is IR-compiled and banks at least [ints] int and [flts]
@@ -180,7 +200,7 @@ let census prog =
     Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty ~cfg:Ir.Pipeline.all prog
   in
   match Ir.Emit.ir est "k" with
-  | Some (Ok fn) -> Ir.Emit.census est.Ir.Emit.e_layout fn
+  | Some (Ok fn) -> Ir.Emit.census est fn
   | Some (Error e) -> Alcotest.failf "kernel not IR-compiled: %s" e
   | None -> Alcotest.fail "no kernel k"
 
@@ -374,6 +394,125 @@ let failure_case src expect () =
   | Failed (m, _) ->
     if not (contains m expect) then Alcotest.failf "unexpected failure %S" m
   | Done _ -> Alcotest.fail "expected the kernel to fail"
+
+(* --- CUDA index components and pointer casts --------------------------- *)
+
+(* Every component of the four uint3 specials on a 3-D grid (2x2x3
+   groups of 4x2x2 items), raw and in the unsigned and int arithmetic
+   built on them. *)
+let uint3_src = {|
+__global__ void k(unsigned int* out, int* in) {
+  unsigned int bs = blockDim.x * blockDim.y * blockDim.z;
+  unsigned int b = (blockIdx.z * gridDim.y + blockIdx.y) * gridDim.x + blockIdx.x;
+  unsigned int t = (threadIdx.z * blockDim.y + threadIdx.y) * blockDim.x + threadIdx.x;
+  unsigned int i = b * bs + t;
+  out[i * 14 + 0] = threadIdx.x;
+  out[i * 14 + 1] = threadIdx.y;
+  out[i * 14 + 2] = threadIdx.z;
+  out[i * 14 + 3] = blockIdx.x;
+  out[i * 14 + 4] = blockIdx.y;
+  out[i * 14 + 5] = blockIdx.z;
+  out[i * 14 + 6] = blockDim.x;
+  out[i * 14 + 7] = blockDim.y;
+  out[i * 14 + 8] = blockDim.z;
+  out[i * 14 + 9] = gridDim.x;
+  out[i * 14 + 10] = gridDim.y;
+  out[i * 14 + 11] = gridDim.z;
+  int gx = blockIdx.x * blockDim.x + threadIdx.x;
+  int gz = blockIdx.z * blockDim.z + threadIdx.z;
+  out[i * 14 + 12] = in[(gx + gz * 3) % 16] + (int)(threadIdx.y ^ gridDim.z);
+  out[i * 14 + 13] = (gridDim.x * blockDim.x) * gz + (int)(blockIdx.y << threadIdx.x);
+}
+|}
+
+let uint3_case () =
+  let geometry = ([| 8; 4; 6 |], [| 4; 2; 2 |]) in
+  let prog, r =
+    differential ~source:Cuda ~geometry ~src:uint3_src ~out_bytes:(192 * 56)
+      ~inputs:[ ints (List.init 16 (fun j -> (j * 37) - 100)) ] ()
+  in
+  (match r with
+   | Done (b, _, _) ->
+     (* item 191: thread (3,1,1) of block (1,1,2) *)
+     Alcotest.(check (list int32)) "item 191's components"
+       [ 3l; 1l; 1l; 1l; 1l; 2l; 4l; 2l; 2l; 2l; 2l; 3l ]
+       (List.init 12 (fun c -> String.get_int32_le b (4 * ((191 * 14) + c))))
+   | Failed (m, _) -> Alcotest.failf "kernel failed: %s" m);
+  banked prog ~ints:56 ~flts:0
+
+(* threadIdx.x - 1 wraps through unsigned int at thread 0: compared,
+   shifted, divided, converted to int, float and unsigned long. *)
+let wrap_src = {|
+__global__ void k(unsigned int* out, float* fout, unsigned long* wout) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  unsigned int t = threadIdx.x - 1;
+  out[i * 8 + 0] = t;
+  out[i * 8 + 1] = threadIdx.x - 1 > 5u;
+  out[i * 8 + 2] = (threadIdx.x - 1) >> 28;
+  out[i * 8 + 3] = (threadIdx.x - 1) * 3u + blockIdx.x;
+  int s = threadIdx.x - 1;
+  out[i * 8 + 4] = (s < 0) + (t == 4294967295u) * 2;
+  out[i * 8 + 5] = (threadIdx.x - blockDim.x) / 2u;
+  out[i * 8 + 6] = (int)(threadIdx.x - 1) >> 1;
+  out[i * 8 + 7] = -threadIdx.x;
+  fout[i] = threadIdx.x - 1;
+  wout[i] = threadIdx.x - 1;
+}
+|}
+
+let zeros bytes = { bytes; fill = (fun _ _ -> ()) }
+
+let wrap_case () =
+  let prog, r =
+    differential ~source:Cuda ~src:wrap_src ~out_bytes:(gws * 32)
+      ~inputs:[ zeros (gws * 4); zeros (gws * 8) ] ()
+  in
+  (match r with
+   | Done (b, _, _) ->
+     (* item 8 is thread 0 of group 1; wout starts 512 bytes after out *)
+     Alcotest.(check (list int32)) "thread 0 of group 1"
+       [ -1l; 1l; 15l; -2l; 3l; 2147483644l; -1l; 0l ]
+       (List.init 8 (fun c -> String.get_int32_le b (4 * ((8 * 8) + c))));
+     Alcotest.(check int64) "(unsigned long)(threadIdx.x - 1)" 4294967295L
+       (String.get_int64_le b (512 + 256 + 64))
+   | Failed (m, _) -> Alcotest.failf "kernel failed: %s" m);
+  banked prog ~ints:32 ~flts:0
+
+(* An OpenCL kernel with two dynamic __local arguments, translated: the
+   CUDA kernel takes their sizes and casts each out of the extern
+   __shared__ pool, and its get_* helpers inline to index components.
+   A large [n] indexes past the pool. *)
+let pool_src = {|
+__kernel void k(__global int* out, __global int* in, __local int* a,
+                __local float* b, int n) {
+  int lid = get_local_id(0);
+  int gid = get_global_id(0);
+  int m = get_local_size(0);
+  a[lid] = in[gid] * 3 + lid;
+  b[lid] = (float)gid * 0.5f;
+  barrier(CLK_LOCAL_MEM_FENCE);
+  out[gid] = a[(lid + 1) % m + n] + (int)b[(lid + m - 1) % m]
+           + get_group_id(0) * 100 + get_num_groups(0) * get_global_size(0);
+}
+|}
+
+let pool_case ~n () =
+  let size b =
+    Gpusim.Exec.Arg_val (Vm.Interp.tv (Vm.Value.VInt (Int64.of_int b)) (TScalar SizeT))
+  in
+  let prog, r =
+    differential ~source:Translated ~src:pool_src ~out_bytes:(gws * 4)
+      ~dyn_shared:(2 * lws * 4)
+      ~scalars:[ size (lws * 4); size (lws * 4); Gpusim.Exec.Arg_val (Vm.Interp.tint n) ]
+      ~inputs:[ ints (List.init 16 (fun j -> (j * 11) - 30)) ] ()
+  in
+  (match r with
+   | Done _ when n = 0 -> ()
+   | Failed (m, _) when n > 0 ->
+     (* a[1 + n] of thread 0: the arena's 16 reserved bytes, then 4 per int *)
+     Alcotest.(check string) "fault" "Vm.Memory.Fault(\"local\", 16404)" m
+   | _ -> Alcotest.failf "unexpected outcome: %s" (show r));
+  banked prog ~ints:22 ~flts:2
 
 (* --- resolved-type and double arithmetic ------------------------------ *)
 
@@ -661,30 +800,32 @@ let override_case () =
 (* --- residency census ------------------------------------------------ *)
 
 (* The census line `oclcu translate --ir-dump` prints, pinned for two
-   small kernels and FT's first butterfly, so a change that silently
-   boxes more registers or moves a vector back to memory shows up here
-   rather than only as a slower benchmark. *)
-let census_of src kernel =
-  let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
+   small kernels, FT's first butterfly and both matrix multiplies of the
+   paper's figures, so a change that silently boxes more registers or
+   moves a vector back to memory shows up here rather than only as a
+   slower benchmark. *)
+let census_of ?(source = OpenCL) src kernel =
+  let prog = program_of source src in
   let est =
     Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty ~cfg:Ir.Pipeline.all prog
   in
   match Ir.Emit.ir est kernel with
   | Some (Ok fn) ->
-    let c = Ir.Emit.census est.Ir.Emit.e_layout fn in
+    let c = Ir.Emit.census est fn in
     [ c.c_ints; c.c_flts; c.c_boxed; c.c_vregs; c.c_vlocals ]
   | Some (Error e) -> Alcotest.failf "%s not IR-compiled: %s" kernel e
   | None -> Alcotest.failf "no kernel %s" kernel
 
-let vadd_source () =
+(* The one kernel source a suite OpenCL app builds. *)
+let ocl_source name =
   let app =
     List.find
-      (fun (a : Bridge.Framework.ocl_app) -> a.Bridge.Framework.oa_name = "oclVectorAdd")
+      (fun (a : Bridge.Framework.ocl_app) -> a.Bridge.Framework.oa_name = name)
       Suite.Registry.all_opencl
   in
   match Suite.Capture.kernel_sources app with
   | [ src ] -> src
-  | l -> Alcotest.failf "oclVectorAdd: %d kernel sources" (List.length l)
+  | l -> Alcotest.failf "%s: %d kernel sources" name (List.length l)
 
 (* integer-heavy: index arithmetic, a loop-carried hash, shifts, masks
    and unsigned compares, one float result *)
@@ -713,11 +854,19 @@ let census_pinned () =
   (* the `__global float` loads class on their resolved type, so vadd's
      float arithmetic and its store run banked; the pointers and the
      bounds check's merge stay boxed *)
-  pin "vadd" [ 5; 3; 3; 0; 0 ] (census_of (vadd_source ()) "vadd");
+  pin "vadd" [ 5; 3; 3; 0; 0 ] (census_of (ocl_source "oclVectorAdd") "vadd");
   pin "hash" [ 24; 2; 12; 0; 0 ] (census_of hash_src "hash");
   (* double2 tile elements move through slots, their components through
      the float bank *)
-  pin "cffts1" [ 23; 16; 3; 7; 5 ] (census_of Suite.Npb.ft_src "cffts1")
+  pin "cffts1" [ 23; 16; 3; 7; 5 ] (census_of Suite.Npb.ft_src "cffts1");
+  (* CUDA kernels bank their index components (the translated get_*
+     helpers inline to them) and index the tiles cast out of the shared
+     pool typed; the pool pointers, the pool and the uint3 specials
+     themselves stay boxed, and so do matrixMul's 2-D tile rows *)
+  pin "matmul, translated to CUDA" [ 37; 9; 17; 0; 0 ]
+    (census_of ~source:Translated (ocl_source "oclMatrixMul") "matmul");
+  pin "matrixMul (Figure 8)" [ 33; 1; 29; 0; 0 ]
+    (census_of ~source:Cuda Suite.Toolkit_cuda.matrixmul.Suite.Registry.cu_src "matrixMul")
 
 let suites =
   [ ( "banks.census",
@@ -737,6 +886,12 @@ let suites =
           (fun (what, src) ->
              Alcotest.test_case ("stays in memory: " ^ what) `Quick (in_memory_case src))
           in_memory );
+    ( "banks.cuda",
+      [ Alcotest.test_case "every uint3 component on a 3-D grid" `Quick uint3_case;
+        Alcotest.test_case "threadIdx.x - 1 wraps through unsigned" `Quick wrap_case;
+        Alcotest.test_case "two __local arguments cast out of the shared pool"
+          `Quick (pool_case ~n:0);
+        Alcotest.test_case "an index past the shared pool" `Quick (pool_case ~n:4096) ] );
     ( "banks.externals",
       [ Alcotest.test_case "extra external overrides get_global_id" `Quick
           override_case ] );

@@ -14,7 +14,8 @@
 
    Helpers take the address of a private array, so a frame the engine
    failed to release, or one it released too early, moves a value in
-   the buffer. *)
+   the buffer.  The last case is a helper whose barrier only its
+   caller's writes make necessary, which the barrier pass must keep. *)
 
 open Minic.Ast
 
@@ -171,7 +172,25 @@ __kernel void k(__global int* out, char c, short s, uint u, float f) {
       gws = 64; lws = 16; out_words = 256;
       args =
         [ Out; int_arg 300; int_arg 70000; int_arg (-1);
-          Scalar (Vm.Interp.tv (Vm.Value.VFloat 0.1) (TScalar Double)) ] } ]
+          Scalar (Vm.Interp.tv (Vm.Value.VFloat 0.1) (TScalar Double)) ] };
+    (* Only the caller's write makes the helper's barrier necessary: the
+       barrier pass must keep it, so every engine reads 21 28 .. 105 0 7
+       14 (deleting it reads 0 .. 0 7 14 at one domain). *)
+    { name = "a helper barrier that orders its caller's writes";
+      src = {|
+void sync_group(int lid) {
+  if (lid < 0) return;
+  barrier(CLK_LOCAL_MEM_FENCE);
+}
+__kernel void k(__global int* out) {
+  __local int tile[16];
+  int lid = get_local_id(0);
+  tile[lid] = lid * 7;
+  sync_group(lid);
+  out[lid] = tile[(lid + 3) % 16];
+}
+|};
+      gws = 16; lws = 16; out_words = 16; args = [ Out ] } ]
 
 (* The pinned outcomes, by case: on the interpreter (which runs no IR,
    so the pass set does not matter), then on the IR under passes all
@@ -196,7 +215,11 @@ let pinned =
     ( "char, short, uint and float parameters out of range",
       ( "done 725164185f3b | 64 4 704 0 64 0 0 0 32 256 1024 0 0 0 1280 0 | 142ca04091c9",
         "done 725164185f3b | 64 4 512 0 64 0 0 0 32 256 1024 0 0 0 0 0 | 10ed199a2009",
-        "done 725164185f3b | 64 4 704 0 64 0 0 0 32 256 1024 0 0 0 0 0 | 142ca04091c9" ) ) ]
+        "done 725164185f3b | 64 4 704 0 64 0 0 0 32 256 1024 0 0 0 0 0 | 142ca04091c9" ) );
+    ( "a helper barrier that orders its caller's writes",
+      ( "done 1a89a822b246 | 16 1 48 0 0 16 16 1 1 16 64 2 32 0 160 0 | 221310d90934",
+        "done 1a89a822b246 | 16 1 48 0 0 16 16 1 1 16 64 2 32 0 0 0 | 221310d90934",
+        "done 1a89a822b246 | 16 1 48 0 0 16 16 1 1 16 64 2 32 0 0 0 | 221310d90934" ) ) ]
 
 let check (c : case) () =
   let interp, all, none = List.assoc c.name pinned in
