@@ -1073,18 +1073,16 @@ let attribute_bench () =
   in
   let last = ref [] in
   let profile ~attributed () =
-    Minic.Site.enabled := attributed;
-    Minic.Site.reset ();
+    let config = { (Gpusim.Config.default ()) with attribute = attributed } in
     last :=
       snd
         (with_metrics (fun () ->
-             ignore (run_app_native app ());
-             ignore (run_app_on_cuda app ())))
+             ignore (run_app_native app ~dev:(device_of ~config Titan_opencl) ());
+             ignore (run_app_on_cuda app ~dev:(device_of ~config Titan_cuda) ())))
   in
   let base_t = best_of 5 (profile ~attributed:false) in
   let attr_t = best_of 5 (profile ~attributed:true) in
   let sites = Trace.Summary.collect_sites !last in
-  Minic.Site.enabled := false;
   let ratio = attr_t /. base_t in
   Printf.printf "%-34s %8.2f ms\n" "plain profile (FT, both fw)"
     (base_t *. 1e3);

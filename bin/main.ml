@@ -399,11 +399,12 @@ let traced_run label f =
   | v -> (finish (), Ok v)
   | exception e -> (finish (), Error e)
 
-(* Every run of a CLI invocation launches under the process defaults,
-   which the header echoes as a fuzz repro records them. *)
-let print_profile ?(attribute = false) (tr : traced_run) =
-  let config = Gpusim.Config.to_string (Gpusim.Config.default ()) in
-  print_string (Trace.Summary.to_string ~label:tr.tr_label ~config tr.tr_spans);
+(* Every run of a CLI invocation launches under the configuration its
+   flags built, which the header echoes as a fuzz repro records it. *)
+let print_profile ~(config : Gpusim.Config.t) (tr : traced_run) =
+  print_string
+    (Trace.Summary.to_string ~label:tr.tr_label
+       ~config:(Gpusim.Config.to_string config) tr.tr_spans);
   if tr.tr_dropped_spans > 0 || tr.tr_dropped_metrics > 0 then
     Printf.printf
       "!! trace truncated: the ring buffer evicted %d span(s) and %d metrics \
@@ -413,7 +414,7 @@ let print_profile ?(attribute = false) (tr : traced_run) =
   print_string (Trace.Summary.metrics_to_string tr.tr_metrics);
   let amps = Trace.Summary.amplifications tr.tr_spans in
   if amps <> [] then print_string (Trace.Summary.amplification_to_string amps);
-  if attribute then begin
+  if config.attribute then begin
     print_string (Trace.Summary.attribution_to_string tr.tr_metrics);
     print_string (Trace.Summary.pool_to_string tr.tr_metrics)
   end
@@ -441,16 +442,10 @@ let attribute_arg =
        & info [ "attribute" ]
            ~doc:"Attribute counted events (ops, memory transactions, bank \
                  conflicts, barriers, warp divergence) to source statements: \
-                 annotate every statement with a stable site id, track the \
-                 executing site through both backends, and print a per-site \
-                 hot-spot table plus worker-pool telemetry")
-
-(* Flip the attribution machinery on for this process: site annotation in
-   the parsers/translators and per-site counter tables in the engine.
-   [Site.reset] makes site numbering deterministic per invocation. *)
-let enable_attribution () =
-  Minic.Site.enabled := true;
-  Minic.Site.reset ()
+                 the devices this command creates build with a stable site \
+                 id on every statement, launches of what they build track \
+                 the executing site through both backends, and a per-site \
+                 hot-spot table plus worker-pool telemetry is printed")
 
 (* A host call the runtime rejected (a malformed cuda* call, a wrapper's
    refusal, a CUDA runtime error) is the program's error, not an
@@ -520,18 +515,19 @@ let run_cmd =
   let run input device trace profile attribute backend domains engine =
     catching_sys_error @@ fun () ->
     exit_on_rejected_call @@ fun () ->
-    Gpusim.Exec.backend := backend;
-    Gpusim.Exec.engine := engine;
-    Gpusim.Exec.domains := max 1 domains;
-    if attribute then enable_attribution ();
+    let config =
+      { (Gpusim.Config.default ()) with
+        backend; engine; domains = max 1 domains; attribute }
+    in
+    let dev = Bridge.Framework.device_of ~config device in
     let profile = profile || attribute in
     let src = read_file input in
     let tracing = trace <> None || profile in
     let execute () =
       match device with
-      | Bridge.Framework.Titan_cuda -> Ok (Bridge.Framework.run_cuda_native src)
-      | target ->
-        (match Bridge.Framework.translate_cuda src with
+      | Bridge.Framework.Titan_cuda -> Ok (Bridge.Framework.run_cuda_native ~dev src)
+      | _ ->
+        (match Bridge.Framework.translate_cuda ~attribute src with
          | Failed findings ->
            List.iter
              (fun f ->
@@ -541,9 +537,7 @@ let run_cmd =
              findings;
            Error "cannot run on an OpenCL device: translation rejected"
          | Translated result ->
-           Ok
-             (Bridge.Framework.run_translated_cuda
-                ~dev:(Bridge.Framework.device_of target) result))
+           Ok (Bridge.Framework.run_translated_cuda ~dev result))
     in
     let finish (r : Bridge.Framework.run) =
       print_string r.r_output;
@@ -565,7 +559,7 @@ let run_cmd =
       | Ok (Error msg) -> `Error (false, msg)
       | Ok (Ok r) ->
         finish r;
-        if profile then print_profile ~attribute tr;
+        if profile then print_profile ~config tr;
         (match trace with
          | Some path ->
            Trace.Chrome.write_file path
@@ -608,13 +602,14 @@ let prof_cmd =
                    benchmark from the built-in suites (e.g. $(b,FT), \
                    $(b,cfd), $(b,deviceQuery))")
   in
-  let profile_cuda_src label src =
+  let device config target = Bridge.Framework.device_of ~config target in
+  let profile_cuda_src config label src =
     let native, nat_outcome =
       traced_run (label ^ " @ CUDA/Titan") (fun () ->
-          Bridge.Framework.run_cuda_native src)
+          Bridge.Framework.run_cuda_native ~dev:(device config Titan_cuda) src)
     in
     (match nat_outcome with Error e -> raise e | Ok _ -> ());
-    match Bridge.Framework.translate_cuda src with
+    match Bridge.Framework.translate_cuda ~attribute:config.attribute src with
     | Failed findings ->
       List.iter
         (fun f ->
@@ -627,23 +622,24 @@ let prof_cmd =
       let translated, tr_outcome =
         traced_run (label ^ " @ OpenCL/Titan (translated)") (fun () ->
             Bridge.Framework.run_translated_cuda
-              ~dev:(Bridge.Framework.device_of Bridge.Framework.Titan_opencl)
-              result)
+              ~dev:(device config Titan_opencl) result)
       in
       (match tr_outcome with Error e -> raise e | Ok _ -> ());
       [ native; translated ]
   in
-  let profile_ocl_app (app : Bridge.Framework.ocl_app) =
+  let profile_ocl_app config (app : Bridge.Framework.ocl_app) =
     let native, nat_outcome =
       traced_run
         (app.Bridge.Framework.oa_name ^ " @ OpenCL/Titan")
-        (fun () -> Bridge.Framework.run_app_native app ())
+        (fun () ->
+           Bridge.Framework.run_app_native app ~dev:(device config Titan_opencl) ())
     in
     (match nat_outcome with Error e -> raise e | Ok _ -> ());
     let wrapped, wrap_outcome =
       traced_run
         (app.Bridge.Framework.oa_name ^ " @ CUDA/Titan (wrapped)")
-        (fun () -> Bridge.Framework.run_app_on_cuda app ())
+        (fun () ->
+           Bridge.Framework.run_app_on_cuda app ~dev:(device config Titan_cuda) ())
     in
     (match wrap_outcome with Error e -> raise e | Ok _ -> ());
     [ native; wrapped ]
@@ -661,13 +657,15 @@ let prof_cmd =
   in
   let run target attribute diff trace csv =
     catching_sys_error @@ fun () ->
-    let attribute = attribute || diff in
-    if attribute then enable_attribution ();
+    let config =
+      { (Gpusim.Config.default ()) with attribute = attribute || diff }
+    in
     let runs =
       if Sys.file_exists target && not (Sys.is_directory target) then begin
         if not (ends_with ~suffix:".cu" target) then
           failwith "prof: only CUDA (.cu) source files can be profiled";
-        Some (profile_cuda_src (Filename.basename target) (read_file target))
+        Some
+          (profile_cuda_src config (Filename.basename target) (read_file target))
       end
       else
         match
@@ -675,7 +673,7 @@ let prof_cmd =
             (fun (c : Suite.Registry.cuda_app) -> c.cu_name = target)
             Suite.Registry.all_cuda
         with
-        | Some c -> Some (profile_cuda_src c.cu_name c.cu_src)
+        | Some c -> Some (profile_cuda_src config c.cu_name c.cu_src)
         | None ->
           (match
              List.find_opt
@@ -683,7 +681,7 @@ let prof_cmd =
                   a.Bridge.Framework.oa_name = target)
                Suite.Registry.all_opencl
            with
-           | Some a -> Some (profile_ocl_app a)
+           | Some a -> Some (profile_ocl_app config a)
            | None -> None)
     in
     Trace.Sink.disable ();
@@ -698,7 +696,7 @@ let prof_cmd =
       List.iteri
         (fun i tr ->
            if i > 0 then print_newline ();
-           print_profile ~attribute tr)
+           print_profile ~config tr)
         runs;
       (* --diff: the first run is always the native side and the second,
          when present, the translated (or wrapped) one *)

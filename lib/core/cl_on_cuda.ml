@@ -88,10 +88,11 @@ let build_program t src =
   let t0 = (dev t).Gpusim.Device.sim_time_ns in
   Gpusim.Device.api_call (dev t);
   (* kernel.cl -> kernel.cl.cu -> PTX -> cuModuleLoad (Fig. 2) *)
+  let attribute = (dev t).Gpusim.Device.config.attribute in
   let cuda_src, result =
     Trace.Build_cache.find_or_build xlat_cache
-      ~key:(Trace.Build_cache.key src ^ Minic.Site.cache_salt ())
-      (fun () -> Xlat.Ocl_to_cuda.translate_source src)
+      ~key:(Trace.Build_cache.key src ^ Minic.Site.cache_salt attribute)
+      (fun () -> Xlat.Ocl_to_cuda.translate_source ~attribute src)
   in
   (* cache hits skip the translator's wall-clock cost only: the simulated
      build time and the per-context module load are unchanged *)

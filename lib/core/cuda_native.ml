@@ -97,9 +97,9 @@ let launch_handler cu (m : C.modul) ctx (c : launch_call) =
   tunit
 
 let run ~(dev : Gpusim.Device.t) ~(src : string) : Hostrun.run =
+  let prog = Minic.Parser.program ~dialect:Minic.Parser.Cuda src in
   let prog =
-    Minic.Site.maybe_annotate
-      (Minic.Parser.program ~dialect:Minic.Parser.Cuda src)
+    if dev.Gpusim.Device.config.attribute then Minic.Site.annotate prog else prog
   in
   let session = Hostrun.make_session () in
   let cu = C.create ~host:session.Hostrun.arena dev in

@@ -76,16 +76,17 @@ let translate_cache : translation_outcome Trace.Build_cache.t =
 (* Feature check (Table 3) then source-to-source translation.
    [cl_target] selects the OpenCL version the translation targets; under
    CL20, unified-virtual-address-space programs translate via shared
-   virtual memory (the paper's anticipated extension, §3.7). *)
+   virtual memory (the paper's anticipated extension, §3.7).
+   [attribute] annotates source sites before translating. *)
 let translate_cuda ?(tex1d_texels = None) ?(cl_target = Xlat.Feature.CL12)
-    (src : string) : translation_outcome =
+    ?(attribute = false) (src : string) : translation_outcome =
   let opts =
     Printf.sprintf ";tex1d=%s;target=%s"
       (match tex1d_texels with None -> "-" | Some n -> string_of_int n)
       (match cl_target with Xlat.Feature.CL12 -> "cl12" | CL20 -> "cl20")
   in
   Trace.Build_cache.find_or_build translate_cache
-    ~key:(Trace.Build_cache.key src ^ opts ^ Minic.Site.cache_salt ())
+    ~key:(Trace.Build_cache.key src ^ opts ^ Minic.Site.cache_salt attribute)
   @@ fun () ->
   let prog =
     match Minic.Parser.program ~dialect:Minic.Parser.Cuda src with
@@ -101,7 +102,7 @@ let translate_cuda ?(tex1d_texels = None) ?(cl_target = Xlat.Feature.CL12)
     match prog with
     | None -> Failed []
     | Some p ->
-      (match Xlat.Cuda_to_ocl.translate p with
+      (match Xlat.Cuda_to_ocl.translate ~attribute p with
        | r -> Translated r
        | exception Xlat.Cuda_to_ocl.Untranslatable msg ->
          Failed

@@ -58,10 +58,11 @@ type translation_outcome =
     [tex1d_texels] is the application's runtime 1D-texture size hint
     (§5's limit); [cl_target] defaults to OpenCL 1.2 — under
     {!Xlat.Feature.CL20}, unified-virtual-address-space programs
-    translate via shared virtual memory (§3.7's anticipated path). *)
+    translate via shared virtual memory (§3.7's anticipated path).
+    [attribute] (default false) annotates source sites first. *)
 val translate_cuda :
-  ?tex1d_texels:int option -> ?cl_target:Xlat.Feature.cl_target -> string ->
-  translation_outcome
+  ?tex1d_texels:int option -> ?cl_target:Xlat.Feature.cl_target ->
+  ?attribute:bool -> string -> translation_outcome
 
 (** Interpret an original .cu program against the native CUDA runtime. *)
 val run_cuda_native : ?dev:Gpusim.Device.t -> string -> run

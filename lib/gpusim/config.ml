@@ -1,12 +1,12 @@
-(* Engine configuration: how a device executes its launches.
+(* Device configuration: how a device builds and executes programs.
 
    A device carries one immutable [t] from its creation
-   ({!Device.create}), and {!Exec.launch} reads nothing else.  The refs
-   below are the process defaults [default ()] starts from: the
+   ({!Device.create}); builds and {!Exec.launch} read nothing else.  The
+   refs below are the process defaults [default ()] starts from: the
    OCLCU_BACKEND, OCLCU_ENGINE and OCLCU_DOMAINS variables initialise
-   them (OCLCU_IR_PASSES initialises [Ir.Pipeline.selected]), and the CLI
-   flags set them once at start-up.  Library code never assigns them: a
-   caller comparing settings builds one config per setting. *)
+   them (OCLCU_IR_PASSES initialises [Ir.Pipeline.selected]), and nothing
+   assigns them: the CLI, like any caller comparing settings, builds
+   one config per setting. *)
 
 (* Execution backend of kernels and host code (Bridge.Hostrun): the
    IR-compiled closures, or the tree-walking interpreter (for
@@ -46,14 +46,15 @@ type t = {
   engine : engine;
   domains : int;               (* 1 = the sequential engine *)
   passes : Ir.Pipeline.config; (* compiled backend's IR pass set *)
+  attribute : bool;            (* builds annotate sites (Minic.Site) *)
 }
 
 let default () =
   { backend = !backend; engine = !engine; domains = !domains;
-    passes = !Ir.Pipeline.selected }
+    passes = !Ir.Pipeline.selected; attribute = false }
 
-(* key=value rendering: the profiler's report header and the fuzz
-   repro's config file print this, and [of_kv] reads it back. *)
+(* key=value rendering of the launch settings: the profiler's report
+   header and the fuzz repro's config file print it, [of_kv] reads it. *)
 let to_kv c =
   [ ("backend", match c.backend with Interp -> "interp" | Compiled -> "compiled");
     ("engine", match c.engine with Scalar -> "scalar" | Lockstep -> "lockstep");
@@ -76,7 +77,7 @@ let of_kv kv =
        | None -> failwith (Printf.sprintf "config: bad %s=%s" k v))
   in
   let d = default () in
-  { backend = field "backend" backend_of_string d.backend;
+  { d with backend = field "backend" backend_of_string d.backend;
     engine = field "engine" engine_of_string d.engine;
     domains = field "domains" positive d.domains;
     passes =

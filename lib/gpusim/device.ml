@@ -118,7 +118,7 @@ let opencl_on_amd = {
 type t = {
   hw : hw;
   fw : framework;
-  config : Config.t;                  (* how launches execute *)
+  config : Config.t;                  (* how builds and launches run *)
   global : Vm.Memory.arena;
   constant : Vm.Memory.arena;
   symbols : (string, Vm.Interp.binding) Hashtbl.t;

@@ -52,7 +52,8 @@ type t = {
   hw : hw;
   fw : framework;
   config : Config.t;           (** backend, engine, domains and passes of
-                                   every launch on this device *)
+                                   every launch on this device, and
+                                   whether its builds annotate sites *)
   global : Vm.Memory.arena;
   constant : Vm.Memory.arena;
   symbols : (string, Vm.Interp.binding) Hashtbl.t;

@@ -93,7 +93,7 @@ type engine_outcome =
 (* Result of one launch: raw event counters plus launch geometry. *)
 type launch_stats = {
   counters : Counters.t;
-  attr : Attr.t option;        (* when [Minic.Site.enabled] *)
+  attr : Attr.t option;        (* when the module's program carries sites *)
   block_threads : int;
   n_blocks : int;
   occupancy : Occupancy.result;
@@ -249,12 +249,13 @@ let special_ty = function
     Some (TScalar Int)
   | _ -> None
 
-(* A loaded module: the device program, and its compiled forms, one per
-   IR pass set it was launched under.  A form compiles on the module's
-   first launch under its pass set and holds the lockstep warp plans,
-   keyed by kernel name and warp width; ineligibility is decided once,
-   not re-analysed per launch.  The lock guards both: a module may be
-   launched from several domains at once. *)
+(* A loaded module: the device program, whether it carries sites (its
+   launches attribute exactly when it does), and its compiled forms, one
+   per IR pass set it was launched under.  A form compiles on the
+   module's first launch under its pass set and holds the lockstep warp
+   plans, keyed by kernel name and warp width; ineligibility is decided
+   once, not re-analysed per launch.  The lock guards both: a module may
+   be launched from several domains at once. *)
 type form = {
   f_passes : Ir.Pipeline.config;
   f_est : Ir.Emit.t;
@@ -264,11 +265,14 @@ type form = {
 
 type modul = {
   m_prog : Minic.Ast.program;
+  m_sited : bool;
   m_lock : Mutex.t;
   mutable m_forms : form list;
 }
 
-let load prog = { m_prog = prog; m_lock = Mutex.create (); m_forms = [] }
+let load prog =
+  { m_prog = prog; m_sited = Minic.Site.present prog; m_lock = Mutex.create ();
+    m_forms = [] }
 
 let program m = m.m_prog
 
@@ -311,6 +315,7 @@ type setup = {
   s_blocks : int;
   s_threads : int;             (* items per block *)
   s_workers : int;             (* 1 = the sequential engine *)
+  s_attr : bool;               (* the module carries sites *)
   (* launch-constant special values *)
   s_lids : int array array;    (* local linear id -> local id *)
   s_tids : Vm.Interp.tval array;
@@ -451,6 +456,7 @@ let setup ~(dev : Device.t) ~modul ~globals ~host_arena ~extra ~observer
     s_blocks = blocks;
     s_threads = threads;
     s_workers = workers;
+    s_attr = modul.m_sited;
     s_lids = lids;
     s_tids = Array.map uint3 lids;
     s_bdim = uint3 local;
@@ -612,12 +618,12 @@ let private_arena arenas i =
 
 let make_worker s ~par ~plan =
   let counters = Counters.create () in
-  (* per-site attribution ([Minic.Site.enabled], `oclcu prof
-     --attribute`): every counted event is charged to the site of the
-     statement that caused it, and per-item branch decisions are
-     recorded for the warp-divergence counter.  Off by default — the
-     extra stream pushes cost real time on the hot path. *)
-  let attr = if !Minic.Site.enabled then Some (Attr.create ()) else None in
+  (* per-site attribution, for a module with sites: every counted event
+     is charged to the site of the statement that caused it, and
+     per-item branch decisions are recorded for the warp-divergence
+     counter.  Off otherwise — the extra stream pushes cost real time
+     on the hot path. *)
+  let attr = if s.s_attr then Some (Attr.create ()) else None in
   (* the running item's index view; [set_item] rewrites it in place *)
   let cur =
     { gid = [| 0; 0; 0 |]; lid = [| 0; 0; 0 |]; grp = [| 0; 0; 0 |];
@@ -663,9 +669,9 @@ let make_worker s ~par ~plan =
       (fun bs taken -> Counters.bstream_push bs.(cur.item) ~site:!site taken)
       bstreams
   in
-  (* IR-pass elimination credits: only materialised in attribution mode,
-     where the report shows ops + ops_eliminated = the unoptimized ops
-     count per site *)
+  (* IR-pass elimination credits: only materialised when attributing
+     (a plain module's forms emit no [Elim] closure), where the report
+     shows ops + ops_eliminated = the unoptimized ops count per site *)
   let on_elim =
     Option.map
       (fun a n ->

@@ -21,8 +21,9 @@
     the sequential scalar engine.
 
     A launch reads its backend, engine, domain count and IR pass set
-    from the device ({!Device.t.config}) and its compiled kernels from
-    the loaded module it is given; it reads no process state. *)
+    from the device ({!Device.t.config}), and its compiled kernels and
+    whether to attribute per site from the loaded module it is given;
+    it reads no process state. *)
 
 exception Launch_error of string
 
@@ -72,9 +73,9 @@ val special_ty : string -> Minic.Ast.ty option
     per-site attribution) is byte-identical to [Scalar]. *)
 type engine = Config.engine = Scalar | Lockstep
 
-(** The process defaults {!Config.default} reads ([OCLCU_BACKEND],
-    [OCLCU_ENGINE], [OCLCU_DOMAINS]; the CLI flags set them once at
-    start-up).  A launch never reads them. *)
+(** The process defaults {!Config.default} reads, initialised from
+    [OCLCU_BACKEND], [OCLCU_ENGINE] and [OCLCU_DOMAINS].  A launch never
+    reads them. *)
 val backend : backend ref
 val engine : engine ref
 val domains : int ref
@@ -102,10 +103,10 @@ type pool_stats = {
 type launch_stats = {
   counters : Counters.t;
   attr : Attr.t option;
-  (** per-site attribution, present when {!Minic.Site.enabled}: every
-      counted event charged to the site of the statement that caused
-      it, plus per-item branch decisions for the warp-divergence
-      counter *)
+  (** per-site attribution, present when the module's program carries
+      sites ({!Minic.Site.present}): every counted event charged to the
+      site of the statement that caused it, plus per-item branch
+      decisions for the warp-divergence counter *)
   block_threads : int;
   n_blocks : int;
   occupancy : Occupancy.result;

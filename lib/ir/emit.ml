@@ -657,6 +657,7 @@ type t = {
   e_ir : (string, (Core.fn, string) result) Hashtbl.t;  (* optimized IR *)
   e_stats : (string, Passes.stats) Hashtbl.t;
   e_wrappers : (string, wrapper) Hashtbl.t;
+  e_sited : bool;  (* Minic.Site.present, as Gpusim.Exec attributes on *)
 }
 
 (* Residency census of a function: the banked, boxed and slotted
@@ -1744,6 +1745,9 @@ and set_site_closure (s : int) : renv -> unit =
 and emit_body (bst : bst) (tracked : int option) (b : Core.body) : renv -> unit =
   let rec build tracked acc = function
     | [] -> acc
+    | Core.Ins { Core.i_kind = Core.Elim _; _ } :: rest when not bst.est.e_sited ->
+      (* it would call [on_elim], which no launch of it installs *)
+      build tracked acc rest
     | Core.Ins i :: rest ->
       let acc, tracked =
         if bst.sited && tracked <> Some i.Core.i_site then
@@ -1977,7 +1981,8 @@ let make ?(host = false) ?(special_ty = fun _ -> None) ~(cfg : Pipeline.config)
     e_funcs = funcs;
     e_ir;
     e_stats;
-    e_wrappers = Hashtbl.create 15 }
+    e_wrappers = Hashtbl.create 15;
+    e_sited = Minic.Site.present prog }
 
 (* IR-compiled entry for [name], or None when lowering rejected it (the
    caller runs it on the interpreter). *)

@@ -219,18 +219,13 @@ let rec init_str dialect = function
 
 let buf_add = Buffer.add_string
 
-(* Render SSite attribution wrappers as /*@id*/ markers.  Off by
-   default: annotated ASTs print exactly like their plain form, so
-   golden outputs and cache keys are insensitive to annotation.
-   Site.annotated_str flips this around a render. *)
-let site_markers = ref false
-
+(* SSite attribution wrappers print as nothing: annotated ASTs print
+   exactly like their plain form, so golden outputs and cache keys are
+   insensitive to annotation. *)
 let rec stmt_pp dialect buf indent s =
   let pad = String.make indent ' ' in
   match s with
-  | SSite (id, s) ->
-    if !site_markers then buf_add buf (Printf.sprintf "%s/*@%d*/\n" pad id);
-    stmt_pp dialect buf indent s
+  | SSite (_, s) -> stmt_pp dialect buf indent s
   | SDecl d ->
     buf_add buf pad;
     buf_add buf (storage_prefix dialect d.d_storage);
@@ -298,9 +293,7 @@ let rec stmt_pp dialect buf indent s =
 and block_pp dialect buf indent s =
   (* inline block without trailing newline, for if/while headers *)
   match s with
-  | SSite (id, s) ->
-    if !site_markers then buf_add buf (Printf.sprintf "/*@%d*/ " id);
-    block_pp dialect buf indent s
+  | SSite (_, s) -> block_pp dialect buf indent s
   | SBlock l ->
     buf_add buf "{\n";
     List.iter (stmt_pp dialect buf (indent + 2)) l;

@@ -15,20 +15,35 @@
    so their runtime cost lands on site 0 instead of leaking into a
    neighbouring source site.
 
-   Annotation is opt-in ([enabled], set by `oclcu prof --attribute`):
-   normal runs never see SSite nodes and pay nothing. *)
+   Annotation is opt-in: a build annotates when its device's
+   configuration says so (`--attribute`), and a launch attributes when
+   its module's program carries sites ([present]).  Plain builds never
+   see SSite nodes and pay nothing. *)
 
 open Ast
 
 let overhead_site = 0
 
-(* Global switch read by the build pipelines (Cl.build_program,
-   Cuda_native.run, Framework.translate_cuda, Cl_on_cuda); off until
-   `--attribute` (or a test) sets it.  Build caches must salt their keys
-   with [cache_salt] so annotated and plain ASTs never alias. *)
-let enabled = ref false
+(* Build caches salt their keys with [cache_salt attribute] so
+   annotated and plain ASTs never alias. *)
+let cache_salt attribute = if attribute then "+site" else ""
 
-let cache_salt () = if !enabled then "+site" else ""
+(* Does a function body of [prog] carry a site?  Sites wrap statements
+   only. *)
+let present (prog : program) : bool =
+  let rec sited = function
+    | SSite _ -> true
+    | SIf (_, a, b) -> sited a || Option.fold ~none:false ~some:sited b
+    | SWhile (_, b) | SDoWhile (b, _) -> sited b
+    | SFor (i, _, _, b) -> Option.fold ~none:false ~some:sited i || sited b
+    | SBlock l -> List.exists sited l
+    | SDecl _ | SExpr _ | SReturn _ | SBreak | SContinue -> false
+  in
+  List.exists
+    (function
+      | TFunc { fn_body = Some body; _ } -> List.exists sited body
+      | _ -> false)
+    prog
 
 (* ------------------------------------------------------------------ *)
 (* Site registry: id -> (enclosing function, one-line source snippet)  *)
@@ -40,8 +55,6 @@ let registry_lock = Mutex.create ()
 let with_registry f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
-
-let reset () = with_registry (fun () -> Hashtbl.reset registry)
 
 (* (function name, snippet) for a site id; site 0 is the synthetic
    overhead site. *)
@@ -109,8 +122,6 @@ let annotate (prog : program) : program =
       | td -> td)
     prog
 
-let maybe_annotate prog = if !enabled then annotate prog else prog
-
 (* After translation: any top-level statement without a site marker was
    injected by the translator — charge it to the overhead site.  Nested
    injected statements (e.g. a split vector assignment) sit under their
@@ -131,17 +142,3 @@ let fill_overhead (prog : program) : program =
                    body) }
       | td -> td)
     prog
-
-let maybe_fill_overhead prog = if !enabled then fill_overhead prog else prog
-
-(* ------------------------------------------------------------------ *)
-(* Annotated source rendering                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Pretty-print with /*@id*/ site markers (Pretty hides them by
-   default, so only this entry point shows them). *)
-let annotated_str dialect (prog : program) : string =
-  Pretty.site_markers := true;
-  Fun.protect
-    ~finally:(fun () -> Pretty.site_markers := false)
-    (fun () -> Pretty.program_str dialect prog)

@@ -8,21 +8,18 @@
    normally, so the app runs to completion and builds every program it
    would build for real. *)
 
-let captured : string list ref = ref []
-
-module Recording = struct
-  include Bridge.Cl_api.Native
-
-  let build_program t src =
-    captured := src :: !captured;
-    Bridge.Cl_api.Native.build_program t src
-end
-
 (* The (deduplicated, in build order) kernel sources [app] builds.  An
    application that fails mid-run still yields the sources built up to
    the failure. *)
 let kernel_sources (app : Bridge.Framework.ocl_app) : string list =
-  captured := [];
+  let captured = ref [] in
+  let module Recording = struct
+    include Bridge.Cl_api.Native
+
+    let build_program t src =
+      captured := src :: !captured;
+      Bridge.Cl_api.Native.build_program t src
+  end in
   let dev = Bridge.Framework.(device_of Titan_opencl) in
   let c = Bridge.Cl_api.Native.make dev in
   (try

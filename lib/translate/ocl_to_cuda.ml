@@ -214,10 +214,9 @@ let lower_expr types (e : expr) : expr =
    evaluated once into a fresh temporary first: per-component
    re-evaluation would both duplicate side effects and — when source and
    target overlap, as in [v.wx = v.zw] — read components the earlier
-   split statements already overwrote. *)
-let sw_fresh = ref 0
-
-let split_multi_assign types (lhs : expr) op (rhs : expr) : stmt list option =
+   split statements already overwrote.  [sw] numbers the temporaries
+   across one translation. *)
+let split_multi_assign ~sw types (lhs : expr) op (rhs : expr) : stmt list option =
   match lhs with
   | Member (base, m) ->
     (match vec_width types base with
@@ -280,8 +279,8 @@ let split_multi_assign types (lhs : expr) op (rhs : expr) : stmt list option =
           |> (function
           | Some _ as fast -> fast
           | None ->
-          incr sw_fresh;
-          let tmp = Printf.sprintf "__oc2cu_sw%d" !sw_fresh in
+          incr sw;
+          let tmp = Printf.sprintf "__oc2cu_sw%d" !sw in
           let tmp_ty, tmp_comp =
             match vec_width types rhs with
             | None ->
@@ -307,12 +306,12 @@ let split_multi_assign types (lhs : expr) op (rhs : expr) : stmt list option =
         | _ -> None))
   | _ -> None
 
-let rec lower_stmt types used_wide (s : stmt) : stmt list =
+let rec lower_stmt ~sw types used_wide (s : stmt) : stmt list =
   match s with
   | SExpr (Assign (op, lhs, rhs)) ->
-    (match split_multi_assign types lhs op rhs with
+    (match split_multi_assign ~sw types lhs op rhs with
      | Some stmts ->
-       List.concat_map (lower_stmt types used_wide) stmts
+       List.concat_map (lower_stmt ~sw types used_wide) stmts
      | None -> [ SExpr (lower_expr types (Assign (op, lhs, rhs))) ])
   | SExpr e -> [ SExpr (lower_expr types e) ]
   | SDecl d ->
@@ -350,28 +349,28 @@ let rec lower_stmt types used_wide (s : stmt) : stmt list =
   | SIf (c, a, b) ->
     [ SIf
         ( lower_expr types c,
-          block (lower_stmt types used_wide a),
-          Option.map (fun b -> block (lower_stmt types used_wide b)) b ) ]
+          block (lower_stmt ~sw types used_wide a),
+          Option.map (fun b -> block (lower_stmt ~sw types used_wide b)) b ) ]
   | SWhile (c, b) ->
-    [ SWhile (lower_expr types c, block (lower_stmt types used_wide b)) ]
+    [ SWhile (lower_expr types c, block (lower_stmt ~sw types used_wide b)) ]
   | SDoWhile (b, c) ->
-    [ SDoWhile (block (lower_stmt types used_wide b), lower_expr types c) ]
+    [ SDoWhile (block (lower_stmt ~sw types used_wide b), lower_expr types c) ]
   | SFor (i, c, u, b) ->
-    let i = Option.map (fun i -> block (lower_stmt types used_wide i)) i in
+    let i = Option.map (fun i -> block (lower_stmt ~sw types used_wide i)) i in
     [ SFor
         ( i,
           Option.map (lower_expr types) c,
           Option.map (lower_expr types) u,
-          block (lower_stmt types used_wide b) ) ]
+          block (lower_stmt ~sw types used_wide b) ) ]
   | SReturn e -> [ SReturn (Option.map (lower_expr types) e) ]
   | SBreak -> [ SBreak ]
   | SContinue -> [ SContinue ]
-  | SBlock l -> [ SBlock (List.concat_map (lower_stmt types used_wide) l) ]
+  | SBlock l -> [ SBlock (List.concat_map (lower_stmt ~sw types used_wide) l) ]
   | SSite (id, s) ->
     (* keep the origin site over whatever the statement lowers to; wrap
        each lowered statement individually so a declaration that lowers
        to several statements is not confined to a fresh block scope *)
-    List.map (fun s' -> SSite (id, s')) (lower_stmt types used_wide s)
+    List.map (fun s' -> SSite (id, s')) (lower_stmt ~sw types used_wide s)
 
 and block = function
   | [ s ] -> s
@@ -401,7 +400,7 @@ let pointee_ty (pa : param) =
   | t -> t
 
 (* Turn one OpenCL kernel into a CUDA kernel. *)
-let lower_kernel used_wide (f : func) : func * kernel_info =
+let lower_kernel ~sw used_wide (f : func) : func * kernel_info =
   let types : (string, ty) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun pa -> Hashtbl.replace types pa.pa_name pa.pa_ty) f.fn_params;
   let roles =
@@ -464,12 +463,12 @@ let lower_kernel used_wide (f : func) : func * kernel_info =
     match f.fn_body with
     | None -> None
     | Some body ->
-      Some (prologue @ List.concat_map (lower_stmt types used_wide) body)
+      Some (prologue @ List.concat_map (lower_stmt ~sw types used_wide) body)
   in
   ( { f with fn_params = new_params; fn_body = body },
     { ki_name = f.fn_name; ki_roles = roles } )
 
-let lower_helper used_wide (f : func) : func =
+let lower_helper ~sw used_wide (f : func) : func =
   let types : (string, ty) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun pa -> Hashtbl.replace types pa.pa_name pa.pa_ty) f.fn_params;
   { f with
@@ -480,18 +479,18 @@ let lower_helper used_wide (f : func) : func =
            { pa with pa_ty = lower_wide_ty used_wide pa.pa_ty })
         f.fn_params;
     fn_body =
-      Option.map (List.concat_map (lower_stmt types used_wide)) f.fn_body }
+      Option.map (List.concat_map (lower_stmt ~sw types used_wide)) f.fn_body }
 
 (* --- whole-program translation ---------------------------------------- *)
 
-let translate (ocl : Minic.Ast.program) : result =
+let translate ?(attribute = false) (ocl : Minic.Ast.program) : result =
   Trace.Sink.with_span ~cat:Trace.Event.Xlat ~name:"xlat:ocl-to-cuda"
   @@ fun () ->
-  sw_fresh := 0;
   (* attribution: tag source sites before lowering so origin ids ride
      through the translation; deterministic, so they match the ids a
      native run of the same source assigns *)
-  let ocl = Minic.Site.maybe_annotate ocl in
+  let ocl = if attribute then Minic.Site.annotate ocl else ocl in
+  let sw = ref 0 in
   let used_wide = ref [] in
   let infos = ref [] in
   let needs_shared_pool = ref false in
@@ -501,12 +500,12 @@ let translate (ocl : Minic.Ast.program) : result =
       (fun td ->
          match td with
          | TFunc f when f.fn_kind = FK_kernel ->
-           let f', info = lower_kernel used_wide f in
+           let f', info = lower_kernel ~sw used_wide f in
            infos := info :: !infos;
            if List.mem P_local_size info.ki_roles then needs_shared_pool := true;
            if List.mem P_const_size info.ki_roles then needs_const_pool := true;
            TFunc f'
-         | TFunc f -> TFunc (lower_helper used_wide f)
+         | TFunc f -> TFunc (lower_helper ~sw used_wide f)
          | TVar d ->
            (* file-scope __constant stays; qualifier spelling is handled
               by the CUDA printer *)
@@ -537,18 +536,18 @@ let translate (ocl : Minic.Ast.program) : result =
     List.sort_uniq compare !used_wide
     |> List.map (fun (s, n) -> wide_struct_def s n)
   in
+  let cuda_prog = wide_defs @ pool_decls @ prelude () @ tds in
   { cuda_prog =
       (* translator-injected top-level statements (prelude helpers,
          pointer-deriving prologues) charge to the overhead site *)
-      Minic.Site.maybe_fill_overhead
-        (wide_defs @ pool_decls @ prelude () @ tds);
+      (if attribute then Minic.Site.fill_overhead cuda_prog else cuda_prog);
     kernels = List.rev !infos }
 
 (* Source-to-source entry point: kernel.cl -> kernel.cl.cu (Fig. 2). *)
-let translate_source (src : string) : string * result =
+let translate_source ?attribute (src : string) : string * result =
   Trace.Sink.with_span ~cat:Trace.Event.Xlat ~name:"xlat:ocl-to-cuda:source"
     ~args:[ ("bytes", string_of_int (String.length src)) ]
   @@ fun () ->
   let ocl = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
-  let r = translate ocl in
+  let r = translate ?attribute ocl in
   (Minic.Pretty.program_str Minic.Pretty.Cuda r.cuda_prog, r)

@@ -33,9 +33,10 @@ val shared_pool : string
 val const_pool : string
 val max_const_size : int
 
-(** Translate a parsed OpenCL program. *)
-val translate : Minic.Ast.program -> result
+(** Translate a parsed OpenCL program, with [attribute] (default false)
+    annotating its source sites first ({!Minic.Site.annotate}). *)
+val translate : ?attribute:bool -> Minic.Ast.program -> result
 
 (** Source-to-source entry point: kernel.cl -> kernel.cl.cu (Fig. 2).
     Returns the printed CUDA source together with the metadata. *)
-val translate_source : string -> string * result
+val translate_source : ?attribute:bool -> string -> string * result

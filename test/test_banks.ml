@@ -24,11 +24,6 @@
 
 open Minic.Ast
 
-let with_ref r v f =
-  let saved = !r in
-  r := v;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
 (* The bytes are global memory from the output buffer to the end of the
    inputs, so a failing launch is compared on its partial buffers too. *)
 type outcome =
@@ -67,7 +62,6 @@ let lws = 8
 let launch ?(extra_externals = []) ?(geometry = ([| gws; 1; 1 |], [| lws; 1; 1 |]))
     ?(dyn_shared = 0) ?(scalars = []) ~backend ~passes ~domains prog ~out_bytes
     ~inputs =
-  with_ref Minic.Site.enabled true @@ fun () ->
   let config = { (Gpusim.Config.default ()) with backend; passes; domains } in
   let dev =
     Gpusim.Device.create ~config Gpusim.Device.titan
@@ -144,16 +138,18 @@ let comparable ~exact reference got =
    or as CUDA, or parsed as OpenCL C and translated to CUDA as
    clBuildProgram on the CUDA wrappers does (a dynamic __local becomes a
    size_t parameter and a cast out of the extern __shared__ pool).
-   Sites are on the source as written, when attribution is on. *)
+   With [attribute], sites are on the source as written. *)
 type source = OpenCL | Cuda | Translated
 
-let program_of source src =
+let program_of ?(attribute = false) source src =
   let parse dialect = Minic.Parser.program ~dialect src in
+  let sited prog = if attribute then Minic.Site.annotate prog else prog in
   match source with
-  | OpenCL -> Minic.Site.maybe_annotate (parse Minic.Parser.OpenCL)
-  | Cuda -> Minic.Site.maybe_annotate (parse Minic.Parser.Cuda)
+  | OpenCL -> sited (parse Minic.Parser.OpenCL)
+  | Cuda -> sited (parse Minic.Parser.Cuda)
   | Translated ->
-    (Xlat.Ocl_to_cuda.translate (parse Minic.Parser.OpenCL)).Xlat.Ocl_to_cuda.cuda_prog
+    (Xlat.Ocl_to_cuda.translate ~attribute (parse Minic.Parser.OpenCL))
+      .Xlat.Ocl_to_cuda.cuda_prog
 
 (* Interpreter vs IR backend at 1 and 4 domains; returns the reference.
    With no passes the IR charges what the interpreter charges (up to
@@ -163,9 +159,7 @@ let program_of source src =
    exactly as the one at 1. *)
 let differential ?extra_externals ?(source = OpenCL) ?geometry ?dyn_shared
     ?scalars ~src ~out_bytes ~inputs () =
-  with_ref Minic.Site.enabled true @@ fun () ->
-  Minic.Site.reset ();
-  let prog = program_of source src in
+  let prog = program_of ~attribute:true source src in
   let run backend passes domains =
     launch ?extra_externals ?geometry ?dyn_shared ?scalars ~backend ~passes
       ~domains prog ~out_bytes ~inputs

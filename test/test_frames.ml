@@ -19,11 +19,6 @@
 
 open Minic.Ast
 
-let with_ref r v f =
-  let saved = !r in
-  r := v;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
 type arg =
   | Out                        (* the output buffer, a global int pointer *)
   | Scalar of Vm.Interp.tval   (* passed as given, converted by the callee *)
@@ -45,12 +40,12 @@ let short s = String.sub (Digest.to_hex (Digest.string s)) 0 12
    either the Counters.t fields in Fuzz.Pyramid.counter_fields order
    and the attribution rows' digest, or the exception. *)
 let run (c : case) ~backend ~passes ~domains =
-  with_ref Minic.Site.enabled true @@ fun () ->
-  Minic.Site.reset ();
   let prog =
     Minic.Site.annotate (Minic.Parser.program ~dialect:Minic.Parser.OpenCL c.src)
   in
-  let config = { Gpusim.Config.backend; passes; domains; engine = Scalar } in
+  let config =
+    { Gpusim.Config.backend; passes; domains; engine = Scalar; attribute = false }
+  in
   let dev =
     Gpusim.Device.create ~config Gpusim.Device.titan Gpusim.Device.opencl_on_nvidia
   in

@@ -113,9 +113,9 @@ __kernel void clob(__global int* out, __global int* c) {
          check "stores fused into one region" true
            ((plan_of ~src ~kernel:"clob").Gpusim.Lockstep.p_fused = 1);
          let run engine =
-           T.with_attr @@ fun () ->
            let prog =
-             Minic.Parser.program ~dialect:Minic.Parser.OpenCL src
+             Minic.Site.annotate
+               (Minic.Parser.program ~dialect:Minic.Parser.OpenCL src)
            in
            let dev = T.device ~engine ~domains:1 in
            let host = Vm.Memory.create "host" in

@@ -109,10 +109,11 @@ let profile_cuda_src ?config label src : traced_run list =
     Bridge.Framework.(
       run_translated_cuda ~dev:(device_of ?config Titan_opencl) result)
   in
+  let attribute = Option.map (fun c -> c.Gpusim.Config.attribute) config in
   (* untraced warm-up: populates the parse and translate caches *)
   ignore (native ());
   let warm_translated =
-    match Bridge.Framework.translate_cuda src with
+    match Bridge.Framework.translate_cuda ?attribute src with
     | Bridge.Framework.Failed _ -> None
     | Bridge.Framework.Translated result ->
       ignore (translated result);
@@ -132,6 +133,27 @@ let profile_cuda_src ?config label src : traced_run list =
   Trace.Sink.disable ();
   runs
 
+(* Native and wrapped profiles of an OpenCL app, on devices under
+   [config], after an untraced warm-up of both. *)
+let profile_ocl_app ?config (app : Bridge.Framework.ocl_app) : traced_run list =
+  let native () =
+    Bridge.Framework.(run_app_native app ~dev:(device_of ?config Titan_opencl) ())
+  in
+  let wrapped () =
+    Bridge.Framework.(run_app_on_cuda app ~dev:(device_of ?config Titan_cuda) ())
+  in
+  ignore (native ());
+  ignore (wrapped ());
+  Trace.Sink.enable ();
+  Trace.Sink.clear ();
+  let label = app.Bridge.Framework.oa_name in
+  let runs =
+    [ traced_run (label ^ " @ OpenCL/Titan") native;
+      traced_run (label ^ " @ CUDA/Titan (wrapped)") wrapped ]
+  in
+  Trace.Sink.disable ();
+  runs
+
 let summary_text (runs : traced_run list) =
   String.concat "\n"
     (List.map
@@ -142,6 +164,25 @@ let summary_text (runs : traced_run list) =
           ^ (if amps = [] then ""
              else Trace.Summary.amplification_to_string amps))
        runs)
+
+(* What `oclcu prof TARGET --attribute` prints per run, the per-site
+   table under the run's label, and with [diff] the `--diff` table of
+   the native and the translated run. *)
+let attribution_text ?(diff = false) (runs : traced_run list) =
+  String.concat ""
+    (List.map
+       (fun tr ->
+          "==" ^ tr.tr_label ^ "==\n"
+          ^ Trace.Summary.attribution_to_string tr.tr_metrics)
+       runs)
+  ^
+  match diff, runs with
+  | true, [ native; translated ] ->
+    Trace.Summary.diff_to_string ~native:native.tr_metrics
+      ~translated:translated.tr_metrics
+  | _ -> ""
+
+let attributing = { (Gpusim.Config.default ()) with attribute = true }
 
 let devicequery_src () =
   let app =
@@ -166,4 +207,29 @@ let golden_tests =
           (normalize_chrome (Trace.Json.to_string json)))
   ]
 
-let suites = [ ("golden.prof", golden_tests) ]
+(* The attribution reports of §6.2's two mechanisms: FT's bank-conflict
+   replays, which only its 32-bit-addressing side shows (the six
+   [tile[...]] sites of each kernel), and cfd, whose translation moves
+   no per-site count. *)
+let attribution_tests =
+  [ Alcotest.test_case "prof FT --attribute --diff" `Quick (fun () ->
+        let ft =
+          List.find
+            (fun (a : Bridge.Framework.ocl_app) -> a.Bridge.Framework.oa_name = "FT")
+            Suite.Registry.all_opencl
+        in
+        check_golden "prof_ft_attribute.txt"
+          (attribution_text ~diff:true (profile_ocl_app ~config:attributing ft)));
+    Alcotest.test_case "prof cfd --attribute" `Quick (fun () ->
+        let cfd =
+          List.find
+            (fun (c : Suite.Registry.cuda_app) -> c.cu_name = "cfd")
+            Suite.Registry.all_cuda
+        in
+        check_golden "prof_cfd_attribute.txt"
+          (attribution_text
+             (profile_cuda_src ~config:attributing "cfd" cfd.Suite.Registry.cu_src)))
+  ]
+
+let suites =
+  [ ("golden.prof", golden_tests); ("golden.attribution", attribution_tests) ]

@@ -18,11 +18,6 @@ module Core = Ir.Core
 let check = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
 
-let with_ref r v f =
-  let saved = !r in
-  r := v;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
 let parse src = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src
 
 let emit ~cfg src =
@@ -434,8 +429,6 @@ let prop_differential =
    callee's charges to the call site, so the invariant is per-site only
    for the rewriting passes. *)
 let attribution_elim_sums () =
-  with_ref Minic.Site.enabled true @@ fun () ->
-  Minic.Site.reset ();
   let prog = Minic.Site.annotate (parse (diff_src ~c1:3 ~c2:7 ~op:"+")) in
   let plan = plan_of prog ~gws:64 in
   let table passes =

@@ -27,11 +27,6 @@ let device ~engine ~domains =
   Gpusim.Device.create ~config:(config ~engine ~domains) Gpusim.Device.titan
     Gpusim.Device.opencl_on_nvidia
 
-let with_attr f =
-  let saved = !Minic.Site.enabled in
-  Minic.Site.enabled := true;
-  Fun.protect ~finally:(fun () -> Minic.Site.enabled := saved) f
-
 let gbuf (dev : Gpusim.Device.t) bytes =
   Vm.Memory.alloc dev.global ~align:256 bytes
 
@@ -51,12 +46,12 @@ let engine_name = function
   | Gpusim.Exec.Engine_fallback r -> "fallback: " ^ r
   | Gpusim.Exec.Engine_bailed r -> "bailed: " ^ r
 
-(* Launch [src]'s [kernel] under [engine] with attribution on; returns
-   the output ints, the engine outcome and the comparable observables. *)
+(* Launch [src]'s [kernel] under [engine], its statements annotated with
+   their sites so launches attribute per site; returns the output ints,
+   the engine outcome and the comparable observables. *)
 let launch ?(dialect = Minic.Parser.OpenCL) ~engine ?(domains = 1) ~src
     ~kernel ~gws ~lws ?(extra_args = []) ~out_ints () =
-  with_attr @@ fun () ->
-  let prog = Minic.Parser.program ~dialect src in
+  let prog = Minic.Site.annotate (Minic.Parser.program ~dialect src) in
   let dev = device ~engine ~domains in
   let host = Vm.Memory.create "host" in
   let k = Option.get (find_function prog kernel) in
@@ -323,7 +318,6 @@ __kernel void clob(__global int* out, __global int* c) {
 (* --- qcheck: generated kernels, lockstep vs Ir.Emit vs Vm.Interp -------- *)
 
 let run_with ~engine ~backend ~domains case plan =
-  with_attr @@ fun () ->
   match
     Fuzz.Pyramid.launch { (config ~engine ~domains) with backend } case plan
   with
@@ -342,7 +336,11 @@ let prop_differential =
     QCheck.(int_range 0 100_000)
     (fun seed ->
        let case = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-       let plan = Fuzz.Pyramid.plan_a case case.Fuzz.Gen.c_prog in
+       (* annotated, so the per-site tables compared below have a row
+          per statement *)
+       let plan =
+         Fuzz.Pyramid.plan_a case (Minic.Site.annotate case.Fuzz.Gen.c_prog)
+       in
        let reference =
          run_with ~engine:Gpusim.Exec.Scalar ~backend:Gpusim.Exec.Compiled
            ~domains:1 case plan
